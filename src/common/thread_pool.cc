@@ -91,26 +91,6 @@ void ThreadPool::ParallelForChunked(
   RunStealing(n, chunks, (n + chunks - 1) / chunks, fn);
 }
 
-void ThreadPool::ParallelForDeterministic(
-    size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  // Boundaries are a function of n only. Nesting and worker count change
-  // only how chunks are scheduled, never how [0, n) is split.
-  size_t chunks = DeterministicChunkCount(n);
-  size_t chunk_size = (n + chunks - 1) / chunks;
-  if (t_inside_worker || chunks <= 1 || num_threads() <= 1) {
-    // Inline: same chunks, ascending order, current thread.
-    for (size_t c = 0; c < chunks; ++c) {
-      size_t begin = c * chunk_size;
-      size_t end = std::min(n, begin + chunk_size);
-      if (begin >= end) break;
-      fn(c, begin, end);
-    }
-    return;
-  }
-  RunStealing(n, chunks, chunk_size, fn);
-}
-
 void ThreadPool::ParallelForGrains(
     size_t n, const std::function<void(size_t, size_t, size_t)>& fn,
     size_t grain_rows) {

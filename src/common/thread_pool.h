@@ -44,57 +44,27 @@ class ThreadPool {
   ///
   /// Chunk boundaries depend on num_threads(), so per-chunk floating-point
   /// accumulation merged across chunks is NOT reproducible across thread
-  /// counts — aggregation paths that must be use ParallelForDeterministic.
+  /// counts — aggregation paths that must be use ParallelForGrains.
   void ParallelForChunked(
       size_t n, const std::function<void(size_t, size_t, size_t)>& fn);
 
-  /// Maximum chunk fan-out of ParallelForDeterministic. Fixed (not a
-  /// function of the worker count) so that chunk boundaries — and thus
-  /// any per-chunk accumulation merged in chunk order — are a pure
-  /// function of n.
-  static constexpr size_t kDeterministicChunks = 16;
-
-  /// Minimum items per deterministic chunk. Chunked aggregation pays a
-  /// merge cost proportional to chunks × groups (every chunk rediscovers
-  /// roughly the same group set and its partial states must be folded
-  /// together), so a chunk has to hold enough rows to amortize its share
-  /// of the merge; small inputs use fewer chunks rather than slower ones.
+  /// Minimum items per grain in ParallelForGrains' auto mode. Grained
+  /// aggregation pays a merge cost proportional to grains × groups (every
+  /// grain rediscovers roughly the same group set and its partial states
+  /// must be folded together), so a grain has to hold enough rows to
+  /// amortize its share of the merge; small inputs use fewer grains
+  /// rather than slower ones.
   static constexpr size_t kDeterministicChunkFloor = 32768;
 
-  /// Number of chunks ParallelForDeterministic uses for `n` items —
-  /// min(kDeterministicChunks, max(1, n / kDeterministicChunkFloor)).
-  /// Still a pure function of n (never of the worker count), preserving
-  /// the cross-thread-count determinism contract.
-  static size_t DeterministicChunkCount(size_t n) {
-    if (n == 0) return 0;
-    size_t by_floor = n / kDeterministicChunkFloor;
-    if (by_floor == 0) return 1;
-    return by_floor < kDeterministicChunks ? by_floor : kDeterministicChunks;
-  }
-
-  /// Like ParallelForChunked, but chunk boundaries are a function of n
-  /// only: min(n, kDeterministicChunks) equal chunks, regardless of
-  /// worker count or nesting. Callers that merge per-chunk partial
-  /// aggregates in ascending chunk order therefore produce byte-identical
-  /// results at any TABULA_THREADS setting — the determinism contract
-  /// the soak replay tests pin down. Error semantics match
-  /// ParallelForChunked (drain all chunks, rethrow first exception).
-  void ParallelForDeterministic(
-      size_t n, const std::function<void(size_t, size_t, size_t)>& fn);
-
-  /// Maximum grain fan-out of ParallelForGrains in auto mode. Wider than
-  /// kDeterministicChunks so big inputs split into enough steal units for
-  /// load balancing, but still a fixed constant — grain boundaries stay a
-  /// pure function of n.
+  /// Maximum grain fan-out of ParallelForGrains in auto mode: enough steal
+  /// units for load balancing on big inputs, but a fixed constant — grain
+  /// boundaries stay a pure function of n.
   static constexpr size_t kMaxStealGrains = 64;
 
   /// Number of grains ParallelForGrains uses for `n` items in auto mode:
   /// clamp(n / kDeterministicChunkFloor, 1, kMaxStealGrains), 0 for n==0.
-  /// Deliberately identical to DeterministicChunkCount(n) for every
-  /// n ≤ kDeterministicChunks × kDeterministicChunkFloor, so converting a
-  /// ParallelForDeterministic caller to grains keeps its partial-merge
-  /// boundaries — and thus its floating-point fold order — byte-for-byte
-  /// unchanged on all but very large inputs.
+  /// A pure function of n (never of the worker count), which is the
+  /// cross-thread-count determinism contract.
   static size_t GrainCount(size_t n) {
     if (n == 0) return 0;
     size_t by_floor = n / kDeterministicChunkFloor;
@@ -108,10 +78,11 @@ class ThreadPool {
   /// the next unclaimed grain from a shared atomic cursor. Stealing
   /// reorders *execution* only: fn(grain, begin, end) must write into
   /// per-grain state, and callers merging those partials in ascending
-  /// grain order get byte-identical output at any TABULA_THREADS setting,
-  /// exactly as with ParallelForDeterministic — but a skewed grain no
-  /// longer gates the whole dispatch the way static per-worker chunking
-  /// did. grain_rows == 0 picks ceil(n / GrainCount(n)) rows per grain;
+  /// grain order get byte-identical output at any TABULA_THREADS setting
+  /// (the determinism contract the soak replay tests pin down), and a
+  /// skewed grain never gates the whole dispatch the way static
+  /// per-worker chunking would. grain_rows == 0 picks
+  /// ceil(n / GrainCount(n)) rows per grain;
   /// pass an explicit grain_rows (e.g. 1 for per-item stealing across
   /// cuboids or cells) when items are few but individually heavy. Error
   /// semantics match ParallelForChunked (every grain runs; first exception

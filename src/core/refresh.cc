@@ -170,19 +170,13 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // full re-accumulation to rebind, so they keep the original sample;
   // the θ guarantee holds either way.
   if (!loss_fn()->StateDependsOnReference()) {
-    size_t global_size = SerflingSampleSize(options_.serfling_epsilon,
-                                            options_.serfling_delta);
-    // Bottom-k is decomposable: every row of [0, n0) outside the
-    // current sample was already beaten by a member's priority and can
-    // never re-enter, so scanning (current sample ∪ appended rows)
-    // reproduces the full-table draw exactly in O(k + batch). The
-    // current sample is itself the bottom-k of [0, n0) — Initialize and
-    // every adopted redraw use this same seed and size.
-    std::vector<RowId> cand = global_sample_rows_;
-    cand.reserve(cand.size() + (n1 - n0));
-    for (size_t r = n0; r < n1; ++r) cand.push_back(static_cast<RowId>(r));
-    plan.staged_global_rows = ConsistentBottomKSample(
-        DatasetView(table_, std::move(cand)), global_size, options_.seed);
+    // The current sample is itself the bottom-k of [0, n0) — Initialize
+    // and every adopted redraw use this same seed and size.
+    plan.staged_global_rows = ExtendBottomKSample(
+        *table_, global_sample_rows_, n0, n1,
+        SerflingSampleSize(options_.serfling_epsilon,
+                           options_.serfling_delta),
+        options_.seed);
     plan.staged_global = DatasetView(table_, plan.staged_global_rows);
     TABULA_ASSIGN_OR_RETURN(plan.staged_bound,
                             loss_fn()->Bind(*table_, plan.staged_global));
@@ -564,7 +558,7 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
         store_.Untrack(id);
       }
     }
-    EnforceStoreBudgetLocked(0, kInvalidSampleId);
+    store_.EnforceBudget(&samples_);
   }
   if (p->has_spatial_delta) {
     grid_.CommitAppend(std::move(p->spatial_delta));

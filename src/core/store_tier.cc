@@ -17,7 +17,7 @@
 
 namespace tabula {
 
-Status Tabula::AssignInitialTiers() {
+Status Tabula::AssignInitialTiers(const std::vector<RowId>* rows) {
   // Never truncate the spill file: a full-rebuild ingest builds the
   // fresh instance while the old one still serves (and may still read
   // its own spill records), so records are append-only for the life of
@@ -39,13 +39,16 @@ Status Tabula::AssignInitialTiers() {
   // it up front (just the index — NOT BuildMaintenanceState, whose
   // finest_states_ must keep covering exactly [0, refreshed_rows_) for
   // a resume_partial load). Indexing past refreshed_rows_ is harmless:
-  // GatherCellRows caps at the folded prefix, and PlanIngest's
-  // watermark makes the extension idempotent.
-  for (size_t r = finest_rows_indexed_; r < table_->num_rows(); ++r) {
-    finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))].push_back(
-        static_cast<RowId>(r));
+  // AppendCellRows caps at the folded prefix, and PlanIngest's
+  // watermark makes the extension idempotent. A shard unit indexes
+  // exactly its own rows.
+  const DatasetView view =
+      rows != nullptr ? DatasetView(table_, *rows) : DatasetView(table_);
+  for (size_t i = finest_rows_indexed_; i < view.size(); ++i) {
+    const RowId r = view.row(i);
+    finest_rows_[packer_.PackRow(encoder_, r)].push_back(r);
   }
-  finest_rows_indexed_ = table_->num_rows();
+  finest_rows_indexed_ = view.size();
   // Register every sample at kWarm with its cube refcount (selection
   // shares representative slots across cells).
   std::vector<uint32_t> refs(samples_.size(), 0);
@@ -58,51 +61,33 @@ Status Tabula::AssignInitialTiers() {
     store_.Track(id, samples_.sample(id).size() * tuple_bytes,
                  SampleTier::kWarm, refs[id]);
   }
-  EnforceStoreBudgetLocked(0, kInvalidSampleId);
+  store_.EnforceBudget(&samples_);
   return Status::OK();
 }
 
-void Tabula::EnforceStoreBudgetLocked(uint64_t incoming,
-                                      uint32_t protect) const {
-  const uint64_t budget = store_.budget();
-  const uint64_t target = budget > incoming ? budget - incoming : 0;
-  const uint64_t current = store_.bytes();
-  if (current <= target) return;
-  std::vector<uint32_t> victims =
-      store_.PlanEvictions(current - target, protect);
-  for (uint32_t id : victims) {
-    std::vector<RowId> rows = samples_.TakeSample(id);
-    store_.Demote(id, rows);
-  }
-}
-
-Status Tabula::GatherCellRows(const IcebergCell& cell,
-                              std::vector<RowId>* rows) const {
-  rows->clear();
+void Tabula::AppendCellRows(uint64_t key, CuboidMask cuboid,
+                            std::vector<RowId>* rows) const {
+  const size_t first = rows->size();
   const size_t n_attrs = options_.cubed_attributes.size();
   std::vector<size_t> rolled;
   for (size_t j = 0; j < n_attrs; ++j) {
-    if (!(cell.cuboid & (CuboidMask{1} << j))) rolled.push_back(j);
+    if (!(cuboid & (CuboidMask{1} << j))) rolled.push_back(j);
   }
   // Only rows the cube has folded in: the index may already cover
   // pending appends staged by an in-flight (or abandoned) ingest cycle,
   // and the sample must match the committed prefix.
   const RowId bound = static_cast<RowId>(refreshed_rows_);
   finest_rows_.ForEach([&](uint64_t fkey, const std::vector<RowId>& frows) {
-    uint64_t key = fkey;
-    for (size_t j : rolled) key = packer_.WithNull(key, j);
-    if (key != cell.key) return;
+    uint64_t cell_key = fkey;
+    for (size_t j : rolled) cell_key = packer_.WithNull(cell_key, j);
+    if (cell_key != key) return;
     for (RowId r : frows) {
       if (r < bound) rows->push_back(r);
     }
   });
   // Ascending row order = the build-time gather order, so re-sampling
   // is byte-deterministic.
-  std::sort(rows->begin(), rows->end());
-  if (rows->empty()) {
-    return Status::Internal("iceberg cell has no rows in the finest index");
-  }
-  return Status::OK();
+  std::sort(rows->begin() + first, rows->end());
 }
 
 Status Tabula::PromoteLocked(IcebergCell* cell,
@@ -111,7 +96,10 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   TABULA_FAULT_POINT("store.promote");
   const uint32_t old_id = cell->sample_id;
   std::vector<RowId> rows;
-  TABULA_RETURN_NOT_OK(GatherCellRows(*cell, &rows));
+  AppendCellRows(cell->key, cell->cuboid, &rows);
+  if (rows.empty()) {
+    return Status::Internal("iceberg cell has no rows in the finest index");
+  }
 
   const bool hot =
       store_.hits(old_id) >= options_.store.hot_promote_hits;
@@ -146,7 +134,7 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   }
 
   const uint64_t bytes = sample.size() * BytesPerTuple();
-  EnforceStoreBudgetLocked(bytes, old_id);
+  store_.EnforceBudget(&samples_, bytes, old_id);
   if (store_.bytes() + bytes > store_.budget()) {
     // The sample alone cannot fit the budget (everything else is
     // already cold). Serve it θ-bounded but do not retain it.
@@ -170,56 +158,58 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   return Status::OK();
 }
 
-void Tabula::ServeStoredSample(uint64_t key, uint64_t parent_span,
-                               TabulaQueryResult* result) const {
+bool Tabula::AppendLocalSample(const IcebergCell& cell, uint64_t parent_span,
+                               std::vector<RowId>* out) const {
+  auto append = [&](const std::vector<RowId>& sample) {
+    out->insert(out->end(), sample.begin(), sample.end());
+  };
+  if (!store_enabled()) {
+    append(samples_.sample(cell.sample_id));
+    return true;
+  }
+  // A promote may relink a shared cell's sample id, so re-read the cell
+  // under the store lock.
   {
     std::shared_lock<std::shared_mutex> lock(*store_mu_);
-    const IcebergCell* cell = cube_.Find(key);
-    store_.RecordHit(cell->sample_id);
-    if (store_.resident(cell->sample_id)) {
-      result->from_local_sample = true;
-      result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-      return;
+    const uint32_t id = cube_.Find(cell.key)->sample_id;
+    store_.RecordHit(id);
+    if (store_.resident(id)) {
+      append(samples_.sample(id));
+      return true;
     }
   }
   // Cold tier: lazily promote under the exclusive section.
   std::unique_lock<std::shared_mutex> lock(*store_mu_);
-  IcebergCell* cell = cube_.FindMutable(key);
-  if (store_.resident(cell->sample_id)) {
+  IcebergCell* mutable_cell = cube_.FindMutable(cell.key);
+  if (store_.resident(mutable_cell->sample_id)) {
     // Raced with another promoter; serve its work.
-    result->from_local_sample = true;
-    result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-    return;
+    append(samples_.sample(mutable_cell->sample_id));
+    return true;
   }
   Span span;
   if (options_.tracer != nullptr) {
     span = options_.tracer->StartSpan("store.promote", parent_span);
   }
   std::vector<RowId> transient;
-  Status promoted = PromoteLocked(cell, &transient);
+  Status promoted = PromoteLocked(mutable_cell, &transient);
   span.SetAttribute("ok", promoted.ok());
-  if (promoted.ok()) {
-    store_.CountPromote();
-    result->from_local_sample = true;
-    if (!transient.empty()) {
-      // Too large to retain: the view owns the rows, the slot stays
-      // cold, and the budget invariant holds.
-      span.SetAttribute("retained", false);
-      result->sample = DatasetView(table_, std::move(transient));
-    } else {
-      span.SetAttribute("retained", true);
-      span.SetAttribute("tier",
-                        std::string(SampleTierName(
-                            store_.tier(cell->sample_id))));
-      result->sample = DatasetView(table_, samples_.sample(cell->sample_id));
-    }
-  } else {
-    // Degrade to the global sample — never the stale evicted bytes.
+  if (!promoted.ok()) {
     store_.CountPromoteFailure();
-    result->from_local_sample = false;
-    result->store_degraded = true;
-    result->sample = DatasetView(table_, global_sample_rows_);
+    return false;
   }
+  store_.CountPromote();
+  if (!transient.empty()) {
+    // Too large to retain: served once, the slot stays cold, and the
+    // budget invariant holds.
+    span.SetAttribute("retained", false);
+    append(transient);
+  } else {
+    span.SetAttribute("retained", true);
+    span.SetAttribute("tier", std::string(SampleTierName(
+                                  store_.tier(mutable_cell->sample_id))));
+    append(samples_.sample(mutable_cell->sample_id));
+  }
+  return true;
 }
 
 Status Tabula::MaintainStoreTiers() {
@@ -247,14 +237,17 @@ Status Tabula::MaintainStoreTiers() {
     if (store_.refs(id) != 1) continue;
     if (store_.hits(id) < options_.store.hot_promote_hits) continue;
     std::vector<RowId> rows;
-    TABULA_RETURN_NOT_OK(GatherCellRows(*cell, &rows));
+    AppendCellRows(cell->key, cell->cuboid, &rows);
+    if (rows.empty()) {
+      return Status::Internal("iceberg cell has no rows in the finest index");
+    }
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
                             hot_sampler.Sample(DatasetView(table_, rows)));
     const uint64_t bytes = sample.size() * tuple_bytes;
     samples_.SetSample(id, std::move(sample));
     store_.MarkResident(id, bytes, SampleTier::kHot);
   }
-  EnforceStoreBudgetLocked(0, kInvalidSampleId);
+  store_.EnforceBudget(&samples_);
   return Status::OK();
 }
 

@@ -10,8 +10,8 @@
 
 namespace tabula {
 
-Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
-                                                   TabulaOptions options) {
+Status Tabula::ValidateOptions(const Table& table,
+                               const TabulaOptions& options) {
   const LossFunction* loss = options.effective_loss();
   if (loss == nullptr) {
     return Status::InvalidArgument("TabulaOptions.loss must be set");
@@ -28,60 +28,91 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
                               "' not in table");
     }
   }
+  return Status::OK();
+}
 
+Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
+                                                   TabulaOptions options) {
+  TABULA_RETURN_NOT_OK(ValidateOptions(table, options));
+  Tracer* tracer = options.tracer != nullptr && options.tracer->enabled()
+                       ? options.tracer
+                       : nullptr;
+  return Build(table, std::move(options), /*unit=*/nullptr, tracer);
+}
+
+Result<std::unique_ptr<Tabula>> Tabula::MakeInstance(
+    const Table& table, TabulaOptions options, KeyEncoder encoder,
+    std::vector<RowId> global_rows) {
   auto tabula = std::unique_ptr<Tabula>(new Tabula());
   tabula->table_ = &table;
   tabula->options_ = std::move(options);
-  const TabulaOptions& opts = tabula->options_;
-
-  // Stage timings below come from spans, never from ad-hoc stopwatches.
-  // When the caller's tracer cannot record (absent or kDisabled), a
-  // local always-on tracer stands in, so init_stats() and init_trace()
-  // are populated either way. Init runs once; the span cost is noise.
-  Tracer local_tracer(TracerOptions{TraceMode::kAll, /*capacity=*/64});
-  Tracer* tracer = opts.tracer != nullptr && opts.tracer->enabled()
-                       ? opts.tracer
-                       : &local_tracer;
-  Span init_span = tracer->StartSpan("tabula.init", 0, /*opt_in=*/true);
-  init_span.SetAttribute("table_rows", table.num_rows());
-  init_span.SetAttribute("cubed_attributes",
-                         opts.cubed_attributes.size());
-  init_span.SetAttribute("threshold", opts.threshold);
-
-  TABULA_ASSIGN_OR_RETURN(
-      tabula->encoder_, KeyEncoder::Make(table, opts.cubed_attributes));
-  std::vector<size_t> all_cols(opts.cubed_attributes.size());
+  tabula->encoder_ = std::move(encoder);
+  std::vector<size_t> all_cols(tabula->encoder_.num_columns());
   for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
   TABULA_ASSIGN_OR_RETURN(tabula->packer_,
                           KeyPacker::Make(tabula->encoder_, all_cols));
+  tabula->global_sample_rows_ = std::move(global_rows);
+  tabula->global_sample_ = DatasetView(&table, tabula->global_sample_rows_);
+  tabula->stats_.global_sample_tuples = tabula->global_sample_.size();
+  return tabula;
+}
 
-  // Stage 0: global random sample, sized by Serfling's inequality.
-  {
+Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
+                                              TabulaOptions options,
+                                              const UnitInput* unit,
+                                              Tracer* tracer) {
+  // Stage timings below come from spans, never from ad-hoc stopwatches.
+  // Without a caller tracer a local always-on one stands in, so
+  // init_stats() and init_trace() are populated either way. Init runs
+  // once; the span cost is noise.
+  Tracer local_tracer(TracerOptions{TraceMode::kAll, /*capacity=*/64});
+  if (tracer == nullptr) tracer = &local_tracer;
+  const DatasetView rows =
+      unit != nullptr ? DatasetView(&table, *unit->rows) : DatasetView(&table);
+  Span init_span = tracer->StartSpan("tabula.init", 0, /*opt_in=*/true);
+  init_span.SetAttribute("table_rows", rows.size());
+  init_span.SetAttribute("cubed_attributes", options.cubed_attributes.size());
+  init_span.SetAttribute("threshold", options.threshold);
+
+  // Stage 0: the key encoder and the global random sample, sized by
+  // Serfling's inequality — or the coordinator's, for a shard unit.
+  std::unique_ptr<Tabula> tabula;
+  if (unit != nullptr) {
+    TABULA_ASSIGN_OR_RETURN(
+        tabula, MakeInstance(table, std::move(options), *unit->encoder,
+                             *unit->global_rows));
+  } else {
+    TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
+                            KeyEncoder::Make(table, options.cubed_attributes));
     Span span = tracer->StartSpan("tabula.init.global_sample",
                                   init_span.id());
-    size_t global_size =
-        SerflingSampleSize(opts.serfling_epsilon, opts.serfling_delta);
-    DatasetView all(&table);
-    tabula->global_sample_rows_ =
-        ConsistentBottomKSample(all, global_size, opts.seed);
-    tabula->global_sample_ = DatasetView(&table, tabula->global_sample_rows_);
-    tabula->stats_.global_sample_tuples = tabula->global_sample_.size();
-    span.SetAttribute("tuples", tabula->stats_.global_sample_tuples);
+    std::vector<RowId> global_rows = ConsistentBottomKSample(
+        rows,
+        SerflingSampleSize(options.serfling_epsilon, options.serfling_delta),
+        options.seed);
+    span.SetAttribute("tuples", global_rows.size());
+    TABULA_ASSIGN_OR_RETURN(
+        tabula, MakeInstance(table, std::move(options), std::move(encoder),
+                             std::move(global_rows)));
     tabula->stats_.global_sample_millis = span.End();
   }
-
+  const TabulaOptions& opts = tabula->options_;
+  const LossFunction* loss = opts.effective_loss();
   Lattice lattice(opts.cubed_attributes.size());
 
   // Stage 1: dry run — iceberg cell lookup via algebraic roll-up.
   Span dry_span = tracer->StartSpan("tabula.init.dry_run", init_span.id());
   TABULA_ASSIGN_OR_RETURN(
       DryRunResult dry,
-      RunDryRun(table, tabula->encoder_, tabula->packer_, lattice, *loss,
+      RunDryRun(rows, tabula->encoder_, tabula->packer_, lattice, *loss,
                 tabula->global_sample_, opts.threshold));
   tabula->stats_.total_cells = dry.total_cells;
   tabula->stats_.iceberg_cells = dry.total_iceberg_cells;
   tabula->stats_.iceberg_cuboids = dry.iceberg_cuboids;
-  dry_span.SetAttribute("rows_scanned", table.num_rows());
+  // A shard unit keeps the finest states for the coordinator's merge.
+  if (unit != nullptr) tabula->unit_finest_ = std::move(dry.finest);
+  dry.finest = GroupedStates<LossState>();
+  dry_span.SetAttribute("rows_scanned", rows.size());
   dry_span.SetAttribute("total_cells", dry.total_cells);
   dry_span.SetAttribute("iceberg_cells", dry.total_iceberg_cells);
   dry_span.SetAttribute("iceberg_cuboids", dry.iceberg_cuboids);
@@ -93,9 +124,8 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
   sampler_opts.seed = opts.seed;
   TABULA_ASSIGN_OR_RETURN(
       RealRunResult real,
-      RunRealRun(table, tabula->encoder_, tabula->packer_, lattice, dry,
-                 *loss, opts.threshold, sampler_opts,
-                 opts.path_policy));
+      RunRealRun(rows, tabula->encoder_, tabula->packer_, lattice, dry,
+                 *loss, opts.threshold, sampler_opts, opts.path_policy));
   tabula->stats_.real_run_cuboids = std::move(real.per_cuboid);
   tabula->cube_ = std::move(real.cube);
   real_span.SetAttribute("iceberg_cells", tabula->cube_.size());
@@ -104,7 +134,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
   tabula->stats_.real_run_millis = real_span.End();
 
   // Stage 3: representative sample selection (or persist-all for
-  // Tabula*).
+  // Tabula* and shard units, which keep the raw rows for the merge).
   Span sel_span = tracer->StartSpan("tabula.init.selection", init_span.id());
   if (opts.enable_sample_selection) {
     TABULA_ASSIGN_OR_RETURN(
@@ -115,9 +145,10 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
     tabula->stats_.representative_samples = sel.representatives;
     tabula->stats_.cells_sharing_samples = sel.cells_sharing;
   } else {
-    TABULA_ASSIGN_OR_RETURN(SelectionResult sel,
-                            PersistAllSamples(&tabula->cube_,
-                                              &tabula->samples_));
+    TABULA_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        PersistAllSamples(&tabula->cube_, &tabula->samples_,
+                          /*keep_raw_rows=*/unit != nullptr));
     tabula->stats_.representative_samples = sel.representatives;
   }
   sel_span.SetAttribute("representatives",
@@ -133,7 +164,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
     TABULA_ASSIGN_OR_RETURN(
         tabula->grid_,
         SpatialGrid::Build(tabula->SpatialContext(), opts.spatial,
-                           /*rows=*/nullptr));
+                           unit != nullptr ? unit->rows : nullptr));
     tabula->stats_.spatial_cells = tabula->grid_.TotalCells();
     tabula->stats_.spatial_sample_tuples = tabula->grid_.SampleTuples();
     spatial_span.SetAttribute("levels", opts.spatial.levels);
@@ -150,7 +181,8 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
 
   // Tiered sample store: initial tier assignment (every sample starts
   // kWarm) and first budget enforcement. Inert when budget_bytes == 0.
-  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers());
+  TABULA_RETURN_NOT_OK(
+      tabula->AssignInitialTiers(unit != nullptr ? unit->rows : nullptr));
 
   uint64_t tuple_bytes = tabula->BytesPerTuple();
   tabula->stats_.global_sample_bytes =
@@ -163,6 +195,17 @@ Result<std::unique_ptr<Tabula>> Tabula::Initialize(const Table& table,
   tabula->stats_.total_millis = init_span.End();
   tabula->init_trace_ = SpanSubtree(tracer->Snapshot(), root_id);
   return tabula;
+}
+
+Status Tabula::EnsureUnitFinest(const std::vector<RowId>& rows) {
+  if (!unit_finest_.keys.empty() || rows.empty()) return Status::OK();
+  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
+                          loss_fn()->Bind(*table_, global_sample_));
+  // The dry run's own fold, so the states match a fresh build's.
+  unit_finest_ = GroupAccumulateSorted<LossState>(
+      encoder_, packer_, DatasetView(table_, rows),
+      [&bound](LossState* state, RowId row) { bound->Accumulate(state, row); });
+  return Status::OK();
 }
 
 uint64_t Tabula::AddRefreshListener(std::function<void()> listener) {
@@ -239,7 +282,8 @@ Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
   // trace-side marker for a rejected query.
   std::vector<uint32_t> codes;
   bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(where, &codes, &provably_empty));
+  TABULA_RETURN_NOT_OK(
+      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
   if (provably_empty) {
     // The filter value never occurs in the data: the cell is provably
     // empty, so an empty sample is the exact answer (loss 0). Pending
@@ -258,12 +302,17 @@ Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
       has_pending && (pending_dirty_.empty() || pending_dirty_.Contains(key));
   const IcebergCell* cell = cube_.Find(key);
   if (cell != nullptr) {
-    if (store_enabled()) {
-      // Hit accounting + cold-tier lazy promote (store_tier.cc).
-      ServeStoredSample(key, span.id(), &result);
-    } else {
+    // Hit accounting + cold-tier lazy promote with the store enabled
+    // (store_tier.cc).
+    std::vector<RowId> sample;
+    if (AppendLocalSample(*cell, span.id(), &sample)) {
       result.from_local_sample = true;
-      result.sample = DatasetView(table_, samples_.sample(cell->sample_id));
+      result.sample = DatasetView(table_, std::move(sample));
+    } else {
+      // A cold cell failed to promote: degrade to the global sample —
+      // never the stale evicted bytes.
+      result.store_degraded = true;
+      result.sample = DatasetView(table_, global_sample_rows_);
     }
   } else {
     // Non-iceberg cell: the dry run verified the global sample is within
@@ -274,10 +323,11 @@ Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
   return response;
 }
 
-Status Tabula::ValidateEqualityTerms(const std::vector<PredicateTerm>& where,
+Status Tabula::ValidateEqualityTerms(const KeyEncoder& encoder,
+                                     const std::vector<PredicateTerm>& where,
                                      std::vector<uint32_t>* codes,
-                                     bool* provably_empty) const {
-  const auto& names = encoder_.column_names();
+                                     bool* provably_empty) {
+  const auto& names = encoder.column_names();
   codes->assign(names.size(), kNullCode);
   *provably_empty = false;
   for (const auto& term : where) {
@@ -298,7 +348,7 @@ Status Tabula::ValidateEqualityTerms(const std::vector<PredicateTerm>& where,
       return Status::InvalidArgument("duplicate predicate on '" +
                                      term.column + "'");
     }
-    auto code = encoder_.CodeForValue(k, term.literal);
+    auto code = encoder.CodeForValue(k, term.literal);
     if (!code.ok()) {
       *provably_empty = true;
       return Status::OK();
@@ -360,8 +410,8 @@ Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
   // within θ, both deterministic.
   std::vector<uint32_t> codes;
   bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(request.where, &codes, &provably_empty));
+  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(encoder_, request.where, &codes,
+                                             &provably_empty));
   if (!provably_empty) {
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
                             grid_.GatherRangeRows(ctx, box));

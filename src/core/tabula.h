@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/status.h"
 #include "core/query_engine.h"
 #include "core/query_request.h"
@@ -74,8 +75,8 @@ struct TabulaOptions {
   Tracer* tracer = nullptr;
   /// Tiered sample store under a byte budget (DESIGN.md §12). The
   /// default (`store.budget_bytes == 0`) disables the store entirely:
-  /// no tier tracking, no store locking, no persistence-format bump —
-  /// the engine stays byte-identical to the pre-tiering build.
+  /// no tier tracking and no store locking; saved files carry all-kWarm
+  /// tier records.
   SampleStoreOptions store;
   uint64_t seed = 42;
 };
@@ -164,6 +165,8 @@ struct QueryResponse {
   uint64_t span_id = 0;
 };
 
+class ShardedTabula;
+
 /// \brief The Tabula middleware (the paper's primary contribution).
 ///
 /// Sits between the SQL data system (`storage`/`exec`) and the
@@ -177,7 +180,8 @@ struct QueryResponse {
 ///
 /// Implements QueryEngine, the interface the serving layer routes
 /// through, so a `Tabula` and a sharded `ShardedTabula` (src/shard/)
-/// are interchangeable behind a QueryServer.
+/// are interchangeable behind a QueryServer. A sharded engine is itself
+/// built from `Tabula` instances, one per shard (its shard units).
 class Tabula : public QueryEngine {
  public:
   /// Builds the partially materialized sampling cube over `table`.
@@ -305,7 +309,89 @@ class Tabula : public QueryEngine {
   void RemoveRefreshListener(uint64_t id) override;
 
  private:
+  /// The sharded engine builds, serves, and persists its shard units
+  /// through the private entry points below.
+  friend class ShardedTabula;
+
+  /// What a sharded coordinator hands one shard unit: the key encoder
+  /// and global sample every unit shares, and the unit's ascending rows.
+  struct UnitInput {
+    const KeyEncoder* encoder = nullptr;
+    const std::vector<RowId>* global_rows = nullptr;
+    const std::vector<RowId>* rows = nullptr;
+  };
+
   Tabula() = default;
+
+  /// Initialize()'s argument checks.
+  static Status ValidateOptions(const Table& table,
+                                const TabulaOptions& options);
+
+  /// The build pipeline: global sample → dry run → real run → selection
+  /// (or persist-all) → spatial grid → initial tiers, each stage a span
+  /// in `tracer` (a private tracer when null, so init_stats() is
+  /// span-derived either way). With `unit` null this is Initialize()
+  /// over every row. Otherwise it builds a shard unit over unit->rows
+  /// with the coordinator's encoder and global sample, and keeps what
+  /// the coordinator's merge reads: the dry run's finest states and
+  /// every iceberg cell's raw rows.
+  static Result<std::unique_ptr<Tabula>> Build(const Table& table,
+                                               TabulaOptions options,
+                                               const UnitInput* unit,
+                                               Tracer* tracer);
+
+  /// A fresh instance over `table` with `encoder` and the global sample
+  /// `global_rows` installed (the common prefix of every build and load).
+  static Result<std::unique_ptr<Tabula>> MakeInstance(
+      const Table& table, TabulaOptions options, KeyEncoder encoder,
+      std::vector<RowId> global_rows);
+
+  // --- Persistence (src/core/persistence.cc) --------------------------
+  /// Header shared by the cube file and the shard manifest: magic,
+  /// format version, the covered row count and its table fingerprint,
+  /// and the build configuration a Load must match.
+  static void WriteHeader(BinaryWriter* w, uint32_t magic, uint32_t version,
+                          const Table& table, size_t rows,
+                          const TabulaOptions& options);
+  /// Checks a header written by WriteHeader and returns the covered row
+  /// count. `what` names the format in errors; a file of any version but
+  /// `version` is kParseError.
+  static Result<uint64_t> ReadHeader(BinaryReader* r, uint32_t magic,
+                                     uint32_t version,
+                                     const std::string& what,
+                                     const std::string& path,
+                                     const Table& table,
+                                     const TabulaOptions& options,
+                                     bool resume_partial);
+  /// kDataLoss unless every id in `rows` lies below `limit` — a file may
+  /// only reference rows the cube had folded in.
+  static Status CheckRowsBelow(const std::vector<RowId>& rows,
+                               uint64_t limit, const std::string& what);
+  /// Writes `path` temp-then-rename: `write` fills the temp file, and
+  /// only a complete write replaces the destination, so a failure
+  /// mid-write never leaves a partial file there.
+  static Status WriteAtomically(
+      const std::string& path,
+      const std::function<Status(BinaryWriter*)>& write);
+  /// The cube body: cube cells, sample table, build stats, spatial grid,
+  /// and one tier record per sample (all kWarm when the store is off).
+  /// The cube file holds one body; the shard manifest one per unit.
+  Status EncodeBody(BinaryWriter* w) const;
+  /// Reads a body written by EncodeBody into an instance made by
+  /// MakeInstance. Row ids must lie below `saved_rows`; a rebuilt
+  /// spatial grid covers `grid_rows` (nullptr = every table row).
+  Status DecodeBody(BinaryReader* r, uint64_t saved_rows,
+                    const std::vector<RowId>* grid_rows);
+  /// A shard unit restored from its manifest body.
+  static Result<std::unique_ptr<Tabula>> LoadUnit(BinaryReader* r,
+                                                  const Table& table,
+                                                  TabulaOptions options,
+                                                  const UnitInput& unit,
+                                                  uint64_t saved_rows);
+
+  /// Shard units: recomputes the dry run's finest states over `rows`
+  /// when a load left them empty (manifests do not persist them).
+  Status EnsureUnitFinest(const std::vector<RowId>& rows);
 
   /// Accumulates the per-finest-cell loss states over rows [0, n) for
   /// incremental maintenance.
@@ -323,27 +409,31 @@ class Tabula : public QueryEngine {
   Status QueryRange(const QueryRequest& request, bool has_pending,
                     TabulaQueryResult* result) const;
 
-  /// Shared WHERE validation of the equality query surface; keeps the
-  /// pure-equality and hybrid range paths byte-identical in behavior.
-  /// On return `*provably_empty` marks a literal absent from its
-  /// dictionary (empty cell).
-  Status ValidateEqualityTerms(const std::vector<PredicateTerm>& where,
-                               std::vector<uint32_t>* codes,
-                               bool* provably_empty) const;
+  /// The WHERE validation of the equality query surface, shared by the
+  /// pure-equality and hybrid range paths of both engines: codes of
+  /// `encoder`'s columns, kNullCode for rolled-up ones. On return
+  /// `*provably_empty` marks a literal absent from its dictionary (empty
+  /// cell); later terms are then left unchecked.
+  static Status ValidateEqualityTerms(const KeyEncoder& encoder,
+                                      const std::vector<PredicateTerm>& where,
+                                      std::vector<uint32_t>* codes,
+                                      bool* provably_empty);
 
   // --- Tiered sample store (src/core/store_tier.cc) -----------------
   /// Whether the tiered store is active for this instance.
   bool store_enabled() const { return options_.store.budget_bytes > 0; }
   /// Configures the store, registers every sample at kWarm with its
   /// cube refcount, builds the finest-row index (lazy promotes need
-  /// it), and enforces the budget. Called at the end of Initialize()
-  /// and (with adopted tier records already in place) by Load().
-  Status AssignInitialTiers();
-  /// Gathers a cell's raw rows (ascending, capped at refreshed_rows_)
-  /// from the finest-row index by rolling each finest key up to the
-  /// cell's cuboid — the lazy-promote analogue of PlanIngest's gather.
-  Status GatherCellRows(const IcebergCell& cell,
-                        std::vector<RowId>* rows) const;
+  /// it) over `rows` (nullptr = every table row), and enforces the
+  /// budget. Called at the end of a build and (with adopted tier records
+  /// already in place) by a load.
+  Status AssignInitialTiers(const std::vector<RowId>* rows);
+  /// Appends cell (`key`, `cuboid`)'s rows of this instance — ascending,
+  /// capped at refreshed_rows_, possibly none — gathered from the
+  /// finest-row index by rolling each finest key up to the cell's
+  /// cuboid: the lazy-promote analogue of PlanIngest's gather.
+  void AppendCellRows(uint64_t key, CuboidMask cuboid,
+                      std::vector<RowId>* rows) const;
   /// Restores a cold cell's sample: spill read + lazy re-verify when a
   /// record exists, deterministic re-sample otherwise (seeded like the
   /// build, so promote→demote→promote reproduces the original bytes).
@@ -353,16 +443,14 @@ class Tabula : public QueryEngine {
   /// exclusively; fires the `store.promote` seam.
   Status PromoteLocked(IcebergCell* cell,
                        std::vector<RowId>* transient) const;
-  /// Demotes CLOCK victims until resident bytes + `incoming` fit the
-  /// budget; `protect` is never victimized. Infallible (spill-write
-  /// failures degrade to drop mode). Caller holds store_mu_ exclusively.
-  void EnforceStoreBudgetLocked(uint64_t incoming, uint32_t protect) const;
-  /// Serve path for an iceberg-cell hit with the store enabled: hit
-  /// accounting under the shared lock, lazy promote-on-miss under the
-  /// exclusive lock (with a `store.promote` span), degrade-to-global on
-  /// promote failure.
-  void ServeStoredSample(uint64_t key, uint64_t parent_span,
-                         TabulaQueryResult* result) const;
+  /// Serve path for an iceberg-cell hit: appends `cell`'s local sample
+  /// to `out` — straight from the sample table with the store disabled;
+  /// otherwise hit accounting under the shared lock and a lazy
+  /// promote-on-miss under the exclusive lock (with a `store.promote`
+  /// span). False when a cold cell failed to promote (nothing appended;
+  /// the caller degrades to the global sample).
+  bool AppendLocalSample(const IcebergCell& cell, uint64_t parent_span,
+                         std::vector<RowId>* out) const;
 
   const Table* table_ = nullptr;
   TabulaOptions options_;
@@ -390,6 +478,10 @@ class Tabula : public QueryEngine {
   /// it). Immutable between mutating entry points, like the cube.
   SpatialGrid grid_;
   TabulaInitStats stats_;
+
+  /// Shard units only: the dry run's finest-cuboid states over the
+  /// unit's rows, ascending by key — the coordinator's merge input.
+  GroupedStates<LossState> unit_finest_;
 
   /// Incremental-maintenance state (see Refresh()).
   std::unique_ptr<BoundLoss> maintenance_bound_;

@@ -16,11 +16,11 @@ namespace {
 
 using CellRowsMap = FlatHashMap<std::vector<RowId>>;
 
-/// Merges per-chunk maps in ascending chunk order; each cell's rows end
-/// up in ascending row order because chunks are contiguous ascending
-/// ranges. Deterministic chunking makes the merged map a pure function
-/// of the data.
-CellRowsMap MergeChunkMaps(std::vector<CellRowsMap> partials,
+/// Merges per-grain maps in ascending grain order; each cell's rows end
+/// up in ascending order because grains are contiguous ascending ranges.
+/// Grain boundaries are a pure function of n, so the merged map is a pure
+/// function of the data.
+CellRowsMap MergeGrainMaps(std::vector<CellRowsMap> partials,
                            size_t expected_cells) {
   if (partials.empty()) return CellRowsMap();
   CellRowsMap merged = std::move(partials[0]);
@@ -40,51 +40,47 @@ CellRowsMap MergeChunkMaps(std::vector<CellRowsMap> partials,
 
 /// Semi-join path: one scan; only rows whose cell key is an iceberg key
 /// are collected (paper's "equi-join with the iceberg cell table").
-CellRowsMap CollectJoinPath(const Table& table, const KeyEncoder& enc,
+CellRowsMap CollectJoinPath(const DatasetView& rows, const KeyEncoder& enc,
                             const KeyPacker& packer, CuboidMask mask,
                             const FlatHashSet& iceberg) {
   auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(table.num_rows());
-  std::vector<CellRowsMap> partials(chunks);
-  pool.ParallelForDeterministic(
-      table.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
-        auto& map = partials[chunk];
+  std::vector<CellRowsMap> partials(ThreadPool::GrainCount(rows.size()));
+  pool.ParallelForGrains(
+      rows.size(), [&](size_t grain, size_t begin, size_t end) {
+        auto& map = partials[grain];
         map.reserve(iceberg.size());
         for (size_t r = begin; r < end; ++r) {
-          uint64_t key =
-              packer.PackRowMasked(enc, static_cast<RowId>(r), mask);
+          uint64_t key = packer.PackRowMasked(enc, rows.row(r), mask);
           if (iceberg.Contains(key)) {
             map[key].push_back(static_cast<RowId>(r));
           }
         }
       });
-  return MergeChunkMaps(std::move(partials), iceberg.size());
+  return MergeGrainMaps(std::move(partials), iceberg.size());
 }
 
 /// Full-GroupBy path: group *all* rows of the cuboid, then keep iceberg
 /// groups only.
-CellRowsMap CollectGroupByPath(const Table& table, const KeyEncoder& enc,
+CellRowsMap CollectGroupByPath(const DatasetView& rows, const KeyEncoder& enc,
                                const KeyPacker& packer, CuboidMask mask,
                                const FlatHashSet& iceberg,
                                size_t total_cells) {
   auto& pool = ThreadPool::Global();
-  size_t chunks = ThreadPool::DeterministicChunkCount(table.num_rows());
-  std::vector<CellRowsMap> partials(chunks);
-  pool.ParallelForDeterministic(
-      table.num_rows(), [&](size_t chunk, size_t begin, size_t end) {
-        auto& map = partials[chunk];
+  std::vector<CellRowsMap> partials(ThreadPool::GrainCount(rows.size()));
+  pool.ParallelForGrains(
+      rows.size(), [&](size_t grain, size_t begin, size_t end) {
+        auto& map = partials[grain];
         map.reserve(std::min(total_cells, end - begin));
         for (size_t r = begin; r < end; ++r) {
-          uint64_t key =
-              packer.PackRowMasked(enc, static_cast<RowId>(r), mask);
+          uint64_t key = packer.PackRowMasked(enc, rows.row(r), mask);
           map[key].push_back(static_cast<RowId>(r));
         }
       });
-  CellRowsMap merged = MergeChunkMaps(std::move(partials), total_cells);
+  CellRowsMap merged = MergeGrainMaps(std::move(partials), total_cells);
   // Filter to iceberg cells.
   CellRowsMap filtered(iceberg.size());
-  merged.ForEach([&](uint64_t key, std::vector<RowId>& rows) {
-    if (iceberg.Contains(key)) filtered[key] = std::move(rows);
+  merged.ForEach([&](uint64_t key, std::vector<RowId>& cell_rows) {
+    if (iceberg.Contains(key)) filtered[key] = std::move(cell_rows);
   });
   return filtered;
 }
@@ -272,7 +268,7 @@ CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
       }
     }
   });
-  CellRowsMap merged = MergeChunkMaps(std::move(partials), total_cells);
+  CellRowsMap merged = MergeGrainMaps(std::move(partials), total_cells);
   CellRowsMap filtered(iceberg.size());
   merged.ForEach([&](uint64_t key, std::vector<RowId>& rows) {
     if (iceberg.Contains(key)) filtered[key] = std::move(rows);
@@ -283,29 +279,32 @@ CellRowsMap CollectGroupByPathVec(const std::vector<uint64_t>& row_keys,
 }  // namespace
 
 Result<RealRunResult> RunRealRun(
-    const Table& table, const KeyEncoder& encoder, const KeyPacker& packer,
-    const Lattice& lattice, const DryRunResult& dry_run,
-    const LossFunction& loss, double theta,
+    const DatasetView& rows, const KeyEncoder& encoder,
+    const KeyPacker& packer, const Lattice& lattice,
+    const DryRunResult& dry_run, const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
     RealRunPathPolicy path_policy, RealRunEngine engine) {
   Stopwatch total;
   RealRunResult result;
   GreedySampler sampler(&loss, theta, sampler_options);
   auto& pool = ThreadPool::Global();
+  const Table& table = *rows.table();
+  const size_t num_rows = rows.size();
+  // Explicit row ids of a sub-view (nullptr when the view covers every
+  // row, where a position already is the row id).
+  const RowId* row_ids = rows.raw_rows();
   result.cube.Reserve(dry_run.total_iceberg_cells);
 
-  // One batched columnar packing pass over the table amortizes key
+  // One batched columnar packing pass over the rows amortizes key
   // construction across every iceberg cuboid: each cuboid's keys are then
   // two bitwise ops per row away (see CollectJoinPathVec).
   std::vector<uint64_t> row_keys;
   FinestGroups finest_groups;
   if (engine == RealRunEngine::kVectorized && dry_run.iceberg_cuboids > 0) {
     Stopwatch pack_timer;
-    const size_t num_rows = table.num_rows();
     row_keys.resize(num_rows);
-    DatasetView all(&table);
     pool.ParallelForGrains(num_rows, [&](size_t, size_t begin, size_t end) {
-      packer.PackRows(encoder, all, begin, end, row_keys.data() + begin);
+      packer.PackRows(encoder, rows, begin, end, row_keys.data() + begin);
     });
     finest_groups = BuildFinestGroups(row_keys);
     result.pack_millis = pack_timer.ElapsedMillis();
@@ -328,7 +327,7 @@ Result<RealRunResult> RunRealRun(
       case RealRunPathPolicy::kAuto:
       default:
         join_path =
-            PreferJoinPath(static_cast<double>(table.num_rows()),
+            PreferJoinPath(static_cast<double>(num_rows),
                            static_cast<double>(info.iceberg_keys.size()),
                            static_cast<double>(info.total_cells));
         break;
@@ -356,8 +355,8 @@ Result<RealRunResult> RunRealRun(
     } else {
       cell_rows =
           join_path
-              ? CollectJoinPath(table, encoder, packer, info.mask, iceberg)
-              : CollectGroupByPath(table, encoder, packer, info.mask, iceberg,
+              ? CollectJoinPath(rows, encoder, packer, info.mask, iceberg)
+              : CollectGroupByPath(rows, encoder, packer, info.mask, iceberg,
                                    info.total_cells);
     }
 
@@ -368,11 +367,14 @@ Result<RealRunResult> RunRealRun(
     // stolen one at a time rather than pre-chunked across workers.
     std::vector<IcebergCell> cells;
     cells.reserve(cell_rows.size());
-    for (auto& [key, rows] : cell_rows.ExtractSorted()) {
+    for (auto& [key, positions] : cell_rows.ExtractSorted()) {
       IcebergCell cell;
       cell.key = key;
       cell.cuboid = info.mask;
-      cell.raw_rows = std::move(rows);
+      cell.raw_rows = std::move(positions);
+      if (row_ids != nullptr) {
+        for (RowId& r : cell.raw_rows) r = row_ids[r];
+      }
       cells.push_back(std::move(cell));
     }
     const double collected_ms = cuboid_timer.ElapsedMillis();

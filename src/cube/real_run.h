@@ -53,13 +53,30 @@ struct RealRunResult {
 /// fetches the raw data of its iceberg cells — via a full GroupBy or via
 /// the iceberg-cell semi-join, whichever the cost model picks — then runs
 /// the greedy SAMPLING() aggregate (Algorithm 1) per iceberg cell.
+///
+/// `rows` are the rows the dry run scanned. Collection runs over view
+/// positions; a view with explicit (ascending) row ids translates each
+/// cell's positions to row ids once per cell, so an all-rows build pays
+/// nothing for the indirection and every cell's raw rows stay ascending.
 Result<RealRunResult> RunRealRun(
+    const DatasetView& rows, const KeyEncoder& encoder,
+    const KeyPacker& packer, const Lattice& lattice,
+    const DryRunResult& dry_run, const LossFunction& loss, double theta,
+    const GreedySamplerOptions& sampler_options,
+    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto,
+    RealRunEngine engine = RealRunEngine::kVectorized);
+
+/// RunRealRun over every row of `table`.
+inline Result<RealRunResult> RunRealRun(
     const Table& table, const KeyEncoder& encoder, const KeyPacker& packer,
     const Lattice& lattice, const DryRunResult& dry_run,
     const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
     RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto,
-    RealRunEngine engine = RealRunEngine::kVectorized);
+    RealRunEngine engine = RealRunEngine::kVectorized) {
+  return RunRealRun(DatasetView(&table), encoder, packer, lattice, dry_run,
+                    loss, theta, sampler_options, path_policy, engine);
+}
 
 }  // namespace tabula
 

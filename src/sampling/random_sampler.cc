@@ -49,6 +49,17 @@ std::vector<RowId> ConsistentBottomKSample(const DatasetView& view, size_t k,
   return out;
 }
 
+std::vector<RowId> ExtendBottomKSample(const Table& table,
+                                       const std::vector<RowId>& sample,
+                                       size_t n0, size_t n1, size_t k,
+                                       uint64_t seed) {
+  std::vector<RowId> candidates = sample;
+  candidates.reserve(sample.size() + (n1 - n0));
+  for (size_t r = n0; r < n1; ++r) candidates.push_back(static_cast<RowId>(r));
+  return ConsistentBottomKSample(DatasetView(&table, std::move(candidates)), k,
+                                 seed);
+}
+
 size_t SerflingSampleSize(double epsilon, double delta) {
   if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) return 1;
   double k = std::log(2.0 / delta) / (2.0 * epsilon * epsilon);

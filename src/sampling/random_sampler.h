@@ -30,6 +30,18 @@ std::vector<RowId> RandomSample(const DatasetView& view, size_t k, Rng* rng);
 std::vector<RowId> ConsistentBottomKSample(const DatasetView& view, size_t k,
                                            uint64_t seed);
 
+/// ConsistentBottomKSample over rows [0, n1) of `table`, given `sample` —
+/// the same draw (same k and seed) over rows [0, n0). Bottom-k is
+/// decomposable: every row of [0, n0) outside `sample` was already beaten
+/// by a member's priority and can never re-enter, so drawing from
+/// `sample` ∪ [n0, n1) reproduces the full-table draw exactly in
+/// O(k + n1 − n0). Incremental maintenance redraws the global sample
+/// after appends this way.
+std::vector<RowId> ExtendBottomKSample(const Table& table,
+                                       const std::vector<RowId>& sample,
+                                       size_t n0, size_t n1, size_t k,
+                                       uint64_t seed);
+
 /// \brief Global-sample size from Serfling's inequality (Section III-B1).
 ///
 /// Given relative error eps of the mean and confidence delta,

@@ -85,14 +85,16 @@ Result<SelectionResult> SelectRepresentativeSamples(
 }
 
 Result<SelectionResult> PersistAllSamples(CubeTable* cube,
-                                          SampleTable* sample_table) {
+                                          SampleTable* sample_table,
+                                          bool keep_raw_rows) {
   Stopwatch timer;
   SelectionResult result;
   for (auto& cell : cube->mutable_cells()) {
-    cell.sample_id = sample_table->Add(cell.local_sample);
+    cell.sample_id = sample_table->Add(std::move(cell.local_sample));
+    cell.local_sample = std::vector<RowId>();
   }
   result.representatives = sample_table->size();
-  cube->DropRawData();
+  if (!keep_raw_rows) cube->DropRawData();
   result.millis = timer.ElapsedMillis();
   return result;
 }

@@ -1,16 +1,13 @@
 /// Shard-manifest persistence: one file holding the partition (per-shard
-/// row lists with fingerprints), every shard's local cube + samples, and
-/// the merged directory with its override samples. Written
-/// temp-then-rename like the plain cube format, so a failure mid-write
-/// (full disk, injected fault) never leaves a partial manifest at the
+/// row lists with fingerprints), every shard unit in the cube file's body
+/// codec, and the merged directory with its override samples. Written
+/// temp-then-rename like the cube file, so a failure mid-write (full
+/// disk, injected fault) never leaves a partial manifest at the
 /// destination. K = 1 delegates to the plain Tabula format (TBLC).
 
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <shared_mutex>
+#include <string>
+#include <vector>
 
 #include "common/binary_io.h"
 #include "core/fingerprint.h"
@@ -22,268 +19,129 @@ namespace tabula {
 namespace {
 
 constexpr uint32_t kShardMagic = 0x54424C53;  // "TBLS"
-/// v1: full-table fingerprint in the header, covered row count at the
-/// tail. v2 moves the covered row count into the header and
-/// fingerprints only that prefix, so a manifest saved mid-ingest (rows
-/// appended but not folded yet) stays loadable after a crash once the
-/// journal replays the tail. v3 appends each shard's spatial grid (a
-/// presence flag plus a length-prefixed blob). v1/v2 files are still
-/// accepted — a spatial-enabled load of one rebuilds the grids from
-/// the shard row lists, deterministically.
-/// v4 appends tiered-store records (one tier word per shard sample and
-/// per override sample; kWarm/kCold only — K > 1 never spills and never
-/// persists kHot) and is written ONLY when the store is enabled, so a
-/// store-disabled engine keeps emitting byte-identical v3 manifests.
-/// Cold samples persist as empty row lists; a tier-aware load re-derives
-/// them lazily on first hit. v1–v3 manifests load into a store-enabled
-/// engine as all-kWarm.
-constexpr uint32_t kShardVersion = 4;
-constexpr uint32_t kPreStoreShardVersion = 3;
+/// The one manifest version this build reads and writes. This
+/// repository wrote every manifest there is, so an older one is
+/// rejected (rebuild and save again) instead of migrated.
+constexpr uint32_t kShardVersion = 5;
 
 }  // namespace
 
 Status ShardedTabula::Save(const std::string& path) const {
   if (single_ != nullptr) return single_->Save(path);
-
-  const std::string tmp = path + ".tmp";
   // With the store enabled, concurrent query promotes mutate the sample
-  // tables under store_mu_'s exclusive section; the shared lock makes
+  // tables under their stores' exclusive sections; the shared locks make
   // the manifest a consistent snapshot.
-  std::shared_lock<std::shared_mutex> store_lock(*store_mu_,
-                                                 std::defer_lock);
-  if (store_enabled()) store_lock.lock();
-  Status written = [&]() -> Status {
-    TABULA_FAULT_POINT("persistence.open");
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot open '" + tmp + "' for writing");
-    }
-    BinaryWriter w(&out);
-    w.WriteU32(kShardMagic);
-    w.WriteU32(store_enabled() ? kShardVersion : kPreStoreShardVersion);
+  const auto locks = LockStoresShared();
+  return Tabula::WriteAtomically(path, [&](BinaryWriter* w) -> Status {
     // The manifest describes exactly the rows the cube has folded in
-    // (shard row lists never reference pending rows); fingerprint that
-    // prefix so unfolded appends don't tie the file to a table state
-    // the cube never saw.
-    w.WriteU64(refreshed_rows_);
-    w.WriteU64(TableFingerprint(*table_, refreshed_rows_));
-    w.WriteString(options_.base.effective_loss()->name());
-    w.WriteDouble(options_.base.threshold);
-    w.WriteU64(options_.base.cubed_attributes.size());
-    for (const auto& attr : options_.base.cubed_attributes) {
-      w.WriteString(attr);
-    }
-    w.WriteU64(options_.num_shards);
-    w.WriteU32(static_cast<uint32_t>(options_.partition));
-    w.WriteVector(global_sample_rows_);
+    // (shard row lists never reference pending rows).
+    Tabula::WriteHeader(w, kShardMagic, kShardVersion, *table_,
+                        refreshed_rows_, options_.base);
+    w->WriteU64(options_.num_shards);
+    w->WriteU32(static_cast<uint32_t>(options_.partition));
+    w->WriteVector(global_sample_rows_);
     TABULA_FAULT_POINT("persistence.write");
 
     for (const Shard& shard : shards_) {
-      w.WriteVector(shard.rows);
-      w.WriteU64(RowListFingerprint(shard.rows));
-      w.WriteU64(shard.cube.size());
-      for (const auto& cell : shard.cube.cells()) {
-        w.WriteU64(cell.key);
-        w.WriteU32(cell.cuboid);
-        w.WriteU32(cell.sample_id);
-      }
-      w.WriteU64(shard.samples.size());
-      for (uint32_t id = 0; id < shard.samples.size(); ++id) {
-        w.WriteVector(shard.samples.sample(id));
-      }
-      // v3: the shard's spatial grid, one length-prefixed blob (absent
-      // unless the engine was built with TabulaOptions.spatial).
-      w.WriteU32(shard.grid.present() ? 1u : 0u);
-      if (shard.grid.present()) {
-        BufferWriter gw;
-        shard.grid.EncodeTo(&gw);
-        w.WriteString(std::string(gw.data(), gw.size()));
-      }
-      TABULA_FAULT_POINT("persistence.write");
+      w->WriteVector(shard.rows);
+      w->WriteU64(RowListFingerprint(shard.rows));
+      TABULA_RETURN_NOT_OK(shard.unit->EncodeBody(w));
     }
 
     // The merged directory in ascending key order, so the manifest
     // bytes are a pure function of the cube (determinism tests compare
     // manifests byte-for-byte).
-    w.WriteU64(merged_.size());
+    w->WriteU64(merged_.size());
     for (uint64_t key : merged_.SortedKeys()) {
       const MergedCell* cell = merged_.Find(key);
-      w.WriteU64(key);
-      w.WriteU32(cell->cuboid);
+      w->WriteU64(key);
+      w->WriteU32(cell->cuboid);
       // Flags word: bit 0 = override sample, bit 1 = global-augmented.
-      w.WriteU32((cell->has_override ? 1u : 0u) |
-                 (cell->augment_global ? 2u : 0u));
-      w.WriteU32(cell->override_id);
+      w->WriteU32((cell->has_override ? 1u : 0u) |
+                  (cell->augment_global ? 2u : 0u));
+      w->WriteU32(cell->override_id);
     }
-    w.WriteU64(override_samples_.size());
+    w->WriteU64(override_samples_.size());
     for (uint32_t id = 0; id < override_samples_.size(); ++id) {
-      w.WriteVector(override_samples_.sample(id));
+      w->WriteVector(override_samples_.sample(id));
     }
     TABULA_FAULT_POINT("persistence.write");
 
-    // v4: tiered-store records — one tier word per shard sample, then
-    // one per override sample (counts repeated for integrity).
-    if (store_enabled()) {
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        w.WriteU64(shards_[s].samples.size());
-        for (uint32_t id = 0; id < shards_[s].samples.size(); ++id) {
-          w.WriteU32(static_cast<uint32_t>(shard_stores_[s].tier(id)));
-        }
-      }
-      w.WriteU64(override_samples_.size());
-      for (uint32_t id = 0; id < override_samples_.size(); ++id) {
-        w.WriteU32(static_cast<uint32_t>(override_store_.tier(id)));
-      }
-      TABULA_FAULT_POINT("persistence.write");
+    // One tier word per override sample (all kWarm with the store off;
+    // cold samples saved empty above and re-derive on their next hit).
+    w->WriteU64(override_samples_.size());
+    for (uint32_t id = 0; id < override_samples_.size(); ++id) {
+      w->WriteU32(static_cast<uint32_t>(override_store_.tier(id)));
     }
-
-    out.flush();
-    if (!w.ok() || !out) {
-      return Status::IOError("write failed for '" + tmp + "'");
-    }
+    TABULA_FAULT_POINT("persistence.write");
     return Status::OK();
-  }();
-  std::error_code ec;
-  if (!written.ok()) {
-    std::filesystem::remove(tmp, ec);  // best effort; ignore errors
-    return written;
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::string reason = ec.message();
-    std::filesystem::remove(tmp, ec);
-    return Status::IOError("cannot move '" + tmp + "' over '" + path +
-                           "': " + reason);
-  }
-  return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
     const Table& table, ShardedTabulaOptions options,
     const std::string& path, bool resume_partial) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  const LossFunction* loss = options.base.effective_loss();
-  if (loss == nullptr) {
+  TABULA_RETURN_NOT_OK(CheckShardCount(options.num_shards));
+  if (options.base.effective_loss() == nullptr) {
     return Status::InvalidArgument("TabulaOptions.loss must be set");
   }
-  if (options.num_shards == 1) {
-    auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
-    sharded->table_ = &table;
-    sharded->options_ = options;
+  auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
+  sharded->table_ = &table;
+  sharded->options_ = std::move(options);
+  if (sharded->options_.num_shards == 1) {
     TABULA_ASSIGN_OR_RETURN(
-        sharded->single_,
-        Tabula::Load(table, options.base, path, resume_partial));
+        sharded->single_, Tabula::Load(table, sharded->options_.base, path,
+                                       resume_partial));
+    const TabulaInitStats& s = sharded->single_->init_stats();
     sharded->stats_.num_shards = 1;
-    sharded->stats_.global_sample_tuples =
-        sharded->single_->init_stats().global_sample_tuples;
-    sharded->stats_.merged_iceberg_cells =
-        sharded->single_->init_stats().iceberg_cells;
-    sharded->stats_.shard_iceberg_cells = {
-        sharded->single_->init_stats().iceberg_cells};
+    sharded->stats_.global_sample_tuples = s.global_sample_tuples;
+    sharded->stats_.merged_iceberg_cells = s.iceberg_cells;
+    sharded->stats_.shard_iceberg_cells = {s.iceberg_cells};
     return sharded;
   }
+  TABULA_RETURN_NOT_OK(sharded->CheckStoreOptions());
+  const ShardedTabulaOptions& opts = sharded->options_;
 
   TABULA_FAULT_POINT("persistence.read");
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "' for reading");
   BinaryReader r(&in);
-
-  TABULA_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  TABULA_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (magic != kShardMagic) {
-    return Status::ParseError("'" + path +
-                              "' is not a Tabula shard manifest");
-  }
-  if (version < 1 || version > kShardVersion) {
-    return Status::ParseError("unsupported shard manifest version " +
-                              std::to_string(version));
-  }
-  const bool want_store = options.base.store.budget_bytes > 0;
-  // v1 manifests carry the covered row count at the tail and a
-  // full-table fingerprint, which only matches when the table has not
-  // grown since the save — so assuming full coverage here is exact.
-  uint64_t saved_rows = table.num_rows();
-  if (version >= 2) {
-    TABULA_ASSIGN_OR_RETURN(saved_rows, r.ReadU64());
-  }
-  if (saved_rows > table.num_rows()) {
-    return Status::InvalidArgument(
-        "shard manifest covers " + std::to_string(saved_rows) +
-        " rows but the table only has " + std::to_string(table.num_rows()));
-  }
-  if (saved_rows != table.num_rows() && !resume_partial) {
-    return Status::InvalidArgument(
-        "shard manifest covers only " + std::to_string(saved_rows) + " of " +
-        std::to_string(table.num_rows()) +
-        " rows (stale cube); pass resume_partial to load it and Refresh() "
-        "to catch up");
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t fingerprint, r.ReadU64());
-  const uint64_t want_fingerprint =
-      version >= 2 ? TableFingerprint(table, saved_rows)
-                   : TableFingerprint(table);
-  if (fingerprint != want_fingerprint) {
-    return Status::InvalidArgument(
-        "shard manifest was built on a different table (fingerprint "
-        "mismatch); re-run Initialize()");
-  }
-  TABULA_ASSIGN_OR_RETURN(std::string loss_name, r.ReadString());
-  if (loss_name != loss->name()) {
-    return Status::InvalidArgument("manifest was built with loss '" +
-                                   loss_name + "', options specify '" +
-                                   loss->name() + "'");
-  }
-  TABULA_ASSIGN_OR_RETURN(double threshold, r.ReadDouble());
-  if (threshold != options.base.threshold) {
-    return Status::InvalidArgument(
-        "manifest was built with threshold " + std::to_string(threshold) +
-        ", options specify " + std::to_string(options.base.threshold));
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t num_attrs, r.ReadU64());
-  std::vector<std::string> attrs(num_attrs);
-  for (auto& attr : attrs) {
-    TABULA_ASSIGN_OR_RETURN(attr, r.ReadString());
-  }
-  if (attrs != options.base.cubed_attributes) {
-    return Status::InvalidArgument(
-        "manifest's cubed attributes differ from options");
-  }
+  TABULA_ASSIGN_OR_RETURN(
+      uint64_t saved_rows,
+      Tabula::ReadHeader(&r, kShardMagic, kShardVersion, "shard manifest",
+                         path, table, opts.base, resume_partial));
   TABULA_ASSIGN_OR_RETURN(uint64_t num_shards, r.ReadU64());
-  if (num_shards != options.num_shards) {
+  if (num_shards != opts.num_shards) {
     return Status::InvalidArgument(
         "manifest holds " + std::to_string(num_shards) +
-        " shards, options specify " + std::to_string(options.num_shards));
+        " shards, options specify " + std::to_string(opts.num_shards));
   }
   TABULA_ASSIGN_OR_RETURN(uint32_t partition, r.ReadU32());
-  if (partition != static_cast<uint32_t>(options.partition)) {
+  if (partition != static_cast<uint32_t>(opts.partition)) {
     return Status::InvalidArgument(
         "manifest partitioning differs from options");
   }
 
-  auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
-  sharded->table_ = &table;
-  sharded->options_ = std::move(options);
-  TABULA_ASSIGN_OR_RETURN(sharded->encoder_, KeyEncoder::Make(table, attrs));
-  std::vector<size_t> all_cols(attrs.size());
+  TABULA_ASSIGN_OR_RETURN(sharded->encoder_,
+                          KeyEncoder::Make(table, opts.base.cubed_attributes));
+  std::vector<size_t> all_cols(opts.base.cubed_attributes.size());
   for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
   TABULA_ASSIGN_OR_RETURN(sharded->packer_,
                           KeyPacker::Make(sharded->encoder_, all_cols));
-  sharded->lattice_ = Lattice(attrs.size());
-
+  sharded->lattice_ = Lattice(opts.base.cubed_attributes.size());
   TABULA_ASSIGN_OR_RETURN(sharded->global_sample_rows_,
                           r.ReadVector<RowId>());
-  for (RowId row : sharded->global_sample_rows_) {
-    if (row >= saved_rows) {
-      return Status::DataLoss("manifest's global sample references row " +
-                              std::to_string(row) + " beyond the table");
-    }
-  }
+  TABULA_RETURN_NOT_OK(Tabula::CheckRowsBelow(
+      sharded->global_sample_rows_, saved_rows, "manifest's global sample"));
   sharded->global_sample_ =
       DatasetView(&table, sharded->global_sample_rows_);
 
-  sharded->shards_.assign(num_shards, Shard{});
+  // The persisted row lists must partition [0, saved_rows) exactly —
+  // every row in one shard, no row in two — before a unit indexes them.
+  sharded->shards_.resize(num_shards);
+  std::vector<uint8_t> seen(saved_rows, 0);
+  size_t assigned = 0;
+  const TabulaOptions unit_options = sharded->UnitOptions();
   for (Shard& shard : sharded->shards_) {
     TABULA_ASSIGN_OR_RETURN(shard.rows, r.ReadVector<RowId>());
     TABULA_ASSIGN_OR_RETURN(uint64_t row_fp, r.ReadU64());
@@ -291,70 +149,27 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
       return Status::DataLoss(
           "shard row-list fingerprint mismatch; manifest is corrupt");
     }
-    TABULA_ASSIGN_OR_RETURN(uint64_t num_cells, r.ReadU64());
-    for (uint64_t i = 0; i < num_cells; ++i) {
-      IcebergCell cell;
-      TABULA_ASSIGN_OR_RETURN(cell.key, r.ReadU64());
-      TABULA_ASSIGN_OR_RETURN(cell.cuboid, r.ReadU32());
-      TABULA_ASSIGN_OR_RETURN(cell.sample_id, r.ReadU32());
-      shard.cube.Add(std::move(cell));
-    }
-    TABULA_ASSIGN_OR_RETURN(uint64_t num_samples, r.ReadU64());
-    for (uint64_t i = 0; i < num_samples; ++i) {
-      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
-                              r.ReadVector<RowId>());
-      for (RowId row : rows) {
-        if (row >= saved_rows) {
-          return Status::DataLoss("manifest references row " +
-                                  std::to_string(row) + " beyond the table");
-        }
+    for (RowId row : shard.rows) {
+      if (row >= saved_rows) {
+        return Status::DataLoss("shard row " + std::to_string(row) +
+                                " lies beyond the manifest's row horizon");
       }
-      shard.samples.Add(std::move(rows));
-    }
-    for (const auto& cell : shard.cube.cells()) {
-      if (cell.sample_id >= shard.samples.size()) {
-        return Status::DataLoss("manifest has a dangling sample link");
+      if (seen[row]) {
+        return Status::DataLoss("row " + std::to_string(row) +
+                                " assigned to two shards");
       }
+      seen[row] = 1;
+      ++assigned;
     }
-    // Spatial grid (v3): adopt the persisted samples when they match
-    // the configured geometry, else rebuild deterministically from the
-    // shard's rows below. Decoding always consumes the blob.
-    SpatialGrid saved_grid;
-    bool have_saved_grid = false;
-    if (version >= 3) {
-      TABULA_ASSIGN_OR_RETURN(uint32_t has_grid, r.ReadU32());
-      if (has_grid != 0) {
-        TABULA_ASSIGN_OR_RETURN(std::string blob, r.ReadString());
-        BufferReader gr(blob);
-        TABULA_ASSIGN_OR_RETURN(saved_grid, SpatialGrid::DecodeFrom(&gr));
-        have_saved_grid = true;
-      }
-    }
-    if (sharded->options_.base.spatial.levels > 0) {
-      SpatialGrid::Context ctx = sharded->SpatialContext();
-      const SpatialGridOptions& want = sharded->options_.base.spatial;
-      const SpatialGridOptions& got = saved_grid.options();
-      if (have_saved_grid && got.levels == want.levels &&
-          got.x_column == want.x_column && got.y_column == want.y_column) {
-        for (uint32_t l = 0; l < saved_grid.num_levels(); ++l) {
-          uint32_t cells = (1u << l) * (1u << l);
-          for (uint32_t i = 0; i < cells; ++i) {
-            for (RowId row : saved_grid.cell(l, i).sample) {
-              if (row >= saved_rows) {
-                return Status::DataLoss(
-                    "manifest's spatial grid references row " +
-                    std::to_string(row) + " beyond the table");
-              }
-            }
-          }
-        }
-        shard.grid = std::move(saved_grid);
-        TABULA_RETURN_NOT_OK(shard.grid.RebuildTransient(ctx, &shard.rows));
-      } else {
-        TABULA_ASSIGN_OR_RETURN(shard.grid,
-                                SpatialGrid::Build(ctx, want, &shard.rows));
-      }
-    }
+    Tabula::UnitInput input{&sharded->encoder_,
+                            &sharded->global_sample_rows_, &shard.rows};
+    TABULA_ASSIGN_OR_RETURN(
+        shard.unit,
+        Tabula::LoadUnit(&r, table, unit_options, input, saved_rows));
+  }
+  if (assigned != saved_rows) {
+    return Status::DataLoss(
+        "shard row lists do not cover the manifest's row horizon");
   }
 
   TABULA_ASSIGN_OR_RETURN(uint64_t num_merged, r.ReadU64());
@@ -381,12 +196,8 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
   TABULA_ASSIGN_OR_RETURN(uint64_t num_overrides, r.ReadU64());
   for (uint64_t i = 0; i < num_overrides; ++i) {
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows, r.ReadVector<RowId>());
-    for (RowId row : rows) {
-      if (row >= saved_rows) {
-        return Status::DataLoss("manifest references row " +
-                                std::to_string(row) + " beyond the table");
-      }
-    }
+    TABULA_RETURN_NOT_OK(
+        Tabula::CheckRowsBelow(rows, saved_rows, "manifest"));
     sharded->override_samples_.Add(std::move(rows));
   }
   Status override_status = Status::OK();
@@ -399,171 +210,63 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
   });
   TABULA_RETURN_NOT_OK(override_status);
 
-  // v4: tiered-store records. Cold samples were persisted as empty row
-  // lists, so loading them without a store to lazily re-derive them
-  // would serve empty (θ-violating) answers — hence the hard error.
-  bool any_nonwarm = false;
-  std::vector<std::vector<SampleTier>> shard_tiers(num_shards);
-  std::vector<SampleTier> override_tiers;
-  if (version >= 4) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      TABULA_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-      if (count != sharded->shards_[s].samples.size()) {
-        return Status::DataLoss(
-            "manifest tier records disagree with the shard sample count");
-      }
-      shard_tiers[s].reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        TABULA_ASSIGN_OR_RETURN(uint32_t word, r.ReadU32());
-        if (word != static_cast<uint32_t>(SampleTier::kWarm) &&
-            word != static_cast<uint32_t>(SampleTier::kCold)) {
-          return Status::ParseError(
-              "shard manifests carry kWarm/kCold sample tiers only (got " +
-              std::to_string(word) + ")");
-        }
-        SampleTier tier = static_cast<SampleTier>(word);
-        if (tier != SampleTier::kWarm) any_nonwarm = true;
-        if (tier == SampleTier::kWarm &&
-            sharded->shards_[s].samples.sample(static_cast<uint32_t>(i))
-                .empty()) {
-          return Status::DataLoss(
-              "manifest marks an empty sample resident (kWarm)");
-        }
-        shard_tiers[s].push_back(tier);
-      }
-    }
-    TABULA_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-    if (count != sharded->override_samples_.size()) {
-      return Status::DataLoss(
-          "manifest tier records disagree with the override sample count");
-    }
-    override_tiers.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      TABULA_ASSIGN_OR_RETURN(uint32_t word, r.ReadU32());
-      if (word != static_cast<uint32_t>(SampleTier::kWarm) &&
-          word != static_cast<uint32_t>(SampleTier::kCold)) {
-        return Status::ParseError(
-            "shard manifests carry kWarm/kCold sample tiers only (got " +
-            std::to_string(word) + ")");
-      }
-      SampleTier tier = static_cast<SampleTier>(word);
-      if (tier != SampleTier::kWarm) any_nonwarm = true;
-      if (tier == SampleTier::kWarm &&
-          sharded->override_samples_.sample(static_cast<uint32_t>(i))
-              .empty()) {
-        return Status::DataLoss(
-            "manifest marks an empty sample resident (kWarm)");
-      }
-      override_tiers.push_back(tier);
-    }
+  // Override tier words. Cold samples were persisted as empty row lists,
+  // so loading them without a store to lazily re-derive them would serve
+  // empty (θ-violating) answers — hence the hard error.
+  TABULA_ASSIGN_OR_RETURN(uint64_t tier_count, r.ReadU64());
+  if (tier_count != sharded->override_samples_.size()) {
+    return Status::DataLoss(
+        "manifest tier records disagree with the override sample count");
   }
-  if (!want_store && any_nonwarm) {
+  std::vector<SampleTier> tiers(tier_count, SampleTier::kWarm);
+  bool any_cold = false;
+  for (SampleTier& tier : tiers) {
+    TABULA_ASSIGN_OR_RETURN(uint32_t word, r.ReadU32());
+    if (word != static_cast<uint32_t>(SampleTier::kWarm) &&
+        word != static_cast<uint32_t>(SampleTier::kCold)) {
+      return Status::ParseError(
+          "override samples carry kWarm/kCold tiers only (got " +
+          std::to_string(word) + ")");
+    }
+    tier = static_cast<SampleTier>(word);
+    any_cold |= tier == SampleTier::kCold;
+  }
+  if (any_cold && !sharded->store_enabled()) {
     return Status::InvalidArgument(
         "manifest carries demoted (kCold) samples whose bytes are not in "
         "the file; loading it requires store.budget_bytes > 0");
   }
-  if (want_store && version >= 4) {
-    // Configure the K + 1 stores and adopt the persisted tiers NOW —
-    // the AssignInitialTiers call below skips both steps for enabled
-    // stores / tracked ids (a reconfigure would wipe the adoption) and
-    // only validates the knobs and enforces the budgets.
-    while (sharded->shard_stores_.size() < num_shards) {
-      sharded->shard_stores_.emplace_back();
-    }
-    SampleStoreOptions shard_opts = sharded->options_.base.store;
-    shard_opts.budget_bytes = sharded->ShardStoreBudget();
-    for (SampleStore& store : sharded->shard_stores_) {
-      TABULA_RETURN_NOT_OK(store.Configure(shard_opts));
-    }
-    SampleStoreOptions override_opts = sharded->options_.base.store;
-    override_opts.budget_bytes = sharded->OverrideStoreBudget();
-    TABULA_RETURN_NOT_OK(sharded->override_store_.Configure(override_opts));
-    const uint64_t tuple_bytes =
-        table.num_rows() == 0
-            ? sizeof(RowId)
-            : std::max<uint64_t>(table.MemoryBytes() / table.num_rows(), 1);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const Shard& shard = sharded->shards_[s];
-      std::vector<uint32_t> refs(shard.samples.size(), 0);
-      for (const auto& cell : shard.cube.cells()) {
-        if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
-      }
-      for (uint32_t id = 0; id < shard.samples.size(); ++id) {
-        SampleStore::TierRecord rec;
-        rec.tier = shard_tiers[s][id];
-        sharded->shard_stores_[s].Adopt(
-            id, rec, shard.samples.sample(id).size() * tuple_bytes,
-            refs[id]);
-      }
-    }
-    std::vector<uint32_t> orefs(sharded->override_samples_.size(), 0);
+  TABULA_RETURN_NOT_OK(
+      sharded->override_store_.Configure(sharded->OverrideStoreOptions()));
+  if (sharded->store_enabled()) {
+    std::vector<uint32_t> refs(tier_count, 0);
     sharded->merged_.ForEach([&](uint64_t, const MergedCell& cell) {
-      if (cell.has_override) ++orefs[cell.override_id];
+      if (cell.has_override) ++refs[cell.override_id];
     });
-    for (uint32_t id = 0; id < sharded->override_samples_.size(); ++id) {
+    const uint64_t tuple_bytes = sharded->shards_[0].unit->BytesPerTuple();
+    for (uint32_t id = 0; id < tier_count; ++id) {
       SampleStore::TierRecord rec;
-      rec.tier = override_tiers[id];
+      rec.tier = tiers[id];
       sharded->override_store_.Adopt(
-          id, rec,
-          sharded->override_samples_.sample(id).size() * tuple_bytes,
-          orefs[id]);
+          id, rec, sharded->override_samples_.sample(id).size() * tuple_bytes,
+          refs[id]);
     }
   }
 
-  if (version >= 2) {
-    // v2 carries the covered row count in the header (`saved_rows`).
-    sharded->refreshed_rows_ = saved_rows;
-  } else {
-    TABULA_ASSIGN_OR_RETURN(sharded->refreshed_rows_, r.ReadU64());
-    if (sharded->refreshed_rows_ > table.num_rows()) {
-      return Status::DataLoss(
-          "manifest covers more rows than the table holds");
-    }
-    if (sharded->refreshed_rows_ != table.num_rows() && !resume_partial) {
-      return Status::InvalidArgument(
-          "shard manifest covers only " +
-          std::to_string(sharded->refreshed_rows_) + " of " +
-          std::to_string(table.num_rows()) +
-          " rows (stale cube); pass resume_partial to load it and "
-          "Refresh() to catch up");
-    }
-  }
-  // The persisted row lists must partition [0, refreshed_rows) exactly —
-  // every row in one shard, no row in two.
-  std::vector<uint8_t> seen(sharded->refreshed_rows_, 0);
-  size_t assigned = 0;
-  for (const Shard& shard : sharded->shards_) {
-    for (RowId row : shard.rows) {
-      if (row >= sharded->refreshed_rows_) {
-        return Status::DataLoss("shard row " + std::to_string(row) +
-                                " lies beyond the manifest's row horizon");
-      }
-      if (seen[row]) {
-        return Status::DataLoss("row " + std::to_string(row) +
-                                " assigned to two shards");
-      }
-      seen[row] = 1;
-      ++assigned;
-    }
-  }
-  if (assigned != sharded->refreshed_rows_) {
-    return Status::DataLoss(
-        "shard row lists do not cover the manifest's row horizon");
-  }
-
+  sharded->refreshed_rows_ = saved_rows;
   sharded->stats_.num_shards = num_shards;
   sharded->stats_.global_sample_tuples = sharded->global_sample_.size();
   sharded->stats_.merged_iceberg_cells = sharded->merged_.size();
   sharded->stats_.shard_build_millis.assign(num_shards, 0.0);
   for (const Shard& shard : sharded->shards_) {
-    sharded->stats_.shard_iceberg_cells.push_back(shard.cube.size());
+    sharded->stats_.shard_iceberg_cells.push_back(
+        shard.unit->cube_table().size());
   }
-  // Finest states and present-key sets are NOT persisted; the first
-  // Refresh rebuilds them via EnsureFinestStates(). Replica liveness is
-  // runtime state, so a load always starts with every replica up.
-  // Tiered store: v4 adopted tiers above are preserved (AssignInitial-
-  // Tiers skips tracked ids); a v1–v3 manifest registers all-kWarm.
-  TABULA_RETURN_NOT_OK(sharded->AssignInitialTiers());
+  // Units' finest states are NOT persisted; the first Refresh rebuilds
+  // them via EnsureFinestStates(). Replica liveness is runtime state, so
+  // a load always starts with every replica up. The override store
+  // enforces its (possibly smaller) budget over the adopted tiers.
+  sharded->TrackOverridesLocked();
   sharded->InitReplicas();
   return sharded;
 }

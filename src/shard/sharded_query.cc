@@ -73,37 +73,18 @@ Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
     return response;
   }
 
-  // Identical WHERE-clause contract (and error wording) as the plain
-  // engine: equality predicates on cubed attributes only.
-  const auto& names = encoder_.column_names();
-  std::vector<uint32_t> codes(names.size(), kNullCode);
-  for (const auto& term : where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if (codes[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder_.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      result.empty_cell = true;
-      result.stale = has_pending;
-      result.sample = DatasetView(table_, {});
-      finish();
-      return response;
-    }
-    codes[k] = code.value();
+  // The plain engine's WHERE-clause contract (and error wording):
+  // equality predicates on cubed attributes only.
+  std::vector<uint32_t> codes;
+  bool provably_empty = false;
+  TABULA_RETURN_NOT_OK(Tabula::ValidateEqualityTerms(encoder_, where, &codes,
+                                                     &provably_empty));
+  if (provably_empty) {
+    result.empty_cell = true;
+    result.stale = has_pending;
+    result.sample = DatasetView(table_, {});
+    finish();
+    return response;
   }
 
   uint64_t key = packer_.PackCodes(codes);
@@ -175,7 +156,7 @@ Result<QueryResponse> ShardedTabula::Query(const QueryRequest& request) const {
       shard_status = FaultInjector::Global().Hit("shard.query");
     }
     if (shard_status.ok()) {
-      shard_status = QueryShardReplicas(s, key, &gathered, &result);
+      shard_status = QueryShardReplicas(s, key, span.id(), &gathered, &result);
     }
     if (!shard_status.ok()) {
       result.unavailable_shards.push_back(static_cast<uint32_t>(s));
@@ -291,41 +272,19 @@ Status ShardedTabula::ProbeReplicas(size_t shard) const {
 }
 
 Status ShardedTabula::QueryShardReplicas(size_t shard, uint64_t key,
+                                         uint64_t parent_span,
                                          std::vector<RowId>* gathered,
                                          TabulaQueryResult* result) const {
   TABULA_RETURN_NOT_OK(ProbeReplicas(shard));
-  // Replicas share the shard's immutable cube and samples, so which
-  // replica answers never changes the bytes of the answer — only who
-  // paid the latency (tracked by the probe's EWMA).
-  const IcebergCell* local = shards_[shard].cube.Find(key);
-  if (local == nullptr) return Status::OK();
-  if (!store_enabled()) {
-    const auto& sample = shards_[shard].samples.sample(local->sample_id);
-    gathered->insert(gathered->end(), sample.begin(), sample.end());
-    return Status::OK();
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(*store_mu_);
-    shard_stores_[shard].RecordHit(local->sample_id);
-    if (shard_stores_[shard].resident(local->sample_id)) {
-      const auto& sample = shards_[shard].samples.sample(local->sample_id);
-      gathered->insert(gathered->end(), sample.begin(), sample.end());
-      return Status::OK();
-    }
-  }
-  // Cold slice: lazily promote under the exclusive section (appends the
-  // restored rows in place, so the gather stays in shard order).
-  std::unique_lock<std::shared_mutex> lock(*store_mu_);
-  if (shard_stores_[shard].resident(local->sample_id)) {
-    const auto& sample = shards_[shard].samples.sample(local->sample_id);
-    gathered->insert(gathered->end(), sample.begin(), sample.end());
-    return Status::OK();
-  }
-  Status promoted = PromoteShardCellLocked(shard, key, gathered);
-  if (!promoted.ok()) {
+  // Replicas share the shard's unit, so which replica answers never
+  // changes the bytes of the answer — only who paid the latency
+  // (tracked by the probe's EWMA).
+  const Tabula& unit = *shards_[shard].unit;
+  const IcebergCell* local = unit.cube_table().Find(key);
+  if (local != nullptr &&
+      !unit.AppendLocalSample(*local, parent_span, gathered)) {
     // The slice stays unserved; the caller degrades the whole answer to
     // the global sample (the evicted bytes are never served).
-    shard_stores_[shard].CountPromoteFailure();
     result->store_degraded = true;
   }
   return Status::OK();

@@ -3,9 +3,9 @@
 /// appended rows to their owning shards (hash of the row id, or the
 /// smallest shard under range partitioning) and computes the dirty cell
 /// set; BeginIngest publishes that set for per-cell staleness tagging;
-/// ExecuteIngest rebuilds ONLY the touched shards into staged copies
-/// and re-runs the merge + θ re-verification pass over the mix of
-/// staged and untouched shards; CommitIngest adopts the staged shards
+/// ExecuteIngest rebuilds ONLY the touched shards' units (staged) and
+/// re-runs the merge + θ re-verification pass over the mix of rebuilt
+/// and untouched units; CommitIngest adopts the staged shards
 /// and merged directory. Refresh() composes the phases back-to-back and
 /// keeps the single-instance contract: every fallible step is staged,
 /// so a failed cycle (including an injected `shard.build` fault) leaves
@@ -13,7 +13,6 @@
 /// unchanged. K = 1 delegates every phase to the plain engine.
 
 #include <algorithm>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -21,7 +20,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
+#include "common/logging.h"
 #include "sampling/random_sampler.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
@@ -44,15 +43,15 @@ struct ShardedTabula::IngestPlanState : QueryEngine::IngestPlan {
   /// Redrawn global sample over [0, target_rows) — identical to the
   /// one a from-scratch build over the grown table draws (same seed,
   /// same Serfling size). Staged here and adopted at commit when the
-  /// loss's state is reference-independent (retained shard states
+  /// loss's state is reference-independent (retained unit states
   /// remain valid under the rebinding); reference-dependent losses
   /// keep the original sample and `adopt_global` stays false.
   bool adopt_global = false;
   std::vector<RowId> staged_global_rows;
   DatasetView staged_global;
-  /// Staged copies of the touched shards: `rows` pre-extended with the
-  /// appends at plan time, the cube/samples/states filled by the
-  /// rebuild in ExecuteIngest.
+  /// Staged replacements of the touched shards: `rows` pre-extended with
+  /// the appends at plan time, the unit rebuilt over them in
+  /// ExecuteIngest.
   std::vector<Shard> staged;
   MergeOutput merge;
   bool executed = false;
@@ -107,17 +106,11 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
   // the re-merge classifies against the fresh sample and the merged
   // iceberg set converges to the from-scratch one.
   if (!options_.base.effective_loss()->StateDependsOnReference()) {
-    size_t global_size = SerflingSampleSize(options_.base.serfling_epsilon,
-                                            options_.base.serfling_delta);
-    // Bottom-k over (current sample ∪ appended rows) — equal to the
-    // full-table draw because bottom-k selection is decomposable (see
-    // the single-instance PlanIngest in core/refresh.cc).
-    std::vector<RowId> cand = global_sample_rows_;
-    cand.reserve(cand.size() + (n1 - n0));
-    for (size_t r = n0; r < n1; ++r) cand.push_back(static_cast<RowId>(r));
-    plan->staged_global_rows = ConsistentBottomKSample(
-        DatasetView(table_, std::move(cand)), global_size,
-        options_.base.seed);
+    const TabulaOptions& base = options_.base;
+    plan->staged_global_rows = ExtendBottomKSample(
+        *table_, global_sample_rows_, n0, n1,
+        SerflingSampleSize(base.serfling_epsilon, base.serfling_delta),
+        base.seed);
     plan->staged_global = DatasetView(table_, plan->staged_global_rows);
     plan->adopt_global = true;
   }
@@ -191,41 +184,24 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
     return Status::OK();
   }
 
-  // Rebuild ONLY the touched shards, into the staged copies (parallel,
-  // one task per shard, like Initialize). The staged encoder codes the
-  // appended rows; identical layout means identical keys for rows the
-  // member encoder also covers.
+  // Rebuild ONLY the touched shards' units, into the staged shards
+  // (parallel, one task per shard, like Initialize). The staged encoder
+  // codes the appended rows; identical layout means identical keys for
+  // rows the member encoder also covers.
   const DatasetView& ref =
       p->adopt_global ? p->staged_global : global_sample_;
   const std::vector<RowId>& ref_rows =
       p->adopt_global ? p->staged_global_rows : global_sample_rows_;
-  std::vector<Status> statuses(p->touched.size(), Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(p->touched.size());
-  for (size_t i = 0; i < p->touched.size(); ++i) {
-    futures.push_back(
-        ThreadPool::Global().Submit([this, i, tracer, p, &ref, &statuses] {
-          statuses[i] = BuildShard(p->new_encoder, ref, tracer,
-                                   p->parent_span, &p->staged[i]);
-        }));
-  }
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < p->touched.size(); ++i) {
-    try {
-      futures[i].get();
-    } catch (const std::exception& e) {
-      if (first_error.ok()) {
-        first_error = Status::Internal(std::string("shard build threw: ") +
-                                       e.what());
-      }
-    }
-    if (first_error.ok() && !statuses[i].ok()) first_error = statuses[i];
-  }
-  TABULA_RETURN_NOT_OK(first_error);
+  std::vector<Shard*> staged(p->staged.size());
+  for (size_t i = 0; i < staged.size(); ++i) staged[i] = &p->staged[i];
+  std::vector<double> build_millis;
+  TABULA_RETURN_NOT_OK(BuildUnits(staged, p->new_encoder, ref_rows, tracer,
+                                  p->parent_span, &build_millis));
 
   // Re-merge over the mix of rebuilt and untouched shards (staged
-  // output; nothing committed yet). Untouched shards are read-only
-  // here — safe concurrently with queries.
+  // output; nothing committed yet). Untouched units are read-only here
+  // (the merge holds their store locks shared) — safe concurrently with
+  // queries.
   std::vector<const Shard*> shard_ptrs(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shard_ptrs[s] = &shards_[s];
@@ -233,13 +209,6 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
   for (size_t i = 0; i < p->touched.size(); ++i) {
     shard_ptrs[p->touched[i]] = &p->staged[i];
   }
-  // With the tiered store, the merge reads untouched shards' sample
-  // tables (and re-derives demoted slices), which concurrent query
-  // promotes mutate under the exclusive section — hold the shared lock
-  // so the candidate gathers never see a half-written slot.
-  std::shared_lock<std::shared_mutex> store_lock(*store_mu_,
-                                                 std::defer_lock);
-  if (store_enabled()) store_lock.lock();
   TABULA_ASSIGN_OR_RETURN(
       p->merge,
       MergeShardCubes(shard_ptrs, p->new_encoder, ref, ref_rows, tracer,
@@ -276,7 +245,7 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     // Member-wise adoption instead of whole-object move: the metrics
     // registry (mutexes) must stay put, and listeners + generation
     // survive a rebuild like any other cube mutation. The exclusive
-    // store lock fences the swap against in-flight promotes.
+    // store lock fences the swap against in-flight override promotes.
     std::unique_lock<std::shared_mutex> store_lock(*store_mu_,
                                                    std::defer_lock);
     if (store_enabled()) store_lock.lock();
@@ -289,7 +258,6 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     shards_ = std::move(fresh.shards_);
     merged_ = std::move(fresh.merged_);
     override_samples_ = std::move(fresh.override_samples_);
-    shard_stores_ = std::move(fresh.shard_stores_);
     override_store_ = std::move(fresh.override_store_);
     stats_ = std::move(fresh.stats_);
     refreshed_rows_ = fresh.refreshed_rows_;
@@ -304,10 +272,10 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   }
 
   // ---- Commit point: nothing below can fail. ----
-  // Tier transitions are commit-phase only: the exclusive store lock
-  // fences the shard/override swaps against in-flight promotes, touched
-  // shards' stores rebuild all-kWarm (their sample tables are fresh),
-  // untouched shards keep their tiers and hit counters.
+  // Tier transitions are commit-phase only: rebuilt units arrive with
+  // fresh stores already within their slices, untouched units keep
+  // their tiers and hit counters, and the override store re-registers
+  // the fresh override samples all-kWarm under its exclusive lock.
   std::unique_lock<std::shared_mutex> store_lock(*store_mu_,
                                                  std::defer_lock);
   if (store_enabled()) store_lock.lock();
@@ -328,9 +296,14 @@ Status ShardedTabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   stats_.verified_cells = p->merge.verified_cells;
   stats_.resampled_cells = p->merge.resampled_cells;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    stats_.shard_iceberg_cells[s] = shards_[s].cube.size();
+    stats_.shard_iceberg_cells[s] = shards_[s].unit->cube_table().size();
   }
-  if (store_enabled()) RebuildStoresAfterCommitLocked(p->touched);
+  if (store_enabled()) {
+    // Configure without a spill path touches no filesystem state and
+    // cannot fail — the commit point stays infallible.
+    TABULA_CHECK(override_store_.Configure(OverrideStoreOptions()).ok());
+    TrackOverridesLocked();
+  }
   refreshed_rows_ = p->target_rows;
   pending_dirty_.clear();
   ++generation_;

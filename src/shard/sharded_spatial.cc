@@ -35,12 +35,12 @@ SpatialGrid::Context ShardedTabula::SpatialContext() const {
 
 Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
                                  TabulaQueryResult* result) const {
-  if (shards_.empty() || !shards_[0].grid.present()) {
+  if (shards_.empty() || !shards_[0].unit->spatial_grid().present()) {
     return Status::InvalidArgument(
         "this engine has no spatial grid (enable TabulaOptions.spatial to "
         "serve bbox queries)");
   }
-  const SpatialGrid& g0 = shards_[0].grid;
+  const SpatialGrid& g0 = shards_[0].unit->spatial_grid();
   TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
                           g0.Resolve(request.range));
   for (const auto& term : request.where) {
@@ -88,8 +88,9 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     partials.reserve(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
       visit_shard(s, [&]() -> Status {
-        TABULA_ASSIGN_OR_RETURN(SpatialGrid::RangeAnswer partial,
-                                shards_[s].grid.RangeQuery(ctx, box));
+        TABULA_ASSIGN_OR_RETURN(
+            SpatialGrid::RangeAnswer partial,
+            shards_[s].unit->spatial_grid().RangeQuery(ctx, box));
         partials.push_back(std::move(partial));
         return Status::OK();
       });
@@ -118,8 +119,9 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     auto gather_raw = [&]() -> Result<std::vector<RowId>> {
       std::vector<RowId> raw;
       for (const Shard& shard : shards_) {
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
-                                shard.grid.GatherRangeRows(ctx, box));
+        TABULA_ASSIGN_OR_RETURN(
+            std::vector<RowId> rows,
+            shard.unit->spatial_grid().GatherRangeRows(ctx, box));
         raw.insert(raw.end(), rows.begin(), rows.end());
       }
       std::sort(raw.begin(), raw.end());
@@ -138,47 +140,22 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     return Status::OK();
   }
 
-  // Hybrid bbox + equality: identical WHERE-clause contract (and error
-  // wording) as the equality path, then filter the union of the shards'
-  // bbox rows — which equals the single-instance row set, so exact
-  // answers and query-time re-samples are K-invariant byte for byte.
-  const auto& names = encoder_.column_names();
-  std::vector<uint32_t> codes(names.size(), kNullCode);
+  // Hybrid bbox + equality: the equality path's WHERE-clause contract
+  // (and error wording), then filter the union of the shards' bbox rows
+  // — which equals the single-instance row set, so exact answers and
+  // query-time re-samples are K-invariant byte for byte.
+  std::vector<uint32_t> codes;
   bool provably_empty = false;
-  for (const auto& term : request.where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if (codes[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder_.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      // The value never occurs in the data; later terms are not
-      // validated, matching the equality path's short-circuit.
-      provably_empty = true;
-      break;
-    }
-    codes[k] = code.value();
-  }
+  TABULA_RETURN_NOT_OK(Tabula::ValidateEqualityTerms(
+      encoder_, request.where, &codes, &provably_empty));
   if (!provably_empty) {
     Stopwatch fanout_timer;
     std::vector<RowId> rows;
     for (size_t s = 0; s < shards_.size(); ++s) {
       visit_shard(s, [&]() -> Status {
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> shard_rows,
-                                shards_[s].grid.GatherRangeRows(ctx, box));
+        TABULA_ASSIGN_OR_RETURN(
+            std::vector<RowId> shard_rows,
+            shards_[s].unit->spatial_grid().GatherRangeRows(ctx, box));
         rows.insert(rows.end(), shard_rows.begin(), shard_rows.end());
         return Status::OK();
       });

@@ -2,16 +2,34 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "cube/dry_run.h"
 #include "sampling/random_sampler.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
+
+namespace {
+
+/// A merged cell's loss state plus the set of shards holding rows of it
+/// (bit s = shard s). Both merge up the lattice, so every rolled-up cell
+/// knows which shards' slices it spans without a per-shard key set.
+struct ShardState {
+  LossState state;
+  uint64_t shards = 0;
+  void Merge(const ShardState& o) {
+    state.Merge(o.state);
+    shards |= o.shards;
+  }
+};
+
+}  // namespace
 
 const char* ShardPartitionName(ShardPartition partition) {
   switch (partition) {
@@ -23,11 +41,18 @@ const char* ShardPartitionName(ShardPartition partition) {
   return "unknown";
 }
 
+Status ShardedTabula::CheckShardCount(size_t num_shards) {
+  if (num_shards == 0 || num_shards > kMaxShards) {
+    return Status::InvalidArgument("num_shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "] (got " +
+                                   std::to_string(num_shards) + ")");
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Initialize(
     const Table& table, ShardedTabulaOptions options) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
+  TABULA_RETURN_NOT_OK(CheckShardCount(options.num_shards));
   auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
   sharded->table_ = &table;
   sharded->options_ = std::move(options);
@@ -105,22 +130,8 @@ size_t ShardedTabula::HealthyReplicaCount(size_t shard) const {
 
 Status ShardedTabula::InitializeSharded(const Table& table) {
   const TabulaOptions& base = options_.base;
-  const LossFunction* loss = base.effective_loss();
-  if (loss == nullptr) {
-    return Status::InvalidArgument("TabulaOptions.loss must be set");
-  }
-  if (base.cubed_attributes.empty()) {
-    return Status::InvalidArgument("at least one cubed attribute required");
-  }
-  if (base.threshold <= 0.0) {
-    return Status::InvalidArgument("accuracy loss threshold must be > 0");
-  }
-  for (const auto& col : loss->InputColumns()) {
-    if (!table.schema().HasField(col)) {
-      return Status::NotFound("loss function input column '" + col +
-                              "' not in table");
-    }
-  }
+  TABULA_RETURN_NOT_OK(Tabula::ValidateOptions(table, base));
+  TABULA_RETURN_NOT_OK(CheckStoreOptions());
 
   // Same span discipline as Tabula::Initialize: a local always-on
   // tracer stands in when the caller's cannot record, so stats are
@@ -143,23 +154,21 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   lattice_ = Lattice(base.cubed_attributes.size());
 
   // ONE global sample over the FULL table, drawn exactly as the
-  // single-instance engine draws it. Sharing it across shards is what
-  // makes the per-shard loss states merge to the single-instance
-  // states (same reference ⇒ same accumulation), which in turn makes
-  // the merged iceberg set equal the single-instance set.
-  {
-    size_t global_size =
-        SerflingSampleSize(base.serfling_epsilon, base.serfling_delta);
-    DatasetView all(&table);
-    global_sample_rows_ = ConsistentBottomKSample(all, global_size, base.seed);
-    global_sample_ = DatasetView(&table, global_sample_rows_);
-    stats_.global_sample_tuples = global_sample_.size();
-  }
+  // single-instance engine draws it. Sharing it across units is what
+  // makes the per-unit loss states merge to the single-instance states
+  // (same reference ⇒ same accumulation), which in turn makes the merged
+  // iceberg set equal the single-instance set.
+  global_sample_rows_ = ConsistentBottomKSample(
+      DatasetView(&table),
+      SerflingSampleSize(base.serfling_epsilon, base.serfling_delta),
+      base.seed);
+  global_sample_ = DatasetView(&table, global_sample_rows_);
+  stats_.global_sample_tuples = global_sample_.size();
 
   // Partition the row space. Shard row lists stay ascending under both
-  // schemes, so per-shard accumulation order is deterministic.
+  // schemes, so per-unit accumulation order is deterministic.
   const size_t k = options_.num_shards;
-  shards_.assign(k, Shard{});
+  shards_.resize(k);
   const size_t n = table.num_rows();
   if (options_.partition == ShardPartition::kHash) {
     for (size_t s = 0; s < k; ++s) shards_[s].rows.reserve(n / k + 1);
@@ -177,57 +186,26 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
     }
   }
 
-  // Parallel per-shard builds: one coarse task per shard. Nested
-  // ParallelFor calls inside a worker run inline, so each task is a
-  // self-contained sequential build — no cross-shard synchronization
-  // until the merge barrier below, and the output is a pure function
-  // of the shard's rows regardless of worker count.
   Span build_span = tracer->StartSpan("shard.build_all", init_span.id());
-  Stopwatch build_timer;
-  std::vector<Status> statuses(k, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(k);
-  for (size_t s = 0; s < k; ++s) {
-    futures.push_back(ThreadPool::Global().Submit([this, s, tracer,
-                                                   &build_span, &statuses] {
-      statuses[s] = BuildShard(encoder_, global_sample_, tracer,
-                               build_span.id(), &shards_[s]);
-    }));
-  }
-  Status first_error = Status::OK();
-  for (size_t s = 0; s < k; ++s) {
-    try {
-      futures[s].get();
-    } catch (const std::exception& e) {
-      // A thrown injected fault (or any escaped exception) fails init
-      // like a Status would — atomically, nothing published.
-      if (first_error.ok()) {
-        first_error = Status::Internal(std::string("shard build threw: ") +
-                                       e.what());
-      }
-    }
-    if (first_error.ok() && !statuses[s].ok()) first_error = statuses[s];
-  }
+  std::vector<Shard*> all(k);
+  for (size_t s = 0; s < k; ++s) all[s] = &shards_[s];
+  Status built = BuildUnits(all, encoder_, global_sample_rows_, tracer,
+                            build_span.id(), &stats_.shard_build_millis);
   stats_.build_millis = build_span.End();
-  if (!first_error.ok()) return first_error;
+  TABULA_RETURN_NOT_OK(built);
 
   stats_.num_shards = k;
-  stats_.shard_build_millis.clear();
   stats_.shard_iceberg_cells.clear();
   for (const Shard& shard : shards_) {
-    stats_.shard_build_millis.push_back(shard.build_millis);
-    stats_.shard_iceberg_cells.push_back(shard.cube.size());
+    stats_.shard_iceberg_cells.push_back(shard.unit->cube_table().size());
   }
 
   // Merge + θ re-verification.
-  Span merge_span = tracer->StartSpan("shard.merge", init_span.id());
-  std::vector<const Shard*> shard_ptrs;
-  shard_ptrs.reserve(k);
-  for (const Shard& shard : shards_) shard_ptrs.push_back(&shard);
+  std::vector<const Shard*> shard_ptrs(all.begin(), all.end());
   TABULA_ASSIGN_OR_RETURN(
       MergeOutput merge,
       MergeShardCubes(shard_ptrs, encoder_, global_sample_,
-                      global_sample_rows_, tracer, merge_span.id()));
+                      global_sample_rows_, tracer, init_span.id()));
   merged_ = std::move(merge.merged);
   override_samples_ = std::move(merge.overrides);
   stats_.merged_iceberg_cells = merged_.size();
@@ -235,15 +213,12 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   stats_.union_accepted_cells = merge.union_accepted_cells;
   stats_.verified_cells = merge.verified_cells;
   stats_.resampled_cells = merge.resampled_cells;
-  merge_span.SetAttribute("merged_iceberg_cells", merged_.size());
-  merge_span.SetAttribute("conflict_cells", merge.conflict_cells);
-  merge_span.SetAttribute("resampled_cells", merge.resampled_cells);
-  stats_.merge_millis = merge_span.End();
+  stats_.merge_millis = merge.millis;
 
-  // Tiered store: split the byte budget over the K shard stores + the
-  // override store and register every sample at kWarm (inert when
-  // base.store.budget_bytes == 0).
-  TABULA_RETURN_NOT_OK(AssignInitialTiers());
+  // The override store takes the budget left after the K unit slices
+  // (the units enforced theirs at build); inert with the store off.
+  TABULA_RETURN_NOT_OK(override_store_.Configure(OverrideStoreOptions()));
+  TrackOverridesLocked();
 
   refreshed_rows_ = n;
   init_span.SetAttribute("merged_iceberg_cells",
@@ -260,145 +235,140 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   return Status::OK();
 }
 
-Status ShardedTabula::BuildShard(const KeyEncoder& enc,
-                                 const DatasetView& ref, Tracer* tracer,
-                                 uint64_t parent_span, Shard* shard) const {
-  Span span;
-  if (tracer != nullptr) {
-    span = tracer->StartSpan("shard.build", parent_span, /*opt_in=*/true);
+TabulaOptions ShardedTabula::UnitOptions() const {
+  TabulaOptions unit = options_.base;
+  unit.enable_sample_selection = false;
+  unit.keep_maintenance_state = false;
+  unit.store.budget_bytes =
+      options_.base.store.budget_bytes / (options_.num_shards + 1);
+  unit.store.hot_promote_hits = std::numeric_limits<uint64_t>::max();
+  unit.store.spill_path.clear();
+  return unit;
+}
+
+Status ShardedTabula::BuildUnits(const std::vector<Shard*>& shards,
+                                 const KeyEncoder& enc,
+                                 const std::vector<RowId>& ref_rows,
+                                 Tracer* tracer, uint64_t parent_span,
+                                 std::vector<double>* millis) const {
+  // One coarse task per shard. Nested ParallelFor calls inside a worker
+  // run inline, so each task is a self-contained sequential build — no
+  // cross-shard synchronization until the merge barrier, and each unit
+  // is a pure function of its rows regardless of worker count.
+  const TabulaOptions unit_options = UnitOptions();
+  millis->assign(shards.size(), 0.0);
+  std::vector<Status> statuses(shards.size(), Status::OK());
+  std::vector<std::future<void>> futures;
+  futures.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    futures.push_back(ThreadPool::Global().Submit([&, i] {
+      statuses[i] = [&]() -> Status {
+        Span span;
+        if (tracer != nullptr) {
+          span = tracer->StartSpan("shard.build", parent_span,
+                                   /*opt_in=*/true);
+        }
+        Stopwatch timer;
+        TABULA_FAULT_POINT("shard.build");
+        Shard* shard = shards[i];
+        Tabula::UnitInput input{&enc, &ref_rows, &shard->rows};
+        // The unit times its stages on a private tracer: its init_stats()
+        // stay span-derived without copying the caller's whole span ring
+        // once per unit.
+        TABULA_ASSIGN_OR_RETURN(
+            shard->unit,
+            Tabula::Build(*table_, unit_options, &input, /*tracer=*/nullptr));
+        if (span.recording()) {
+          span.SetAttribute("rows", shard->rows.size());
+          span.SetAttribute("iceberg_cells",
+                            shard->unit->cube_table().size());
+          span.SetAttribute("spatial_cells",
+                            shard->unit->init_stats().spatial_cells);
+          (*millis)[i] = span.End();
+        } else {
+          (*millis)[i] = timer.ElapsedMillis();
+        }
+        return Status::OK();
+      }();
+    }));
   }
-  Stopwatch timer;
-  TABULA_FAULT_POINT("shard.build");
-
-  const TabulaOptions& base = options_.base;
-  const LossFunction* loss = base.effective_loss();
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          loss->Bind(*table_, ref));
-
-  // Finest-cuboid states over this shard's rows (kept for refresh and
-  // for the coordinator's exact cross-shard state merge).
-  DatasetView view(table_, shard->rows);
-  const BoundLoss* bound_ptr = bound.get();
-  shard->finest = GroupAccumulate<LossState>(
-      enc, packer_, view,
-      [bound_ptr](LossState* state, RowId row) {
-        bound_ptr->Accumulate(state, row);
-      });
-
-  // Roll the shard's states up the lattice and classify shard-local
-  // iceberg cells — the same algebraic roll-up the dry run performs,
-  // restricted to this shard's slice.
-  std::vector<FlatHashMap<LossState>> maps = RollUpLattice(shard->finest);
-
-  FlatHashMap<CuboidMask> iceberg_cells;
-  size_t present_cells = 0;
-  for (size_t m = 0; m < lattice_.num_cuboids(); ++m) present_cells += maps[m].size();
-  shard->present = FlatHashSet(present_cells);
-  for (size_t m = 0; m < lattice_.num_cuboids(); ++m) {
-    CuboidMask mask = static_cast<CuboidMask>(m);
-    maps[m].ForEach([&](uint64_t key, const LossState& state) {
-      shard->present.Insert(key);
-      if (bound_ptr->Finalize(state) > base.threshold) {
-        iceberg_cells[key] = mask;
+  Status first_error = Status::OK();
+  for (size_t i = 0; i < shards.size(); ++i) {
+    try {
+      futures[i].get();
+    } catch (const std::exception& e) {
+      // A thrown injected fault (or any escaped exception) fails the
+      // build like a Status would — atomically, nothing published.
+      if (first_error.ok()) {
+        first_error = Status::Internal(std::string("shard build threw: ") +
+                                       e.what());
       }
-    });
-  }
-
-  // Collect raw rows for shard-iceberg cells: one pass over the
-  // *shard's* rows per affected cuboid (the join path, shard-scoped).
-  std::vector<CuboidMask> affected;
-  iceberg_cells.ForEach(
-      [&](uint64_t, const CuboidMask& mask) { affected.push_back(mask); });
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  FlatHashMap<std::vector<RowId>> cell_rows(iceberg_cells.size());
-  for (CuboidMask mask : affected) {
-    for (RowId r : shard->rows) {
-      uint64_t key = packer_.PackRowMasked(enc, r, mask);
-      const CuboidMask* cm = iceberg_cells.Find(key);
-      if (cm != nullptr && *cm == mask) cell_rows[key].push_back(r);
     }
+    if (first_error.ok() && !statuses[i].ok()) first_error = statuses[i];
   }
-
-  // Local samples in ascending key order (deterministic sample-table
-  // ids). Sharding persists every local sample individually — the
-  // cross-cell representative-selection optimization is global and is
-  // documented as forgone at K > 1.
-  GreedySamplerOptions sampler_opts = base.sampler;
-  sampler_opts.seed = base.seed;
-  GreedySampler sampler(loss, base.threshold, sampler_opts);
-  for (auto& [key, rows] : cell_rows.ExtractSorted()) {
-    DatasetView raw(table_, rows);
-    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, sampler.Sample(raw));
-    IcebergCell cell;
-    cell.key = key;
-    cell.cuboid = *iceberg_cells.Find(key);
-    cell.sample_id = shard->samples.Add(std::move(sample));
-    // Retained (like the plain real run retains cell rows) so the merge
-    // can assemble a violating cell's raw rows from shard slices
-    // instead of re-scanning the base table.
-    cell.raw_rows = std::move(rows);
-    shard->cube.Add(std::move(cell));
-  }
-
-  // Shard-local spatial grid over this shard's rows, classified against
-  // the same shared reference sample as the cube — per-shard range
-  // partials then compose exactly like per-shard cell samples do.
-  if (base.spatial.levels > 0) {
-    SpatialGrid::Context ctx;
-    ctx.table = table_;
-    ctx.loss = loss;
-    ctx.threshold = base.threshold;
-    ctx.sampler = sampler_opts;
-    ctx.ref = ref;
-    TABULA_ASSIGN_OR_RETURN(
-        shard->grid, SpatialGrid::Build(ctx, base.spatial, &shard->rows));
-  }
-
-  if (span.recording()) {
-    span.SetAttribute("rows", shard->rows.size());
-    span.SetAttribute("iceberg_cells", shard->cube.size());
-    span.SetAttribute("spatial_cells",
-                      shard->grid.present() ? shard->grid.TotalCells() : 0);
-    shard->build_millis = span.End();
-  } else {
-    shard->build_millis = timer.ElapsedMillis();
-  }
-  return Status::OK();
+  return first_error;
 }
 
 Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
     const std::vector<const Shard*>& shards, const KeyEncoder& enc,
     const DatasetView& ref, const std::vector<RowId>& ref_rows,
     Tracer* tracer, uint64_t parent_span) const {
-  (void)tracer;
-  (void)parent_span;
+  Span span;
+  if (tracer != nullptr) {
+    span = tracer->StartSpan("shard.merge", parent_span, /*opt_in=*/true);
+  }
+  Stopwatch timer;
   TABULA_FAULT_POINT("shard.merge");
   const TabulaOptions& base = options_.base;
   const LossFunction* loss = base.effective_loss();
   TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
                           loss->Bind(*table_, ref));
+  // Concurrent query promotes write the units' sample tables; the
+  // shared locks keep every candidate gather off half-written slots.
+  std::vector<std::shared_lock<std::shared_mutex>> locks;
+  if (store_enabled()) {
+    for (const Shard* shard : shards) {
+      locks.emplace_back(*shard->unit->store_mu_);
+    }
+  }
 
-  // 1. Exact cross-shard state merge: each shard contributes at most
-  //    one finest state per key, folded in ascending shard order, so
-  //    the merged state equals the single-instance accumulation up to
-  //    floating-point fold order.
-  FlatHashMap<LossState> merged_finest;
-  for (const Shard* shard : shards) {
-    merged_finest.reserve(merged_finest.size() + shard->finest.size());
-    shard->finest.ForEach([&](uint64_t key, const LossState& state) {
-      auto [slot, inserted] = merged_finest.TryEmplace(key);
-      if (inserted) {
-        *slot = state;
-      } else {
-        slot->Merge(state);
+  // 1. Exact cross-shard state merge: the units' finest states are
+  //    ascending by key, so one k-way pass folds each key's states in
+  //    ascending shard order — equal to the single-instance
+  //    accumulation up to floating-point fold order — and tags it with
+  //    the shards holding its rows.
+  GroupedStates<ShardState> finest;
+  std::vector<size_t> pos(shards.size(), 0);
+  for (;;) {
+    bool any = false;
+    uint64_t key = 0;
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const GroupedStates<LossState>& f = shards[s]->unit->unit_finest_;
+      if (pos[s] < f.keys.size() && (!any || f.keys[pos[s]] < key)) {
+        key = f.keys[pos[s]];
+        any = true;
       }
-    });
+    }
+    if (!any) break;
+    ShardState cell;
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const GroupedStates<LossState>& f = shards[s]->unit->unit_finest_;
+      if (pos[s] >= f.keys.size() || f.keys[pos[s]] != key) continue;
+      if (cell.shards == 0) {
+        cell.state = f.states[pos[s]];
+      } else {
+        cell.state.Merge(f.states[pos[s]]);
+      }
+      cell.shards |= uint64_t{1} << s;
+      ++pos[s];
+    }
+    finest.keys.push_back(key);
+    finest.states.push_back(std::move(cell));
   }
 
   // 2. Roll up the merged states and classify the *global* iceberg set.
-  std::vector<FlatHashMap<LossState>> maps = RollUpLattice(merged_finest);
+  const std::vector<GroupedStates<ShardState>> cuboids =
+      RollUpCuboids(std::move(finest), packer_, lattice_);
 
   // 3. Per merged-iceberg cell: gather the union of shard-local
   //    samples and decide how the θ bound is restored (see DESIGN.md
@@ -411,6 +381,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   MergeOutput out;
   struct PendingCell {
     CuboidMask cuboid = 0;
+    uint64_t shards = 0;        ///< shards holding rows of the cell
     bool verify_first = false;  ///< direct-loss check before resampling
     bool augmented = false;     ///< candidate includes the global sample
     std::vector<RowId> candidate;
@@ -418,17 +389,13 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   FlatHashMap<PendingCell> needs_raw;
   const bool union_closed = loss->UnionClosed();
   const bool ref_free = !loss->StateDependsOnReference();
-  // With the tiered store enabled a shard-local sample may be demoted
-  // (its SampleTable slot reads empty); re-derive it deterministically —
-  // build seed over the slice's ascending rows — so the merge sees the
-  // exact build-time bytes and classifies like a store-disabled run.
-  GreedySamplerOptions re_opts = base.sampler;
-  re_opts.seed = base.seed;
-  GreedySampler re_sampler(loss, base.threshold, re_opts);
+  GreedySamplerOptions sampler_opts = base.sampler;
+  sampler_opts.seed = base.seed;
+  GreedySampler sampler(loss, base.threshold, sampler_opts);
   for (size_t m = 0; m < lattice_.num_cuboids(); ++m) {
-    CuboidMask mask = static_cast<CuboidMask>(m);
+    const CuboidMask mask = static_cast<CuboidMask>(m);
     // Global-sample rows grouped by this cuboid's cell key: a conflict
-    // cell's absent slices are, per their shards' dry runs, within θ of
+    // cell's absent slices are, per their units' dry runs, within θ of
     // the global sample, so these rows stand in for the slices the
     // union sample misses (the same rows a WHERE-filtered global answer
     // would serve). Only reference-dependent losses use this — their
@@ -442,37 +409,36 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
         global_in_cell[packer_.PackRowMasked(enc, r, mask)].push_back(r);
       }
     }
-    Status status = Status::OK();
-    maps[m].ForEach([&](uint64_t key, const LossState& state) {
-      if (!status.ok()) return;
-      if (bound->Finalize(state) <= base.threshold) return;  // global covers
+    const GroupedStates<ShardState>& cells = cuboids[m];
+    for (size_t i = 0; i < cells.keys.size(); ++i) {
+      const uint64_t key = cells.keys[i];
+      const ShardState& merged = cells.states[i];
+      if (bound->Finalize(merged.state) <= base.threshold) continue;
       std::vector<RowId> candidate;
       bool conflict = false;
-      for (const Shard* shard : shards) {
-        const IcebergCell* cell = shard->cube.Find(key);
-        if (cell != nullptr) {
-          const auto& sample = shard->samples.sample(cell->sample_id);
-          if (sample.empty() && store_enabled()) {
-            // Demoted slice (samples are never legitimately empty —
-            // every iceberg cell has rows): restore the build bytes.
-            std::vector<RowId> slice = cell->raw_rows;
-            if (slice.empty()) slice = CellRowsIn(*shard, enc, key, mask);
-            auto redrawn = re_sampler.Sample(DatasetView(table_, slice));
-            if (!redrawn.ok()) {
-              status = redrawn.status();
-              return;
-            }
-            candidate.insert(candidate.end(), redrawn.value().begin(),
-                             redrawn.value().end());
-          } else {
-            candidate.insert(candidate.end(), sample.begin(), sample.end());
-          }
-        } else if (shard->present.Contains(key)) {
-          // This shard holds rows of the cell but its slice was within
-          // θ of the global sample — the union sample does not cover
-          // the slice, so the cell's shard-local statuses disagree.
-          conflict = true;
+      for (size_t s = 0; s < shards.size(); ++s) {
+        const Tabula& unit = *shards[s]->unit;
+        const IcebergCell* cell = unit.cube_.Find(key);
+        if (cell == nullptr) {
+          // A shard holding rows of the cell whose slice was within θ of
+          // the global sample: the union sample does not cover the
+          // slice, so the cell's shard-local statuses disagree.
+          conflict |= ((merged.shards >> s) & 1) != 0;
+          continue;
         }
+        if (!unit.store_enabled() || unit.store_.resident(cell->sample_id)) {
+          const std::vector<RowId>& sample =
+              unit.samples_.sample(cell->sample_id);
+          candidate.insert(candidate.end(), sample.begin(), sample.end());
+          continue;
+        }
+        // A demoted slice: restore the build bytes — build seed over the
+        // slice's ascending rows, exactly what the unit's promote draws.
+        std::vector<RowId> slice = cell->raw_rows;
+        if (slice.empty()) unit.AppendCellRows(key, mask, &slice);
+        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> redrawn,
+                                sampler.Sample(DatasetView(table_, slice)));
+        candidate.insert(candidate.end(), redrawn.begin(), redrawn.end());
       }
       if (conflict) {
         ++out.conflict_cells;
@@ -486,52 +452,50 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
       if (union_closed && !conflict) {
         ++out.union_accepted_cells;
         out.merged[key] = MergedCell{mask, false, false, 0};
-        return;
+        continue;
       }
       if (ref_free) {
         // loss(raw, candidate) == Bind(candidate)->Finalize(state(raw))
         // exactly — no raw rows needed for the check itself.
-        auto cand_bound =
-            loss->Bind(*table_, DatasetView(table_, candidate));
-        if (!cand_bound.ok()) {
-          status = cand_bound.status();
-          return;
-        }
+        TABULA_ASSIGN_OR_RETURN(
+            std::unique_ptr<BoundLoss> cand_bound,
+            loss->Bind(*table_, DatasetView(table_, candidate)));
         ++out.verified_cells;
-        if (cand_bound.value()->Finalize(state) <= base.threshold) {
+        if (cand_bound->Finalize(merged.state) <= base.threshold) {
           out.merged[key] = MergedCell{mask, false, false, 0};
-          return;
+          continue;
         }
-        needs_raw[key] = PendingCell{mask, /*verify_first=*/false,
-                                     /*augmented=*/false,
-                                     std::move(candidate)};
+        needs_raw[key] = PendingCell{mask, merged.shards,
+                                     /*verify_first=*/false,
+                                     /*augmented=*/false, std::move(candidate)};
       } else {
-        needs_raw[key] = PendingCell{mask, /*verify_first=*/true, conflict,
+        needs_raw[key] = PendingCell{mask, merged.shards,
+                                     /*verify_first=*/true, conflict,
                                      std::move(candidate)};
       }
-    });
-    TABULA_RETURN_NOT_OK(status);
+    }
   }
 
   // 4. Collect full raw rows for the cells still pending (conflicted
   //    reference-bound cells and union-violating reference-free ones).
-  //    Shard builds retained each local iceberg cell's slice rows, so
-  //    most of a cell assembles by concatenation; only slices held by
-  //    shards *without* a local cube entry (conflict slices, or cubes
-  //    restored from disk, where slice rows are not persisted) fall
-  //    back to a scan — and that scan walks just the owning shard's
-  //    rows, not the whole table.
+  //    Units keep each local iceberg cell's slice rows, so most of a
+  //    cell assembles by concatenation; only slices held by shards
+  //    *without* a local cube entry (conflict slices, or units restored
+  //    from disk, where slice rows are not persisted) fall back to a
+  //    scan — and that scan walks just the owning shard's rows, not the
+  //    whole table.
   if (!needs_raw.empty()) {
     FlatHashMap<std::vector<RowId>> raw_rows(needs_raw.size());
     std::vector<FlatHashMap<CuboidMask>> scan_keys(shards.size());
     needs_raw.ForEach([&](uint64_t key, const PendingCell& cell) {
       std::vector<RowId>& rows = raw_rows[key];
       for (size_t s = 0; s < shards.size(); ++s) {
-        const IcebergCell* local = shards[s]->cube.Find(key);
+        if (((cell.shards >> s) & 1) == 0) continue;
+        const IcebergCell* local = shards[s]->unit->cube_.Find(key);
         if (local != nullptr && !local->raw_rows.empty()) {
           rows.insert(rows.end(), local->raw_rows.begin(),
                       local->raw_rows.end());
-        } else if (shards[s]->present.Contains(key)) {
+        } else {
           scan_keys[s][key] = cell.cuboid;
         }
       }
@@ -562,9 +526,6 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
 
     // 5. Verify / re-sample in ascending key order so override sample
     //    ids assign deterministically.
-    GreedySamplerOptions sampler_opts = base.sampler;
-    sampler_opts.seed = base.seed;
-    GreedySampler sampler(loss, base.threshold, sampler_opts);
     for (auto& [key, rows] : raw_rows.ExtractSorted()) {
       PendingCell* cell = needs_raw.Find(key);
       TABULA_CHECK(cell != nullptr);
@@ -586,61 +547,20 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
       ++out.resampled_cells;
     }
   }
+  if (span.recording()) {
+    span.SetAttribute("merged_iceberg_cells", out.merged.size());
+    span.SetAttribute("conflict_cells", out.conflict_cells);
+    span.SetAttribute("resampled_cells", out.resampled_cells);
+    out.millis = span.End();
+  } else {
+    out.millis = timer.ElapsedMillis();
+  }
   return out;
 }
 
-std::vector<FlatHashMap<LossState>> ShardedTabula::RollUpLattice(
-    const FlatHashMap<LossState>& finest) const {
-  const size_t n_attrs = lattice_.num_attributes();
-  std::vector<FlatHashMap<LossState>> maps(lattice_.num_cuboids());
-  maps[lattice_.finest()] = finest;  // copy: the roll-up consumes it
-  for (CuboidMask mask : lattice_.TopDownOrder()) {
-    if (mask == lattice_.finest()) continue;
-    // Roll up from the parent that re-adds the lowest missing
-    // attribute — the same single-parent evaluation the dry run uses,
-    // so per-key state folds happen in an order that is a pure
-    // function of the key layout.
-    size_t j = 0;
-    while (j < n_attrs && (mask & (CuboidMask{1} << j))) ++j;
-    CuboidMask parent = mask | (CuboidMask{1} << j);
-    FlatHashMap<LossState>& my_map = maps[mask];
-    my_map.reserve(maps[parent].size());
-    maps[parent].ForEach([&](uint64_t key, const LossState& state) {
-      uint64_t rolled = packer_.WithNull(key, j);
-      auto [slot, inserted] = my_map.TryEmplace(rolled);
-      if (inserted) {
-        *slot = state;
-      } else {
-        slot->Merge(state);
-      }
-    });
-  }
-  return maps;
-}
-
 Status ShardedTabula::EnsureFinestStates() {
-  const LossFunction* loss = options_.base.effective_loss();
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          loss->Bind(*table_, global_sample_));
-  const BoundLoss* bound_ptr = bound.get();
   for (Shard& shard : shards_) {
-    if (!shard.finest.empty() || shard.rows.empty()) continue;
-    DatasetView view(table_, shard.rows);
-    shard.finest = GroupAccumulate<LossState>(
-        encoder_, packer_, view,
-        [bound_ptr](LossState* state, RowId row) {
-          bound_ptr->Accumulate(state, row);
-        });
-    if (shard.present.size() == 0) {
-      std::vector<FlatHashMap<LossState>> maps = RollUpLattice(shard.finest);
-      size_t cells = 0;
-      for (const auto& map : maps) cells += map.size();
-      shard.present = FlatHashSet(cells);
-      for (auto& map : maps) {
-        map.ForEach(
-            [&](uint64_t key, const LossState&) { shard.present.Insert(key); });
-      }
-    }
+    TABULA_RETURN_NOT_OK(shard.unit->EnsureUnitFinest(shard.rows));
   }
   return Status::OK();
 }
@@ -672,7 +592,7 @@ const std::vector<RowId>& ShardedTabula::shard_rows(size_t i) const {
 
 const CubeTable& ShardedTabula::shard_cube(size_t i) const {
   TABULA_CHECK(single_ == nullptr && i < shards_.size());
-  return shards_[i].cube;
+  return shards_[i].unit->cube_table();
 }
 
 uint64_t ShardedTabula::generation() const {

@@ -35,15 +35,16 @@ const char* ShardPartitionName(ShardPartition partition);
 /// Configuration of a sharded sampling cube.
 struct ShardedTabulaOptions {
   /// Per-shard build parameters (loss, θ, cubed attributes, sampler,
-  /// seed, tracer). Two knobs behave differently under sharding:
-  /// `enable_sample_selection` is ignored at K > 1 (each shard persists
-  /// its local samples individually — cross-cell representative-sample
-  /// sharing is a global optimization the partitioned build forgoes),
-  /// and maintenance state is always kept (the merge pass needs every
-  /// shard's finest-cell loss states).
+  /// seed, tracer, store budget). At K > 1 the coordinator overrides a
+  /// few of them for its shard units (ShardedTabula::UnitOptions):
+  /// `enable_sample_selection` and `keep_maintenance_state` are ignored
+  /// (cross-cell representative-sample sharing is a global optimization
+  /// the partitioned build forgoes), units never hot-promote or spill,
+  /// and the store budget splits into K + 1 slices.
   TabulaOptions base;
-  /// Number of shards K. K = 1 is a strict pass-through to a plain
-  /// `Tabula` — bit-identical answers, cube, and persistence format.
+  /// Number of shards K, 1 ≤ K ≤ ShardedTabula::kMaxShards. K = 1 is a
+  /// strict pass-through to a plain `Tabula` — bit-identical answers,
+  /// cube, and persistence format.
   size_t num_shards = 1;
   ShardPartition partition = ShardPartition::kHash;
   /// Serving replicas per shard (R). Each shard's cube is built once
@@ -94,11 +95,13 @@ struct ShardedInitStats {
 /// interface (the paper's middleware scaled out the way its testbed
 /// scaled SparkSQL executors).
 ///
-/// Initialize() partitions the base table's rows into K shards, builds
-/// each shard's cube in parallel (one coarse task per shard on the
-/// global pool; the flat-hash GroupAccumulate engine runs inline inside
-/// the task), then merges: per-cell loss states merge *exactly* (they
-/// are algebraic), so the merged iceberg-cell set equals the
+/// Initialize() partitions the base table's rows into K shards and builds
+/// each shard's cube as a shard unit — a `Tabula` built by the same
+/// pipeline as a plain engine, over the shard's rows, with the
+/// coordinator's key encoder and global sample — in parallel (one coarse
+/// task per shard on the global pool; everything inside runs inline).
+/// It then merges: per-cell loss states merge *exactly* (they are
+/// algebraic), so the merged iceberg-cell set equals the
 /// single-instance cube's, and each merged iceberg cell's answer is the
 /// union of its shard-local samples — re-verified against θ at merge
 /// time and re-sampled from the full raw data when the union violates
@@ -173,9 +176,9 @@ class ShardedTabula : public QueryEngine {
   const ShardedTabulaOptions& options() const { return options_; }
   const ShardedInitStats& init_stats() const;
 
-  /// Aggregated tiered-store counters across the K shard stores and the
-  /// override store (per-shard budgets sum to base.store.budget_bytes;
-  /// see DESIGN.md §12). At K = 1 this is the plain engine's store.
+  /// Aggregated tiered-store counters across the K unit stores and the
+  /// override store (their budgets sum to base.store.budget_bytes; see
+  /// DESIGN.md §12). At K = 1 this is the plain engine's store.
   SampleStoreStats StoreStats() const;
   /// Resident sample bytes across every store (the sharded budget
   /// invariant's left-hand side). 0 when the store is disabled.
@@ -191,6 +194,10 @@ class ShardedTabula : public QueryEngine {
   const std::vector<RowId>& shard_rows(size_t i) const;
   /// Shard `i`'s local cube (K > 1 only; tests and diagnostics).
   const CubeTable& shard_cube(size_t i) const;
+
+  /// Largest supported K: the merge tags every cell with the set of
+  /// shards holding its rows in one 64-bit word.
+  static constexpr size_t kMaxShards = 64;
 
   /// The underlying plain Tabula at K = 1 (nullptr at K > 1).
   const Tabula* single_instance() const { return single_.get(); }
@@ -221,25 +228,13 @@ class ShardedTabula : public QueryEngine {
   /// sharded_refresh.cc; the layout is an implementation detail).
   struct IngestPlanState;
 
-  /// One shard's slice of the cube.
+  /// One shard: its rows and the unit built over them.
   struct Shard {
     /// Base-table rows owned by this shard (ascending).
     std::vector<RowId> rows;
-    /// Shard-local iceberg cells; sample ids link into `samples`.
-    CubeTable cube;
-    SampleTable samples;
-    /// Shard-local spatial grid over `rows` (absent unless
-    /// base.spatial.levels > 0). A value member: Shard must stay
-    /// copy-assignable for `shards_.assign` and the staged-ingest copies.
-    SpatialGrid grid;
-    /// Finest-cuboid loss states over `rows` — the mergeable roll-up
-    /// input the coordinator classifies the merged cube from.
-    FlatHashMap<LossState> finest;
-    /// Every cell key (all lattice levels) with at least one row in
-    /// this shard; distinguishes "slice empty" from "slice covered by
-    /// the global sample" during merge-conflict detection.
-    FlatHashSet present;
-    double build_millis = 0.0;
+    /// The shard's cube, samples, store, and spatial grid over `rows`
+    /// (see UnitOptions()).
+    std::unique_ptr<Tabula> unit;
   };
 
   /// One entry of the merged cube directory.
@@ -266,13 +261,12 @@ class ShardedTabula : public QueryEngine {
     size_t union_accepted_cells = 0;
     size_t verified_cells = 0;
     size_t resampled_cells = 0;
+    double millis = 0.0;
   };
 
   /// Serving-path state of one replica. Replicas share the shard's
-  /// immutable cube/samples; only liveness and the latency estimate are
-  /// per-replica. Lives in a deque (not inside Shard) because Shard
-  /// must stay copy-assignable for `shards_.assign` and atomics are
-  /// not.
+  /// immutable unit; only liveness and the latency estimate are
+  /// per-replica. Lives in a deque so the atomics never relocate.
   struct Replica {
     std::atomic<bool> down{false};
     /// EWMA probe latency in nanoseconds (0 = no observation yet);
@@ -280,6 +274,9 @@ class ShardedTabula : public QueryEngine {
     /// around.
     std::atomic<int64_t> ewma_nanos{0};
   };
+
+  /// Rejects K outside [1, kMaxShards].
+  static Status CheckShardCount(size_t num_shards);
 
   Status InitializeSharded(const Table& table);
 
@@ -300,19 +297,18 @@ class ShardedTabula : public QueryEngine {
   /// `replica.query` / `replica.query.s<k>.r<j>` fault seams and
   /// updating EWMAs/metrics. OK once any healthy replica answered;
   /// Unavailable when every replica is down or faulted. Replicas share
-  /// the shard's immutable data, so after a successful probe the caller
-  /// reads the shard state directly — the bytes are replica-invariant.
+  /// the shard's unit, so after a successful probe the caller reads the
+  /// unit directly — the bytes are replica-invariant.
   Status ProbeReplicas(size_t shard) const;
 
   /// Serves shard `shard`'s slice of cell `key` from its first healthy
-  /// replica, appending sample rows to `gathered` (replicas share the
-  /// cube, so the appended rows are replica-invariant). Fails only
-  /// when every replica is down or faulted. With the tiered store
-  /// enabled, a cold slice lazily promotes under store_mu_; a promote
-  /// failure sets `result->store_degraded` instead of failing (the
-  /// caller degrades the whole answer to the global sample — the
-  /// evicted bytes are never served).
-  Status QueryShardReplicas(size_t shard, uint64_t key,
+  /// replica, appending sample rows to `gathered`: one lookup in the
+  /// unit's cube plus the unit store's hit/promote path. Fails only when
+  /// every replica is down or faulted. A failed promote sets
+  /// `result->store_degraded` instead of failing (the caller degrades
+  /// the whole answer to the global sample — the evicted bytes are never
+  /// served).
+  Status QueryShardReplicas(size_t shard, uint64_t key, uint64_t parent_span,
                             std::vector<RowId>* gathered,
                             TabulaQueryResult* result) const;
 
@@ -326,82 +322,61 @@ class ShardedTabula : public QueryEngine {
   /// (ctx.ref = the shared global sample).
   SpatialGrid::Context SpatialContext() const;
 
-  /// Builds one shard's cube over `shard->rows` (runs inside a pool
-  /// task; everything it calls parallelizes inline). `enc` is passed
-  /// explicitly because an in-flight ingest plan rebuilds shards with
-  /// its staged encoder (the member encoder cannot code appended rows
-  /// and must stay untouched until commit, queries read it); `ref` is
-  /// the global reference sample to classify against, passed for the
-  /// same reason (an ingest plan stages a redrawn sample).
-  Status BuildShard(const KeyEncoder& enc, const DatasetView& ref,
-                    Tracer* tracer, uint64_t parent_span,
-                    Shard* shard) const;
+  /// The settings the coordinator fixes for every unit: no
+  /// representative-sample sharing (an answer is a union of per-shard
+  /// samples), no maintenance state (a touched unit is rebuilt, never
+  /// refreshed), warm re-draws only — a unit's promote restores exactly
+  /// the bytes the merge verified, never a tighter hot sample or a spill
+  /// record — and a 1/(K+1) slice of the store budget.
+  TabulaOptions UnitOptions() const;
 
-  /// Merges the given shards' states into a fresh directory, running
-  /// the θ re-verification pass (see DESIGN.md "Sharding"). `enc` and
-  /// `ref`/`ref_rows` as in BuildShard.
+  /// Builds the units of `shards` over their rows in parallel, one pool
+  /// task per shard, each a `shard.build` span under `parent_span`;
+  /// per-unit build times land in `millis`. `enc` and `ref_rows` are
+  /// explicit because an in-flight ingest plan builds with its staged
+  /// encoder and global sample (the members stay untouched until
+  /// commit; queries read them).
+  Status BuildUnits(const std::vector<Shard*>& shards, const KeyEncoder& enc,
+                    const std::vector<RowId>& ref_rows, Tracer* tracer,
+                    uint64_t parent_span, std::vector<double>* millis) const;
+
+  /// Merges the given shards' units into a fresh directory, running the
+  /// θ re-verification pass (see DESIGN.md "Sharding") inside a
+  /// `shard.merge` span under `parent_span`. `enc` and `ref`/`ref_rows`
+  /// as in BuildUnits.
   Result<MergeOutput> MergeShardCubes(
       const std::vector<const Shard*>& shards, const KeyEncoder& enc,
       const DatasetView& ref, const std::vector<RowId>& ref_rows,
       Tracer* tracer, uint64_t parent_span) const;
 
-  /// Rolls `finest` up the whole lattice, returning one state map per
-  /// cuboid (index = CuboidMask). Shared by the shard build, the merge
-  /// pass, and the post-Load state rebuild.
-  std::vector<FlatHashMap<LossState>> RollUpLattice(
-      const FlatHashMap<LossState>& finest) const;
-
-  /// Rebuilds any shard's finest states / present-key sets that are
-  /// missing (after Load, which does not persist them).
+  /// Asks every unit to rebuild the finest states the merge reads (a
+  /// Load does not persist them).
   Status EnsureFinestStates();
 
   /// Shard owning an appended row id under the configured partition.
   size_t ShardForNewRow(RowId row, const std::vector<size_t>& sizes) const;
 
-  // --- Tiered sample store (sharded_store.cc) -----------------------
+  // --- Override store (sharded_store.cc) ----------------------------
   bool store_enabled() const {
     return single_ == nullptr && options_.base.store.budget_bytes > 0;
   }
-  /// Per-participant byte budget: the global budget splits evenly over
-  /// K shard stores + the coordinator's override store (the remainder
-  /// goes to the override store so the K+1 budgets sum exactly to the
-  /// global one).
-  uint64_t ShardStoreBudget() const;
-  uint64_t OverrideStoreBudget() const;
-  /// Configures the K+1 stores and registers every sample at kWarm
-  /// (preserving any tiers Load() adopted), then enforces each budget.
-  Status AssignInitialTiers();
-  /// Rows of `shard`'s slice of cell (`key`, `cuboid`), ascending — the
-  /// build-time gather order, so re-sampling reproduces the build bytes.
-  /// `enc` is explicit for the same reason as in BuildShard.
-  std::vector<RowId> CellRowsIn(const Shard& shard, const KeyEncoder& enc,
-                                uint64_t key, CuboidMask cuboid) const;
-  std::vector<RowId> GatherShardCellRows(size_t shard, uint64_t key,
-                                         CuboidMask cuboid) const;
-  /// Restores shard `shard`'s cold sample for cell `key` by
-  /// deterministic re-sample (K > 1 never spills) and appends the
-  /// restored rows to `out`. Caller holds store_mu_ exclusively; fires
-  /// the `store.promote` seam.
-  Status PromoteShardCellLocked(size_t shard, uint64_t key,
-                                std::vector<RowId>* out) const;
-  /// Restores a cold override sample (cross-shard gather, ascending
-  /// sort, re-sample — the merge-time draw reproduced) and appends the
+  /// Rejects store settings a sharded engine cannot honor.
+  Status CheckStoreOptions() const;
+  /// The override store's settings: the budget left after the K unit
+  /// slices, so the K + 1 budgets sum exactly to the global one.
+  SampleStoreOptions OverrideStoreOptions() const;
+  /// Registers every override sample not tracked yet at kWarm (with its
+  /// directory refcount) and enforces the override budget. Caller holds
+  /// store_mu_ exclusively or owns the engine. Inert with the store off.
+  void TrackOverridesLocked() const;
+  /// Restores a cold override sample (cross-unit gather, ascending sort,
+  /// re-sample — the merge-time draw reproduced) and appends the
   /// restored rows to `out`. Caller holds store_mu_ exclusively.
   Status PromoteOverrideLocked(uint64_t key, const MergedCell& cell,
                                std::vector<RowId>* out) const;
-  /// Demotes CLOCK victims of one store until it fits its budget minus
-  /// `incoming` headroom; `samples` is the table the victims' bytes
-  /// live in.
-  void EnforceShardBudgetLocked(SampleStore* store, SampleTable* samples,
-                                uint64_t incoming = 0,
-                                uint32_t protect = kInvalidSampleId) const;
-  /// Commit-phase tier transitions: rebuilds the `touched` shards'
-  /// stores and the override store all-kWarm after the commit swap
-  /// (untouched shards keep their tiers and hit counters), then
-  /// enforces every budget. Never fails (K > 1 never spills). Caller
-  /// holds store_mu_ exclusively.
-  void RebuildStoresAfterCommitLocked(
-      const std::vector<size_t>& touched) const;
+  /// Shared locks on every unit store and the override store (empty with
+  /// the store off) — a consistent snapshot against concurrent promotes.
+  std::vector<std::shared_lock<std::shared_mutex>> LockStoresShared() const;
 
   void NotifyRefreshListeners();
 
@@ -419,26 +394,19 @@ class ShardedTabula : public QueryEngine {
   Lattice lattice_{1};
   std::vector<RowId> global_sample_rows_;
   DatasetView global_sample_;
-  /// Mutable: with the store enabled, const Query() promotes cold
-  /// shard-local / override samples in place under store_mu_'s
-  /// exclusive section (exactly the single-instance contract). With the
-  /// store disabled these stay immutable between mutating entry points.
-  mutable std::vector<Shard> shards_;
+  std::vector<Shard> shards_;
   /// K * R replica states, indexed shard * R + replica. A deque so the
   /// atomics never relocate; mutable because probes update EWMAs from
   /// const Query().
   mutable std::deque<Replica> replicas_;
   FlatHashMap<MergedCell> merged_;
+  /// Mutable: with the store enabled, const Query() promotes cold
+  /// override samples in place under store_mu_'s exclusive section.
   mutable SampleTable override_samples_;
-  /// Per-shard tier stores, parallel to shards_. Outside Shard (like
-  /// replicas_) because Shard must stay copy-assignable and the stores
-  /// carry atomics. Plus the coordinator's store for override samples.
-  mutable std::deque<SampleStore> shard_stores_;
   mutable SampleStore override_store_;
-  /// One lock across all K+1 stores — shard fan-outs touch several
-  /// stores per answer, and a single lock keeps the budget invariant
-  /// checkable at any instant. Heap-allocated: the engine must stay
-  /// movable. See Tabula::store_mu_ for the shared/exclusive protocol.
+  /// Guards the override store (each unit guards its own). Heap-
+  /// allocated: the engine must stay movable. See Tabula::store_mu_ for
+  /// the shared/exclusive protocol.
   mutable std::unique_ptr<std::shared_mutex> store_mu_ =
       std::make_unique<std::shared_mutex>();
   ShardedInitStats stats_;

@@ -154,6 +154,16 @@ void SampleStore::RecordHit(uint32_t id) {
   }
 }
 
+void SampleStore::EnforceBudget(SampleTable* samples, uint64_t incoming,
+                                uint32_t protect) {
+  const uint64_t target = budget() > incoming ? budget() - incoming : 0;
+  const uint64_t current = bytes();
+  if (current <= target) return;
+  for (uint32_t id : PlanEvictions(current - target, protect)) {
+    Demote(id, samples->TakeSample(id));
+  }
+}
+
 std::vector<uint32_t> SampleStore::PlanEvictions(uint64_t needed,
                                                  uint32_t protect) {
   std::vector<uint32_t> victims;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "cube/cube_table.h"
 #include "storage/table.h"
 
 namespace tabula {
@@ -22,8 +23,8 @@ enum class SampleTier : uint8_t { kHot = 0, kWarm = 1, kCold = 2 };
 const char* SampleTierName(SampleTier tier);
 
 /// Knobs of the tiered sample store. `budget_bytes == 0` disables the
-/// store entirely: no tracking, no locking, no persistence-format bump —
-/// the engine is byte-identical to the pre-tiering build.
+/// store entirely: no tracking and no locking — served answers are
+/// byte-identical to an unbounded store's.
 struct SampleStoreOptions {
   /// Resident-sample byte budget; `SampleStore::bytes() <= budget_bytes`
   /// holds after every build / query / refresh / ingest step. 0 means
@@ -38,7 +39,7 @@ struct SampleStoreOptions {
   /// When non-empty, demoted samples are appended to this side file
   /// (FNV-checksummed records) instead of being dropped, so a later
   /// promote restores them without re-sampling. Single-instance engines
-  /// only; the sharded engine demotes in drop mode.
+  /// only; shard units demote in drop mode.
   std::string spill_path;
 };
 
@@ -149,6 +150,15 @@ class SampleStore {
   /// state is never lost. Fires the `store.evict` delay seam.
   void Demote(uint32_t id, const std::vector<RowId>& rows);
 
+  /// Budget enforcement: demotes CLOCK victims until resident bytes plus
+  /// `incoming` fit the budget, moving each victim's rows out of
+  /// `samples` (the table this store's ids index). `protect` is never
+  /// victimized. Infallible — spill-write failures degrade to drop mode —
+  /// so commit points may call it. May leave the store over `budget −
+  /// incoming` when everything else is already cold.
+  void EnforceBudget(SampleTable* samples, uint64_t incoming = 0,
+                     uint32_t protect = kInvalidSampleId);
+
   /// Promotion bookkeeping after the caller restored the sample bytes
   /// into the SampleTable slot.
   void MarkResident(uint32_t id, uint64_t sample_bytes, SampleTier tier);
@@ -166,7 +176,7 @@ class SampleStore {
   /// served from it.
   Status ValidateSpill() const;
 
-  /// Persisted tier word of one sample (cube file / manifest v4).
+  /// Persisted tier record of one sample (cube body, see Tabula::Save).
   struct TierRecord {
     SampleTier tier = SampleTier::kWarm;
     uint64_t spill_offset = 0;

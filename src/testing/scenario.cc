@@ -1,5 +1,7 @@
 #include "testing/scenario.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -1068,9 +1070,9 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     std::error_code tmp_ec;
     std::filesystem::path tmp = std::filesystem::temp_directory_path(tmp_ec);
     if (tmp_ec) tmp = ".";
-    ctx.cube_path =
-        (tmp / ("tabula_soak_" + std::to_string(options.seed) + ".cube"))
-            .string();
+    ctx.cube_path = (tmp / ("tabula_soak_" + std::to_string(options.seed) +
+                            "_" + std::to_string(getpid()) + ".cube"))
+                        .string();
   }
   std::error_code ec;
   std::filesystem::remove(ctx.cube_path, ec);

@@ -28,8 +28,10 @@ struct SoakOptions {
   /// from a same-schema donor table of `append_pool` rows.
   size_t base_rows = 3000;
   size_t append_pool = 2000;
-  /// Where Save/Load ops place the cube file ("" → a per-seed file in
-  /// the system temp directory, removed at the end of the run).
+  /// Where Save/Load ops place the cube file ("" → a file named after
+  /// the seed and the process in the system temp directory, removed at
+  /// the end of the run; the process id keeps concurrent test processes
+  /// soaking the same seed off each other's files).
   std::string scratch_path;
   /// Check loss(raw, sample) <= θ on every Nth served answer (1 = all).
   /// Raising it trades invariant coverage for speed on big runs; which

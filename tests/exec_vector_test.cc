@@ -328,26 +328,6 @@ struct PoolOverride {
   ThreadPool pool;
 };
 
-TEST(ParallelForGrainsTest, GrainCountMatchesDeterministicChunkCountBelowCap) {
-  // The FP-determinism keystone: for every n up to 16 x 32768 the grain
-  // boundaries are EXACTLY the old deterministic chunk boundaries, so
-  // converting a caller cannot change its partial-merge fold order.
-  const size_t cap = ThreadPool::kDeterministicChunks *
-                     ThreadPool::kDeterministicChunkFloor;
-  for (size_t n :
-       {size_t{0}, size_t{1}, size_t{2048}, size_t{32767}, size_t{32768},
-        size_t{32769}, size_t{65536}, size_t{524287}, cap}) {
-    EXPECT_EQ(ThreadPool::GrainCount(n),
-              ThreadPool::DeterministicChunkCount(n))
-        << "n=" << n;
-  }
-  EXPECT_GT(ThreadPool::GrainCount(cap + ThreadPool::kDeterministicChunkFloor),
-            ThreadPool::DeterministicChunkCount(
-                cap + ThreadPool::kDeterministicChunkFloor));
-  EXPECT_LE(ThreadPool::GrainCount(size_t{1} << 40),
-            ThreadPool::kMaxStealGrains);
-}
-
 TEST(ParallelForGrainsTest, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {size_t{1}, size_t{8}}) {
     PoolOverride o(threads);
@@ -396,26 +376,6 @@ TEST(ParallelForGrainsTest, PerItemStealingCoversAndRethrows) {
           /*grain_rows=*/1),
       std::runtime_error);
   EXPECT_EQ(ran.load(), n) << "all grains must drain despite the throw";
-}
-
-TEST(ParallelForDeterministicTest, EdgeSizesCoverExactlyOnce) {
-  // The pre-existing deterministic dispatch kept its contract through the
-  // RunStealing rewrite: n == 0 never invokes fn, tiny n takes one chunk.
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    PoolOverride o(threads);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2047}, size_t{2048},
-                     size_t{2049}, size_t{70000}}) {
-      std::vector<std::atomic<uint32_t>> hits(n);
-      o.pool.ParallelForDeterministic(
-          n, [&](size_t chunk, size_t begin, size_t end) {
-            EXPECT_LT(chunk, ThreadPool::DeterministicChunkCount(n));
-            for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-          });
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1u) << "threads=" << threads << " i=" << i;
-      }
-    }
-  }
 }
 
 // ---------- Byte-identical cube output across widths and engines ------

@@ -8,6 +8,7 @@
 #include "data/taxi_gen.h"
 #include "loss/mean_loss.h"
 #include "loss/min_dist_loss.h"
+#include "shard/sharded_tabula.h"
 
 namespace tabula {
 namespace {
@@ -135,6 +136,70 @@ TEST_F(PersistenceTest, RejectsCorruptFiles) {
   std::filesystem::resize_file(path, size / 2);
   EXPECT_FALSE(Tabula::Load(*table_, options_, path).ok());
   std::remove(path.c_str());
+}
+
+/// Overwrites the format-version word (bytes 4..8, after the magic) of
+/// the file at `path`; returns the word it replaced.
+uint32_t RewriteVersion(const std::string& path, uint32_t version) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  uint32_t old = 0;
+  f.seekg(4);
+  f.read(reinterpret_cast<char*>(&old), sizeof(old));
+  f.seekp(4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  return old;
+}
+
+/// Each file format has exactly one version: a cube file or a K=4 shard
+/// manifest whose version word is one below or one above the current one
+/// is rejected as kParseError, with the offending version in the message.
+TEST_F(PersistenceTest, OneVersionPerFormat) {
+  auto cube = Tabula::Initialize(*table_, options_);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ShardedTabulaOptions sharded_options;
+  sharded_options.base = options_;
+  sharded_options.num_shards = 4;
+  auto sharded = ShardedTabula::Initialize(*table_, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  const std::string cube_path = TempPath("tabula_cube_version.bin");
+  const std::string manifest_path = TempPath("tabula_manifest_version.bin");
+  ASSERT_TRUE(cube.value()->Save(cube_path).ok());
+  ASSERT_TRUE(sharded.value()->Save(manifest_path).ok());
+  const uint32_t cube_version = RewriteVersion(cube_path, 0);
+  const uint32_t manifest_version = RewriteVersion(manifest_path, 0);
+  ASSERT_GT(cube_version, 0u);
+  ASSERT_GT(manifest_version, 0u);
+
+  for (uint32_t version : {cube_version - 1, cube_version + 1}) {
+    RewriteVersion(cube_path, version);
+    auto loaded = Tabula::Load(*table_, options_, cube_path);
+    ASSERT_FALSE(loaded.ok()) << "cube file version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  for (uint32_t version : {manifest_version - 1, manifest_version + 1}) {
+    RewriteVersion(manifest_path, version);
+    auto loaded = ShardedTabula::Load(*table_, sharded_options, manifest_path);
+    ASSERT_FALSE(loaded.ok()) << "manifest version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+
+  // The current version still loads once restored.
+  RewriteVersion(cube_path, cube_version);
+  RewriteVersion(manifest_path, manifest_version);
+  EXPECT_TRUE(Tabula::Load(*table_, options_, cube_path).ok());
+  EXPECT_TRUE(
+      ShardedTabula::Load(*table_, sharded_options, manifest_path).ok());
+  std::remove(cube_path.c_str());
+  std::remove(manifest_path.c_str());
 }
 
 TEST_F(PersistenceTest, MissingFileIsIOError) {

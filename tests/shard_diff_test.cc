@@ -24,6 +24,7 @@
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
 #include "loss/loss_registry.h"
+#include "obs/trace.h"
 #include "shard/sharded_tabula.h"
 #include "storage/predicate.h"
 #include "testing/scenario.h"
@@ -257,6 +258,44 @@ TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
           << "seed=" << seed << " k=" << kShardCounts[i];
     }
   }
+}
+
+/// A traced Refresh of a K=4 engine records its re-merge: one
+/// `shard.merge` span under `tabula.refresh`, next to the `shard.build`
+/// spans of the touched units.
+TEST(ShardDiff, TracedRefreshRecordsMergeUnderRefresh) {
+  DiffFixture f = MakeFixture(3, 600);
+  Tracer tracer(TracerOptions{TraceMode::kAll, /*capacity=*/4096});
+  ShardedTabulaOptions options =
+      MakeShardOptions(f, 3, 4, MakeLoss("mean_loss"), 0.07);
+  options.base.tracer = &tracer;
+  auto engine = ShardedTabula::Initialize(*f.table, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Re-append rows of an identical table: no new attribute value, so
+  // the refresh takes the incremental (rebuild touched units) path.
+  const DiffFixture donor = MakeFixture(3, 600);
+  for (RowId r = 0; r < 40; ++r) {
+    ASSERT_TRUE(f.table->AppendRowFrom(*donor.table, r).ok());
+  }
+  tracer.Clear();
+  ASSERT_TRUE(engine.value()->Refresh().ok());
+
+  const std::vector<SpanRecord> spans = tracer.Snapshot();
+  uint64_t refresh_id = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.name == "tabula.refresh") refresh_id = span.span_id;
+  }
+  ASSERT_NE(refresh_id, 0u) << "no tabula.refresh span recorded";
+  size_t merges = 0;
+  size_t builds = 0;
+  for (const SpanRecord& span : spans) {
+    if (span.parent_id != refresh_id) continue;
+    merges += span.name == "shard.merge";
+    builds += span.name == "shard.build";
+  }
+  EXPECT_EQ(merges, 1u);
+  EXPECT_GT(builds, 0u);
 }
 
 /// shards=1 soak trace is byte-identical to the unsharded harness: the

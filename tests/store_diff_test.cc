@@ -17,8 +17,10 @@
 ///    per-cell (see PromoteLocked), so each answer must be byte-equal
 ///    to either the original shared bytes or the cell's deterministic
 ///    private re-draw — never a third sample;
-///  - Save/Load round-trips tier state (v4), and pre-store files load
-///    as all-kWarm.
+///  - Save/Load round-trips tier state, and files saved with the store
+///    off (all-kWarm tier records) load into a store-enabled engine;
+///  - shard units never hot-promote: a sharded promote restores exactly
+///    the bytes the merge verified.
 
 #include <gtest/gtest.h>
 
@@ -401,6 +403,58 @@ TEST(StoreDiff, HotTierServesTighterThetaUnderBudget) {
   }
 }
 
+/// Shard units never hot-promote, whatever `hot_promote_hits` says: a
+/// unit's promote is a deterministic warm re-draw, so the bytes it
+/// restores are exactly the ones the merge verified. (For the mean loss,
+/// which is not union-closed, θ was only ever checked on the union of
+/// those bytes.) Two passes under a tight budget with the hot threshold
+/// at 1 hit: every answer within θ, no hot sample anywhere, and answers
+/// byte-equal to the unbounded engine's.
+TEST(StoreDiff, ShardUnitsNeverHotPromote) {
+  for (uint64_t seed : {3u, 7u, 10u}) {
+    DiffFixture f = MakeFixture(seed, 400);
+    const double theta = MakeTheta(seed);
+    std::shared_ptr<const LossFunction> loss = MakeLoss();
+    auto unbounded = ShardedTabula::Initialize(
+        *f.table, MakeOptions(f, seed, 4, loss, theta, kUnbounded, false));
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+    const uint64_t budget =
+        std::max<uint64_t>(unbounded.value()->StoreBytes() * 3 / 10, 6);
+    ShardedTabulaOptions options =
+        MakeOptions(f, seed, 4, loss, theta, budget, false);
+    options.base.store.hot_promote_hits = 1;
+    auto engine = ShardedTabula::Initialize(*f.table, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_GT(engine.value()->StoreStats().cold_samples, 0u)
+        << "seed=" << seed << " (nothing demoted — test lost its teeth)";
+
+    WorkloadOptions wopt;
+    wopt.num_queries = 12;
+    wopt.seed = seed * 101 + 7;
+    auto qs = GenerateWorkload(*f.table, f.attrs, wopt);
+    ASSERT_TRUE(qs.ok());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const WorkloadQuery& q : qs.value()) {
+        auto want = unbounded.value()->Query(QueryRequest(q.where));
+        ASSERT_TRUE(want.ok());
+        auto got = engine.value()->Query(QueryRequest(q.where));
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_FALSE(got.value().result.store_degraded);
+        CheckThetaBound(f, *loss, theta, q, got.value().result, 4, seed);
+        EXPECT_EQ(got.value().result.sample.ToRowIds(),
+                  want.value().result.sample.ToRowIds())
+            << "seed=" << seed << " pass=" << pass
+            << " query=" << q.ToString();
+        EXPECT_LE(engine.value()->StoreBytes(), budget);
+      }
+    }
+    const SampleStoreStats stats = engine.value()->StoreStats();
+    EXPECT_EQ(stats.hot_samples, 0u) << "seed=" << seed;
+    EXPECT_GT(stats.promotes, 0u)
+        << "seed=" << seed << " (no cell promoted — test lost its teeth)";
+  }
+}
+
 /// spill_path is single-instance only: K > 1 demotes in drop mode and
 /// must reject the option instead of silently ignoring it.
 TEST(StoreDiff, SpillPathRejectedAtKGreaterThanOne) {
@@ -576,7 +630,7 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
   }
 }
 
-/// Save/Load: tier state round-trips (file format v4), the loaded
+/// Save/Load: tier state round-trips (the tier records), the loaded
 /// engine honors the budget, and its answers match the saving engine's
 /// unbounded baseline byte-for-byte (sole-owner cold cells re-promote
 /// deterministically after the load; selection off makes every sample
@@ -637,34 +691,35 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
   }
 }
 
-/// Compatibility both ways across the format boundary: a pre-store
-/// (budget-unset) file loads into a store-enabled engine as all-kWarm;
-/// a file carrying cold tiers refuses to load store-disabled (the cold
-/// cells would silently serve empty samples).
+/// Both ways across the store boundary, on the one file format: a file
+/// saved with the store off (all-kWarm tier records) loads into a
+/// store-enabled engine with every sample warm; a file carrying cold
+/// tiers refuses to load store-disabled (the cold cells would silently
+/// serve empty samples).
 TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
   DiffFixture f = MakeFixture(4, 360);
   const double theta = MakeTheta(4);
   std::shared_ptr<const LossFunction> loss = MakeLoss();
 
   for (size_t k : kShardCounts) {
-    // Pre-store file (v3): written with the store disabled.
+    // Saved with the store disabled: every tier record is kWarm.
     auto disabled = ShardedTabula::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, 0, true));
     ASSERT_TRUE(disabled.ok());
-    const std::string v3_path =
-        TempPath("store_diff_v3_" + std::to_string(k) + ".bin");
-    ASSERT_TRUE(disabled.value()->Save(v3_path).ok());
+    const std::string warm_path =
+        TempPath("store_diff_warm_" + std::to_string(k) + ".bin");
+    ASSERT_TRUE(disabled.value()->Save(warm_path).ok());
 
     auto upgraded = ShardedTabula::Load(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true),
-        v3_path);
+        warm_path);
     ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
     const SampleStoreStats stats = upgraded.value()->StoreStats();
     EXPECT_EQ(stats.cold_samples, 0u) << "k=" << k;
     EXPECT_GT(stats.warm_samples, 0u) << "k=" << k;
-    std::remove(v3_path.c_str());
+    std::remove(warm_path.c_str());
 
-    // Store file with cold tiers (v4): refuses a store-disabled load.
+    // Saved with cold tiers: refuses a store-disabled load.
     auto unbounded = ShardedTabula::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true));
     ASSERT_TRUE(unbounded.ok());
@@ -674,16 +729,16 @@ TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
         *f.table, MakeOptions(f, 4, k, loss, theta, budget, true));
     ASSERT_TRUE(tight.ok());
     ASSERT_GT(tight.value()->StoreStats().cold_samples, 0u) << "k=" << k;
-    const std::string v4_path =
-        TempPath("store_diff_v4_" + std::to_string(k) + ".bin");
-    ASSERT_TRUE(tight.value()->Save(v4_path).ok());
+    const std::string cold_path =
+        TempPath("store_diff_cold_" + std::to_string(k) + ".bin");
+    ASSERT_TRUE(tight.value()->Save(cold_path).ok());
 
     auto refused = ShardedTabula::Load(
-        *f.table, MakeOptions(f, 4, k, loss, theta, 0, true), v4_path);
+        *f.table, MakeOptions(f, 4, k, loss, theta, 0, true), cold_path);
     EXPECT_FALSE(refused.ok()) << "k=" << k;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
         << "k=" << k << ": " << refused.status().ToString();
-    std::remove(v4_path.c_str());
+    std::remove(cold_path.c_str());
   }
 }
 
