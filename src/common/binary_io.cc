@@ -18,15 +18,13 @@ constexpr uint32_t kValueInt64 = 1;
 constexpr uint32_t kValueDouble = 2;
 constexpr uint32_t kValueString = 3;
 
-/// Out-parameter version check: accepts every version in
-/// [kQueryCodecMinVersion, kQueryCodecVersion] so v1 peers keep
-/// working; the caller branches on `*version` for fields newer
-/// versions appended.
-Status CheckVersion(BufferReader* in, const char* what, uint32_t* version) {
-  TABULA_ASSIGN_OR_RETURN(*version, in->ReadU32());
-  if (*version < kQueryCodecMinVersion || *version > kQueryCodecVersion) {
+/// Reads a record's version; anything but kQueryCodecVersion is
+/// kDataLoss naming the version.
+Status CheckVersion(BufferReader* in, const char* what) {
+  TABULA_ASSIGN_OR_RETURN(uint32_t version, in->ReadU32());
+  if (version != kQueryCodecVersion) {
     return Status::DataLoss(std::string("unsupported ") + what +
-                            " codec version " + std::to_string(*version));
+                            " codec version " + std::to_string(version));
   }
   return Status::OK();
 }
@@ -93,14 +91,7 @@ Result<Value> DecodeValue(BufferReader* in) {
 }
 
 void EncodeQueryRequest(const QueryRequest& request, BufferWriter* out) {
-  // Range-free requests encode as v1 byte-for-byte, so a peer that only
-  // speaks v1 interoperates until a spatial range actually crosses the
-  // boundary (then the version field itself rejects cleanly).
-  // (QueryRequest gained no v3 fields, so v2 stays its highest form.)
-  const uint32_t version =
-      request.range.empty() ? kQueryCodecMinVersion
-                            : kQueryCodecPreStoreVersion;
-  out->WriteU32(version);
+  out->WriteU32(kQueryCodecVersion);
   out->WriteU64(request.where.size());
   for (const PredicateTerm& term : request.where) {
     out->WriteString(term.column);
@@ -110,19 +101,16 @@ void EncodeQueryRequest(const QueryRequest& request, BufferWriter* out) {
   out->WriteDouble(request.deadline_ms);
   out->WriteU32(request.trace ? 1 : 0);
   out->WriteU32(static_cast<uint32_t>(request.consistency));
-  if (version >= 2) {
-    out->WriteU64(request.range.bounds.size());
-    for (const SpatialBound& bound : request.range.bounds) {
-      out->WriteString(bound.column);
-      out->WriteDouble(bound.lo);
-      out->WriteDouble(bound.hi);
-    }
+  out->WriteU64(request.range.bounds.size());
+  for (const SpatialBound& bound : request.range.bounds) {
+    out->WriteString(bound.column);
+    out->WriteDouble(bound.lo);
+    out->WriteDouble(bound.hi);
   }
 }
 
 Result<QueryRequest> DecodeQueryRequest(BufferReader* in) {
-  uint32_t version = 0;
-  TABULA_RETURN_NOT_OK(CheckVersion(in, "QueryRequest", &version));
+  TABULA_RETURN_NOT_OK(CheckVersion(in, "QueryRequest"));
   QueryRequest request;
   TABULA_ASSIGN_OR_RETURN(uint64_t n_terms, in->ReadU64());
   if (n_terms > (1u << 16)) {
@@ -151,33 +139,24 @@ Result<QueryRequest> DecodeQueryRequest(BufferReader* in) {
                             std::to_string(consistency));
   }
   request.consistency = static_cast<ConsistencyHint>(consistency);
-  if (version >= 2) {
-    TABULA_ASSIGN_OR_RETURN(uint64_t n_bounds, in->ReadU64());
-    if (n_bounds > (1u << 8)) {
-      return Status::DataLoss("implausible spatial bound count " +
-                              std::to_string(n_bounds));
-    }
-    request.range.bounds.reserve(n_bounds);
-    for (uint64_t i = 0; i < n_bounds; ++i) {
-      SpatialBound bound;
-      TABULA_ASSIGN_OR_RETURN(bound.column, in->ReadString());
-      TABULA_ASSIGN_OR_RETURN(bound.lo, in->ReadDouble());
-      TABULA_ASSIGN_OR_RETURN(bound.hi, in->ReadDouble());
-      request.range.bounds.push_back(std::move(bound));
-    }
+  TABULA_ASSIGN_OR_RETURN(uint64_t n_bounds, in->ReadU64());
+  if (n_bounds > (1u << 8)) {
+    return Status::DataLoss("implausible spatial bound count " +
+                            std::to_string(n_bounds));
+  }
+  request.range.bounds.reserve(n_bounds);
+  for (uint64_t i = 0; i < n_bounds; ++i) {
+    SpatialBound bound;
+    TABULA_ASSIGN_OR_RETURN(bound.column, in->ReadString());
+    TABULA_ASSIGN_OR_RETURN(bound.lo, in->ReadDouble());
+    TABULA_ASSIGN_OR_RETURN(bound.hi, in->ReadDouble());
+    request.range.bounds.push_back(std::move(bound));
   }
   return request;
 }
 
 void EncodeServeAnswer(const ServeAnswer& answer, BufferWriter* out) {
-  // Answers that are not store-degraded encode as v2 byte-for-byte so
-  // v2 peers interoperate until a degraded answer actually crosses the
-  // wire (then the version field itself rejects cleanly).
-  const bool store_degraded =
-      answer.result != nullptr && answer.result->store_degraded;
-  const uint32_t version =
-      store_degraded ? kQueryCodecVersion : kQueryCodecPreStoreVersion;
-  out->WriteU32(version);
+  out->WriteU32(kQueryCodecVersion);
   out->WriteU32(answer.result != nullptr ? 1 : 0);
   if (answer.result != nullptr) {
     const TabulaQueryResult& r = *answer.result;
@@ -189,7 +168,7 @@ void EncodeServeAnswer(const ServeAnswer& answer, BufferWriter* out) {
     EncodeStatus(r.shard_error, out);
     out->WriteU64(r.generation);
     out->WriteU32(r.stale ? 1 : 0);
-    if (version >= 3) out->WriteU32(r.store_degraded ? 1 : 0);
+    out->WriteU32(r.store_degraded ? 1 : 0);
   }
   out->WriteU32(answer.cache_hit ? 1 : 0);
   out->WriteU32(answer.degraded ? 1 : 0);
@@ -199,8 +178,7 @@ void EncodeServeAnswer(const ServeAnswer& answer, BufferWriter* out) {
 }
 
 Result<ServeAnswer> DecodeServeAnswer(BufferReader* in, const Table* table) {
-  uint32_t version = 0;
-  TABULA_RETURN_NOT_OK(CheckVersion(in, "ServeAnswer", &version));
+  TABULA_RETURN_NOT_OK(CheckVersion(in, "ServeAnswer"));
   ServeAnswer answer;
   TABULA_ASSIGN_OR_RETURN(uint32_t has_result, in->ReadU32());
   if (has_result != 0) {
@@ -227,10 +205,8 @@ Result<ServeAnswer> DecodeServeAnswer(BufferReader* in, const Table* table) {
     TABULA_ASSIGN_OR_RETURN(result.generation, in->ReadU64());
     TABULA_ASSIGN_OR_RETURN(uint32_t stale, in->ReadU32());
     result.stale = stale != 0;
-    if (version >= 3) {
-      TABULA_ASSIGN_OR_RETURN(uint32_t store_degraded, in->ReadU32());
-      result.store_degraded = store_degraded != 0;
-    }
+    TABULA_ASSIGN_OR_RETURN(uint32_t store_degraded, in->ReadU32());
+    result.store_degraded = store_degraded != 0;
     answer.result =
         std::make_shared<const TabulaQueryResult>(std::move(result));
   }

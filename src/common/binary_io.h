@@ -178,6 +178,9 @@ class BufferReader {
     if (bytes > remaining()) {
       return Status::DataLoss("unexpected end of buffer (truncated record)");
     }
+    // An empty vector's data() may be null, and memcpy to null is
+    // undefined even for zero bytes.
+    if (bytes == 0) return Status::OK();
     std::memcpy(data, data_.data() + pos_, bytes);
     pos_ += bytes;
     return Status::OK();
@@ -193,10 +196,10 @@ class BufferReader {
 // the stack (see core/query_request.h, serve/query_server.h); these
 // codecs give both structs one explicit, versioned binary form shared
 // by the wire protocol (src/net/) and available to any persistence
-// path. Each record starts with a u16 codec version so the disk and
-// wire formats can evolve independently of the structs: a decoder
-// rejects versions it does not know with kDataLoss instead of
-// misparsing. Process-local fields (`QueryRequest::parent_span`,
+// path. Each record starts with a u32 codec version, always the one
+// current version: a decoder rejects any other with kDataLoss naming
+// it instead of misparsing. No older form is read — every peer is
+// built from this repository (DESIGN.md §9). Process-local fields (`QueryRequest::parent_span`,
 // `ServeAnswer::span_id`) are deliberately NOT part of the encoding —
 // span ids do not survive a process boundary; RPC layers re-parent
 // spans on their own side.
@@ -207,19 +210,10 @@ struct ServeAnswer;    // serve/query_server.h
 class Value;           // storage/value.h
 class Table;           // storage/table.h
 
-/// Current codec version of both records. v2 appends the spatial range
-/// (bound count + per-bound column/lo/hi) to QueryRequest; a range-free
-/// request still encodes as v1 byte-for-byte, so peers that only speak
-/// v1 interoperate until a range actually crosses the boundary. v3
-/// appends the sample-store degradation flag to ServeAnswer; an answer
-/// that is not store-degraded still encodes as v2 byte-for-byte, so v2
-/// peers interoperate until a degraded answer actually crosses.
+/// The codec version of both records: a QueryRequest carries its
+/// spatial range (bound count + per-bound column/lo/hi) and a
+/// ServeAnswer its sample-store degradation flag, present or not.
 inline constexpr uint16_t kQueryCodecVersion = 3;
-/// Last version before the ServeAnswer store_degraded flag; encoders
-/// emit it whenever the flag carries no information.
-inline constexpr uint16_t kQueryCodecPreStoreVersion = 2;
-/// Oldest version decoders still accept.
-inline constexpr uint16_t kQueryCodecMinVersion = 1;
 
 /// Appends the versioned encoding of a Value (type tag + payload).
 void EncodeValue(const Value& value, BufferWriter* out);

@@ -296,7 +296,7 @@ Status Tabula::DecodeBody(BinaryReader* r, uint64_t saved_rows,
     TABULA_ASSIGN_OR_RETURN(saved_grid, SpatialGrid::DecodeFrom(&gr));
   }
   if (options_.spatial.levels > 0) {
-    SpatialGrid::Context ctx = SpatialContext();
+    const ThetaContext ctx = theta_context();
     const SpatialGridOptions& want = options_.spatial;
     const SpatialGridOptions& got = saved_grid.options();
     if (has_grid != 0 && got.levels == want.levels &&

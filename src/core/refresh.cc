@@ -22,8 +22,8 @@
 #include "common/stopwatch.h"
 #include "core/tabula.h"
 #include "cube/lattice.h"
-#include "sampling/greedy_sampler.h"
 #include "sampling/random_sampler.h"
+#include "sampling/theta_restore.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
@@ -295,6 +295,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // no table scan at all. Reference-dependent losses defer to the
   // raw-scan recheck in ExecuteIngest.
   const bool state_verify = !loss_fn()->StateDependsOnReference();
+  const ThetaContext ctx = theta_context();
   for (Recheck& rc : rechecks) {
     const IcebergCell* dirty_cell = cube_.Find(rc.key);
     TABULA_CHECK(dirty_cell != nullptr);
@@ -312,12 +313,12 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
       plan.needs_rows[rc.key] = CellWork{rc.cuboid, /*is_new=*/false};
       continue;
     }
-    const IcebergCell* cell = dirty_cell;
-    DatasetView rep(table_, samples_.sample(cell->sample_id));
-    TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> cell_bound,
-                            loss_fn()->Bind(*table_, rep));
     ++plan.stats.rechecked_cells;
-    if (cell_bound->Finalize(rc.state) <= options_.threshold) continue;
+    TABULA_ASSIGN_OR_RETURN(
+        bool within,
+        WithinTheta(ctx, samples_.sample(dirty_cell->sample_id), &rc.state,
+                    DatasetView()));
+    if (within) continue;
     plan.needs_rows[rc.key] =
         CellWork{rc.cuboid, /*is_new=*/false, /*preverified=*/true};
   }
@@ -368,7 +369,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   if (grid_.present()) {
     TABULA_ASSIGN_OR_RETURN(
         plan.spatial_delta,
-        grid_.PlanAppend(SpatialContext(), static_cast<RowId>(n0),
+        grid_.PlanAppend(theta_context(), static_cast<RowId>(n0),
                          static_cast<RowId>(n1)));
     plan.has_spatial_delta = true;
   }
@@ -423,15 +424,13 @@ Status Tabula::ExecuteIngest(IngestPlan* plan) {
   if (store_enabled()) {
     store_lock = std::shared_lock<std::shared_mutex>(*store_mu_);
   }
-  GreedySamplerOptions sampler_opts = options_.sampler;
-  sampler_opts.seed = options_.seed;
-  GreedySampler sampler(loss_fn(), options_.threshold, sampler_opts);
+  const ThetaContext ctx = theta_context();
   for (auto& [key, rows] : p->cell_rows_sorted) {
     const CellWork& work = *p->needs_rows.Find(key);
     DatasetView raw(table_, rows);
     TABULA_FAULT_POINT("refresh.sample");
     if (work.is_new) {
-      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, sampler.Sample(raw));
+      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, Redraw(ctx, raw));
       IcebergCell cell;
       cell.key = key;
       cell.cuboid = work.cuboid;
@@ -451,13 +450,13 @@ Status Tabula::ExecuteIngest(IngestPlan* plan) {
         // Reference-dependent loss: the plan could not verify off the
         // state, so check the stored sample against the raw rows here.
         ++p->stats.rechecked_cells;
-        DatasetView rep(table_, samples_.sample(cell->sample_id));
-        TABULA_ASSIGN_OR_RETURN(double loss, loss_fn()->Loss(raw, rep));
-        needs_sample = loss > options_.threshold;
+        TABULA_ASSIGN_OR_RETURN(
+            bool within,
+            WithinTheta(ctx, samples_.sample(cell->sample_id), nullptr, raw));
+        needs_sample = !within;
       }
       if (needs_sample) {
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                                sampler.Sample(raw));
+        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, Redraw(ctx, raw));
         p->staged_relinks.emplace_back(key, std::move(sample));
         ++p->stats.resampled_cells;
       }

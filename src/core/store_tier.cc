@@ -100,6 +100,8 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   if (rows.empty()) {
     return Status::Internal("iceberg cell has no rows in the finest index");
   }
+  const DatasetView raw(table_, std::move(rows));
+  ThetaContext ctx = theta_context();
 
   const bool hot =
       store_.hits(old_id) >= options_.store.hot_promote_hits;
@@ -113,24 +115,19 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
     // meets θ against the cell's current rows.
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> restored,
                             store_.ReadSpilled(old_id));
-    DatasetView raw(table_, rows);
-    DatasetView rep(table_, restored);
-    TABULA_ASSIGN_OR_RETURN(double loss, loss_fn()->Loss(raw, rep));
-    if (loss <= options_.threshold) {
+    TABULA_ASSIGN_OR_RETURN(bool within,
+                            WithinTheta(ctx, restored, nullptr, raw));
+    if (within) {
       sample = std::move(restored);
       have_sample = true;
     }
   }
   if (!have_sample) {
     // Deterministic re-draw, seeded like the build: promote → demote →
-    // promote reproduces the original sample bytes.
-    const double theta =
-        hot ? options_.threshold * options_.store.hot_theta_factor
-            : options_.threshold;
-    GreedySamplerOptions sampler_opts = options_.sampler;
-    sampler_opts.seed = options_.seed;
-    GreedySampler sampler(loss_fn(), theta, sampler_opts);
-    TABULA_ASSIGN_OR_RETURN(sample, sampler.Sample(DatasetView(table_, rows)));
+    // promote reproduces the original sample bytes. A hot upgrade draws
+    // at θ × hot_theta_factor.
+    if (hot) ctx.threshold *= options_.store.hot_theta_factor;
+    TABULA_ASSIGN_OR_RETURN(sample, Redraw(ctx, raw));
   }
 
   const uint64_t bytes = sample.size() * BytesPerTuple();
@@ -223,11 +220,8 @@ Status Tabula::MaintainStoreTiers() {
             [](const IcebergCell* a, const IcebergCell* b) {
               return a->key < b->key;
             });
-  GreedySamplerOptions sampler_opts = options_.sampler;
-  sampler_opts.seed = options_.seed;
-  GreedySampler hot_sampler(
-      loss_fn(), options_.threshold * options_.store.hot_theta_factor,
-      sampler_opts);
+  ThetaContext hot = theta_context();
+  hot.threshold *= options_.store.hot_theta_factor;
   const uint64_t tuple_bytes = BytesPerTuple();
   for (IcebergCell* cell : order) {
     const uint32_t id = cell->sample_id;
@@ -241,8 +235,9 @@ Status Tabula::MaintainStoreTiers() {
     if (rows.empty()) {
       return Status::Internal("iceberg cell has no rows in the finest index");
     }
-    TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                            hot_sampler.Sample(DatasetView(table_, rows)));
+    TABULA_ASSIGN_OR_RETURN(
+        std::vector<RowId> sample,
+        Redraw(hot, DatasetView(table_, std::move(rows))));
     const uint64_t bytes = sample.size() * tuple_bytes;
     samples_.SetSample(id, std::move(sample));
     store_.MarkResident(id, bytes, SampleTier::kHot);

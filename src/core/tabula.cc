@@ -120,12 +120,11 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
 
   // Stage 2: real run — local samples for iceberg cells only.
   Span real_span = tracer->StartSpan("tabula.init.real_run", init_span.id());
-  GreedySamplerOptions sampler_opts = opts.sampler;
-  sampler_opts.seed = opts.seed;
+  const ThetaContext theta = tabula->theta_context();
   TABULA_ASSIGN_OR_RETURN(
       RealRunResult real,
       RunRealRun(rows, tabula->encoder_, tabula->packer_, lattice, dry,
-                 *loss, opts.threshold, sampler_opts, opts.path_policy));
+                 *loss, opts.threshold, theta.sampler, opts.path_policy));
   tabula->stats_.real_run_cuboids = std::move(real.per_cuboid);
   tabula->cube_ = std::move(real.cube);
   real_span.SetAttribute("iceberg_cells", tabula->cube_.size());
@@ -163,7 +162,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
         tracer->StartSpan("tabula.init.spatial", init_span.id());
     TABULA_ASSIGN_OR_RETURN(
         tabula->grid_,
-        SpatialGrid::Build(tabula->SpatialContext(), opts.spatial,
+        SpatialGrid::Build(theta, opts.spatial,
                            unit != nullptr ? unit->rows : nullptr));
     tabula->stats_.spatial_cells = tabula->grid_.TotalCells();
     tabula->stats_.spatial_sample_tuples = tabula->grid_.SampleTuples();
@@ -358,38 +357,73 @@ Status Tabula::ValidateEqualityTerms(const KeyEncoder& encoder,
   return Status::OK();
 }
 
-SpatialGrid::Context Tabula::SpatialContext() const {
-  SpatialGrid::Context ctx;
-  ctx.table = table_;
-  ctx.loss = loss_fn();
-  ctx.threshold = options_.threshold;
-  ctx.sampler = options_.sampler;
-  ctx.sampler.seed = options_.seed;
-  ctx.ref = global_sample_;
+ThetaContext Tabula::MakeThetaContext(const Table* table,
+                                      const TabulaOptions& options,
+                                      const DatasetView& ref) {
+  ThetaContext ctx;
+  ctx.table = table;
+  ctx.loss = options.effective_loss();
+  ctx.threshold = options.threshold;
+  ctx.sampler = options.sampler;
+  ctx.sampler.seed = options.seed;
+  ctx.ref = ref;
   return ctx;
 }
 
-Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
-                          TabulaQueryResult* result) const {
-  if (!grid_.present()) {
+Result<SpatialGrid::ResolvedBBox> Tabula::ValidateRange(
+    const SpatialGrid& grid, const KeyEncoder& encoder,
+    const QueryRequest& request, bool* provably_empty) {
+  if (!grid.present()) {
     return Status::InvalidArgument(
         "this engine has no spatial grid (enable TabulaOptions.spatial to "
         "serve bbox queries)");
   }
   TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
-                          grid_.Resolve(request.range));
+                          grid.Resolve(request.range));
   for (const auto& term : request.where) {
-    if (term.column == grid_.options().x_column ||
-        term.column == grid_.options().y_column) {
+    if (term.column == grid.options().x_column ||
+        term.column == grid.options().y_column) {
       return Status::InvalidArgument(
           "cannot mix a spatial range and an equality predicate on '" +
           term.column + "'");
     }
   }
+  std::vector<uint32_t> codes;
+  TABULA_RETURN_NOT_OK(
+      ValidateEqualityTerms(encoder, request.where, &codes, provably_empty));
+  return box;
+}
+
+Status Tabula::ServeHybrid(const ThetaContext& ctx, size_t cap,
+                           std::vector<RowId> matching,
+                           TabulaQueryResult* result) {
+  if (matching.empty()) {
+    result->empty_cell = true;
+    result->sample = DatasetView(ctx.table, {});
+    return Status::OK();
+  }
+  result->from_local_sample = true;
+  if (cap == 0 || matching.size() <= cap) {
+    result->sample = DatasetView(ctx.table, std::move(matching));
+    return Status::OK();
+  }
+  TABULA_ASSIGN_OR_RETURN(
+      std::vector<RowId> sample,
+      Redraw(ctx, DatasetView(ctx.table, std::move(matching))));
+  result->sample = DatasetView(ctx.table, std::move(sample));
+  return Status::OK();
+}
+
+Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
+                          TabulaQueryResult* result) const {
+  bool provably_empty = false;
+  TABULA_ASSIGN_OR_RETURN(
+      SpatialGrid::ResolvedBBox box,
+      ValidateRange(grid_, encoder_, request, &provably_empty));
   // Spatial cells live outside the cube's dirty-key space, so staleness
   // tagging is conservative: any pending rows mark the answer stale.
   result->stale = has_pending;
-  SpatialGrid::Context ctx = SpatialContext();
+  const ThetaContext ctx = theta_context();
 
   if (request.where.empty()) {
     TABULA_ASSIGN_OR_RETURN(SpatialGrid::RangeAnswer answer,
@@ -404,38 +438,17 @@ Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,
     return Status::OK();
   }
 
-  // Hybrid bbox + equality: validate the equality terms exactly like the
-  // pure path (same errors), then filter the bbox rows and answer
-  // exactly when small, else SAMPLING(matching, θ) at query time — both
-  // within θ, both deterministic.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(ValidateEqualityTerms(encoder_, request.where, &codes,
-                                             &provably_empty));
+  // Hybrid bbox + equality: filter the bbox rows by the terms.
+  std::vector<RowId> matching;
   if (!provably_empty) {
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> rows,
                             grid_.GatherRangeRows(ctx, box));
     TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
                             BoundPredicate::Bind(*table_, request.where));
-    std::vector<RowId> matching = pred.FilterRows(rows);
-    if (!matching.empty()) {
-      result->from_local_sample = true;
-      size_t cap = grid_.options().resample_cap;
-      if (cap == 0 || matching.size() <= cap) {
-        result->sample = DatasetView(table_, std::move(matching));
-      } else {
-        GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-        TABULA_ASSIGN_OR_RETURN(
-            std::vector<RowId> sample,
-            sampler.Sample(DatasetView(table_, matching)));
-        result->sample = DatasetView(table_, std::move(sample));
-      }
-      return Status::OK();
-    }
+    matching = pred.FilterRows(rows);
   }
-  result->empty_cell = true;
-  result->sample = DatasetView(table_, {});
-  return Status::OK();
+  return ServeHybrid(ctx, grid_.options().resample_cap, std::move(matching),
+                     result);
 }
 
 }  // namespace tabula

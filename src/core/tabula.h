@@ -17,6 +17,7 @@
 #include "loss/loss_function.h"
 #include "obs/trace.h"
 #include "sampling/greedy_sampler.h"
+#include "sampling/theta_restore.h"
 #include "selection/rep_selection.h"
 #include "spatial/spatial_grid.h"
 #include "storage/predicate.h"
@@ -400,14 +401,38 @@ class Tabula : public QueryEngine {
   /// The bound loss (options_.effective_loss(), cached at Initialize).
   const LossFunction* loss_fn() const { return options_.effective_loss(); }
 
-  /// Loss machinery bundle for SpatialGrid calls (same sampler seeding
-  /// as the real run, so grid sampling is deterministic per options).
-  SpatialGrid::Context SpatialContext() const;
+  /// The loss machinery every θ restoration reads, for both engines:
+  /// `options`' loss at its threshold, the sampler seeded with
+  /// options.seed (so re-draws reproduce the build's bytes), and `ref`.
+  static ThetaContext MakeThetaContext(const Table* table,
+                                       const TabulaOptions& options,
+                                       const DatasetView& ref);
+  /// This engine's context: the real run, the grid, refresh rechecks and
+  /// store promotes read it.
+  ThetaContext theta_context() const {
+    return MakeThetaContext(table_, options_, global_sample_);
+  }
 
   /// Answers a request with a non-empty `range` (bbox). `result` fields
   /// other than generation are filled here.
   Status QueryRange(const QueryRequest& request, bool has_pending,
                     TabulaQueryResult* result) const;
+
+  /// The range-request checks both engines share: `grid` is present,
+  /// the box resolves against its columns, no equality term names a
+  /// grid column, and the terms pass ValidateEqualityTerms against
+  /// `encoder` (`*provably_empty` as there).
+  static Result<SpatialGrid::ResolvedBBox> ValidateRange(
+      const SpatialGrid& grid, const KeyEncoder& encoder,
+      const QueryRequest& request, bool* provably_empty);
+
+  /// The hybrid (range + equality) answer both engines serve from
+  /// `matching`, the ascending rows in the box that match the terms: an
+  /// empty cell, the rows themselves up to `cap` (0 = no cap), or a
+  /// re-draw above it — within θ and deterministic either way.
+  static Status ServeHybrid(const ThetaContext& ctx, size_t cap,
+                            std::vector<RowId> matching,
+                            TabulaQueryResult* result);
 
   /// The WHERE validation of the equality query surface, shared by the
   /// pure-equality and hybrid range paths of both engines: codes of

@@ -80,12 +80,12 @@ Result<OwnedFd> TabulaClient::CheckOut(Endpoint* ep) {
       int raw, ConnectTo(ep->address.host, ep->address.port,
                          options_.connect_timeout_ms));
   OwnedFd fd(raw);
-  // Version negotiation on every fresh connection: cheap, and it
-  // verifies the peer actually speaks the protocol before a real
-  // request is risked on the connection.
+  // Version check on every fresh connection: cheap, and it verifies
+  // the peer actually speaks the protocol before a real request is
+  // risked on the connection.
   TABULA_RETURN_NOT_OK(WriteFrame(
       fd.get(), FrameType::kHello, 0,
-      EncodeHelloPayload(kWireMinVersion, kWireVersion),
+      EncodeHelloPayload(kWireVersion, kWireVersion),
       options_.connect_timeout_ms));
   TABULA_ASSIGN_OR_RETURN(Frame ack,
                           ReadFrame(fd.get(), options_.connect_timeout_ms));
@@ -96,8 +96,7 @@ Result<OwnedFd> TabulaClient::CheckOut(Endpoint* ep) {
     return Status::DataLoss(std::string("expected HelloAck, got ") +
                             FrameTypeName(ack.type));
   }
-  TABULA_ASSIGN_OR_RETURN(auto negotiated, DecodeHelloAckPayload(ack.payload));
-  negotiated_version_.store(negotiated.first, std::memory_order_relaxed);
+  TABULA_RETURN_NOT_OK(DecodeHelloAckPayload(ack.payload).status());
   return fd;
 }
 
@@ -169,16 +168,6 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
       continue;
     }
     OwnedFd fd = std::move(conn).value();
-    // CheckOut negotiated (directly, or earlier for this pool), so the
-    // version is known here: a range must not be sent to a v1 server —
-    // it cannot decode the v2 request payload.
-    if (!request.range.empty() &&
-        negotiated_version_.load(std::memory_order_relaxed) < 2) {
-      return Status::InvalidArgument(
-          "server only speaks wire v" +
-          std::to_string(negotiated_version_.load(std::memory_order_relaxed)) +
-          "; spatial range queries need v2");
-    }
     const uint64_t id =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
     Status sent = WriteFrame(fd.get(), FrameType::kQuery, id, payload,
@@ -332,20 +321,6 @@ Result<std::vector<BatchItem>> TabulaClient::BatchQuery(
     return Status::InvalidArgument("client has no endpoints");
   }
   metrics_.counter(kRequests).Increment();
-  // Same v2 gate as Query(): when the pool has already negotiated a v1
-  // connection, refuse ranged items up front instead of confusing the
-  // old server with a payload it cannot decode.
-  const uint16_t known_version =
-      negotiated_version_.load(std::memory_order_relaxed);
-  if (known_version != 0 && known_version < 2) {
-    for (const QueryRequest& request : requests) {
-      if (!request.range.empty()) {
-        return Status::InvalidArgument(
-            "server only speaks wire v" + std::to_string(known_version) +
-            "; spatial range queries need v2");
-      }
-    }
-  }
   const std::string payload = EncodeBatchQueryPayload(requests);
   Status last_failure = Status::Unavailable("request not attempted");
   for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {

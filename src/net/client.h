@@ -97,12 +97,6 @@ class TabulaClient {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Wire version negotiated by the most recent Hello handshake (0
-  /// before any connection succeeded).
-  uint16_t negotiated_version() const {
-    return negotiated_version_.load(std::memory_order_relaxed);
-  }
-
   /// The hedge delay a request issued now would use (exposed for tests
   /// and the bench's reporting).
   double CurrentHedgeDelayMs() const;
@@ -141,7 +135,6 @@ class TabulaClient {
   const Table* table_ = nullptr;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::atomic<uint64_t> next_request_id_{1};
-  std::atomic<uint16_t> negotiated_version_{0};
   mutable MetricsRegistry metrics_;
 };
 

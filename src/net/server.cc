@@ -117,8 +117,6 @@ void TabulaNetServer::WorkerLoop() {
 }
 
 void TabulaNetServer::ServeConnection(OwnedFd conn) {
-  // The version the peer negotiated via Hello; replies echo it.
-  uint16_t version = kWireVersion;
   while (running_.load(std::memory_order_acquire)) {
     if (!PollReadable(conn.get(), kPollTickMs)) continue;
     if (FaultInjector::AnyArmed()) {
@@ -135,19 +133,17 @@ void TabulaNetServer::ServeConnection(OwnedFd conn) {
         // up — recovery is the client's reconnect, never a resync scan.
         metrics_.counter(kFrameErrors).Increment();
         WriteFrame(conn.get(), FrameType::kError, 0,
-                   EncodeErrorPayload(frame.status()), kFrameReadDeadlineMs,
-                   version);
+                   EncodeErrorPayload(frame.status()), kFrameReadDeadlineMs);
       } else if (frame.status().code() != StatusCode::kIOError) {
         metrics_.counter(kReadErrors).Increment();
       }
       return;
     }
-    if (!HandleFrame(conn.get(), frame.value(), &version)) return;
+    if (!HandleFrame(conn.get(), frame.value())) return;
   }
 }
 
-bool TabulaNetServer::HandleFrame(int fd, const Frame& frame,
-                                  uint16_t* version) {
+bool TabulaNetServer::HandleFrame(int fd, const Frame& frame) {
   metrics_.counter(kRequestsTotal).Increment();
   metrics_.counter(std::string("net_frames_") + FrameTypeName(frame.type))
       .Increment();
@@ -172,19 +168,15 @@ bool TabulaNetServer::HandleFrame(int fd, const Frame& frame,
         break;
       }
       auto [lo, hi] = range.value();
-      // Highest version both sides speak, if the ranges overlap.
-      uint16_t negotiated = hi < kWireVersion ? hi : kWireVersion;
-      if (negotiated < lo || negotiated < kWireMinVersion) {
+      if (kWireVersion < lo || kWireVersion > hi) {
         reply = EncodeErrorPayload(Status::InvalidArgument(
             "no common wire version (client " + std::to_string(lo) + ".." +
-            std::to_string(hi) + ", server " +
-            std::to_string(kWireMinVersion) + ".." +
-            std::to_string(kWireVersion) + ")"));
+            std::to_string(hi) + ", server " + std::to_string(kWireVersion) +
+            ")"));
         break;
       }
-      *version = negotiated;
       reply_type = FrameType::kHelloAck;
-      reply = EncodeHelloAckPayload(negotiated, options_.banner);
+      reply = EncodeHelloAckPayload(kWireVersion, options_.banner);
       break;
     }
     case FrameType::kQuery: {
@@ -267,7 +259,7 @@ bool TabulaNetServer::HandleFrame(int fd, const Frame& frame,
     }
   }
   Status written = WriteFrame(fd, reply_type, frame.request_id, reply,
-                              kFrameReadDeadlineMs, *version);
+                              kFrameReadDeadlineMs);
   double elapsed = span.recording() ? span.End() : timer.ElapsedMillis();
   metrics_.histogram(kServerLatency).RecordMillis(elapsed);
   if (!written.ok()) {

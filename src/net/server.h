@@ -99,7 +99,7 @@ class TabulaNetServer {
   void ServeConnection(OwnedFd conn);
   /// Dispatches one decoded frame; returns false when the connection
   /// must close (unframeable stream or write failure).
-  bool HandleFrame(int fd, const Frame& frame, uint16_t* version);
+  bool HandleFrame(int fd, const Frame& frame);
 
   std::string HandleAdmin(const std::string& command);
 

@@ -171,7 +171,6 @@ Result<Frame> ReadFrame(int fd, double deadline_ms) {
                           DecodeFrameHeader(header, sizeof(header)));
   Frame frame;
   frame.type = h.type;
-  frame.version = h.version;
   frame.request_id = h.request_id;
   frame.payload.resize(h.payload_len);
   if (h.payload_len > 0) {
@@ -191,9 +190,8 @@ Result<Frame> ReadFrame(int fd, double deadline_ms) {
 }
 
 Status WriteFrame(int fd, FrameType type, uint64_t request_id,
-                  const std::string& payload, double deadline_ms,
-                  uint16_t version) {
-  std::string frame = EncodeFrame(type, request_id, payload, version);
+                  const std::string& payload, double deadline_ms) {
+  std::string frame = EncodeFrame(type, request_id, payload);
   return WriteFull(fd, frame.data(), frame.size(), deadline_ms);
 }
 

@@ -80,8 +80,7 @@ Result<Frame> ReadFrame(int fd, double deadline_ms = 0.0);
 
 /// Writes one complete frame as a single buffer.
 Status WriteFrame(int fd, FrameType type, uint64_t request_id,
-                  const std::string& payload, double deadline_ms = 0.0,
-                  uint16_t version = kWireVersion);
+                  const std::string& payload, double deadline_ms = 0.0);
 
 /// True when `fd` has bytes ready to read within `wait_ms` (a cheap
 /// poll; used by the hedging race in TabulaClient).

@@ -42,10 +42,11 @@ void AppendRaw(std::string* out, const void* data, size_t bytes) {
 }  // namespace
 
 std::string EncodeFrame(FrameType type, uint64_t request_id,
-                        const std::string& payload, uint16_t version) {
+                        const std::string& payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   uint32_t magic = kWireMagic;
+  uint16_t version = kWireVersion;
   uint16_t type16 = static_cast<uint16_t>(type);
   uint32_t len = static_cast<uint32_t>(payload.size());
   uint64_t checksum = WireChecksum(payload.data(), payload.size());
@@ -82,7 +83,7 @@ Result<FrameHeader> DecodeFrameHeader(const char* header, size_t size) {
   if (magic != kWireMagic) {
     return Status::DataLoss("bad frame magic 0x" + std::to_string(magic));
   }
-  if (h.version < kWireMinVersion || h.version > kWireVersion) {
+  if (h.version != kWireVersion) {
     return Status::DataLoss("unsupported wire version " +
                             std::to_string(h.version));
   }

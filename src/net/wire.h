@@ -28,28 +28,25 @@ class Table;          // storage/table.h
 //   20      8     checksum   FNV-1a 64 over the payload bytes
 //   28      n     payload    type-specific (see codecs in binary_io.h)
 //
-// The fixed 28-byte header is read first; a bad magic, an unknown
-// version, an implausible length, or a checksum mismatch is kDataLoss —
-// the stream is unframeable from that point on and the connection must
-// be closed (there is no resync marker; TCP guarantees ordering, so a
-// torn frame means the peer died or the bytes are corrupt).
+// The fixed 28-byte header is read first; a bad magic, a version other
+// than kWireVersion, an implausible length, or a checksum mismatch is
+// kDataLoss — the stream is unframeable from that point on and the
+// connection must be closed (there is no resync marker; TCP guarantees
+// ordering, so a torn frame means the peer died or the bytes are
+// corrupt).
 //
-// Version negotiation: a client opens with kHello carrying the lowest
-// and highest protocol version it speaks; the server answers kHelloAck
-// with the negotiated version (the highest both sides support) or
-// kError when the ranges are disjoint. All subsequent frames carry the
-// negotiated version. Servers tolerate clients that skip the handshake
-// (frames already carry the version), but the handshake is how a new
-// client learns it must downgrade.
+// The protocol has one version. A client opens with kHello carrying the
+// range of versions it speaks; the server answers kHelloAck with
+// kWireVersion when the range includes it and kError otherwise, so a
+// mismatched peer fails at connect time instead of on its first query.
+// Every peer is built from this repository, so no older version is
+// kept (DESIGN.md §9). Servers tolerate clients that skip the
+// handshake: every frame header carries the version.
 // ---------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x544E4254;  // "TBNT"
-/// v2: QueryRequest payloads may carry a spatial range (codec v2 in
-/// binary_io.h). Frames are otherwise unchanged; a v1 peer negotiates
-/// down and clients refuse to send ranges over a v1 connection.
+/// The protocol version every frame carries.
 inline constexpr uint16_t kWireVersion = 2;
-/// Oldest protocol version this build still speaks.
-inline constexpr uint16_t kWireMinVersion = 1;
 /// Refuse absurd frames before allocating (a corrupt length field must
 /// not turn into a 4 GiB allocation).
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
@@ -57,7 +54,7 @@ inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 /// Frame type tags. Stable on the wire — append, never renumber.
 enum class FrameType : uint16_t {
   kHello = 1,        ///< client → server: version range
-  kHelloAck = 2,     ///< server → client: negotiated version + banner
+  kHelloAck = 2,     ///< server → client: kWireVersion + banner
   kQuery = 3,        ///< encoded QueryRequest
   kAnswer = 4,       ///< encoded ServeAnswer
   kBatchQuery = 5,   ///< count + encoded QueryRequests
@@ -74,7 +71,6 @@ const char* FrameTypeName(FrameType type);
 /// One decoded frame.
 struct Frame {
   FrameType type = FrameType::kPing;
-  uint16_t version = kWireVersion;
   uint64_t request_id = 0;
   std::string payload;
 };
@@ -85,8 +81,7 @@ uint64_t WireChecksum(const char* data, size_t size);
 /// Serializes a frame (header + payload) into one contiguous buffer so
 /// the caller can hand the whole frame to a single write.
 std::string EncodeFrame(FrameType type, uint64_t request_id,
-                        const std::string& payload,
-                        uint16_t version = kWireVersion);
+                        const std::string& payload);
 
 /// Validates and decodes the fixed header. `header` must hold exactly
 /// kFrameHeaderBytes. Returns the frame with its payload still empty;

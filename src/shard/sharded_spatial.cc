@@ -2,14 +2,13 @@
 ///
 /// Each shard holds a spatial grid over its own rows (built against the
 /// shared global reference sample), so a bbox answer is composed from
-/// per-shard partials exactly the way the cell merge composes per-shard
-/// samples: slices are disjoint, every partial is within θ of its slice,
-/// and the union-closure / exact-state / re-sample ladder
-/// (SpatialGrid::ComposePartials) restores the composed bound. A shard
-/// whose every replica is down or faulted degrades the answer the same
-/// way the equality path degrades: the global sample stands in for the
-/// missing slice, `unavailable_shards` + `shard_error` populate, and the
-/// θ bound is voided — the request still succeeds.
+/// per-shard partials exactly the way a grid composes its cells: slices
+/// are disjoint, every partial is within θ of its slice, and
+/// RestoreTheta restores the composed bound. A shard whose every replica
+/// is down or faulted degrades the answer the same way the equality path
+/// degrades: the global sample stands in for the missing slice,
+/// `unavailable_shards` + `shard_error` populate, and the θ bound is
+/// voided — the request still succeeds.
 
 #include <algorithm>
 #include <string>
@@ -22,39 +21,18 @@
 
 namespace tabula {
 
-SpatialGrid::Context ShardedTabula::SpatialContext() const {
-  SpatialGrid::Context ctx;
-  ctx.table = table_;
-  ctx.loss = options_.base.effective_loss();
-  ctx.threshold = options_.base.threshold;
-  ctx.sampler = options_.base.sampler;
-  ctx.sampler.seed = options_.base.seed;
-  ctx.ref = global_sample_;
-  return ctx;
-}
-
 Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
                                  TabulaQueryResult* result) const {
-  if (shards_.empty() || !shards_[0].unit->spatial_grid().present()) {
-    return Status::InvalidArgument(
-        "this engine has no spatial grid (enable TabulaOptions.spatial to "
-        "serve bbox queries)");
-  }
+  // Every unit's grid spans the same columns with the same options.
   const SpatialGrid& g0 = shards_[0].unit->spatial_grid();
-  TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
-                          g0.Resolve(request.range));
-  for (const auto& term : request.where) {
-    if (term.column == g0.options().x_column ||
-        term.column == g0.options().y_column) {
-      return Status::InvalidArgument(
-          "cannot mix a spatial range and an equality predicate on '" +
-          term.column + "'");
-    }
-  }
+  bool provably_empty = false;
+  TABULA_ASSIGN_OR_RETURN(
+      SpatialGrid::ResolvedBBox box,
+      Tabula::ValidateRange(g0, encoder_, request, &provably_empty));
   // Spatial cells live outside the cube's dirty-key space, so staleness
   // tagging is conservative, like the plain engine's range path.
   result->stale = has_pending;
-  SpatialGrid::Context ctx = SpatialContext();
+  const ThetaContext ctx = theta_context();
 
   // One probed visit to shard `s`, shared by the pure and hybrid paths:
   // the legacy whole-group `shard.query` seam, then replica failover,
@@ -81,6 +59,17 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     metrics_.histogram("shard" + std::to_string(s) + "_query_latency")
         .RecordMillis(shard_timer.ElapsedMillis());
   };
+  // Degraded: serve what the healthy shards gathered plus the global
+  // sample as the stand-in for the missing slices. θ is voided, which
+  // the populated `unavailable_shards` signals.
+  auto degrade = [&](std::vector<RowId> rows) {
+    metrics_.counter("shard_degraded_answers").Increment();
+    rows.insert(rows.end(), global_sample_rows_.begin(),
+                global_sample_rows_.end());
+    result->from_local_sample = true;
+    result->sample = DatasetView(table_, std::move(rows));
+    return Status::OK();
+  };
 
   if (request.where.empty()) {
     Stopwatch fanout_timer;
@@ -98,24 +87,30 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
     metrics_.histogram("shard_fanout_latency")
         .RecordMillis(fanout_timer.ElapsedMillis());
     if (!result->unavailable_shards.empty()) {
-      // Degraded: serve what the healthy shards gathered plus the global
-      // sample as the stand-in for the missing slices. θ is voided,
-      // which the populated `unavailable_shards` signals.
-      metrics_.counter("shard_degraded_answers").Increment();
       std::vector<RowId> gathered;
       for (SpatialGrid::RangeAnswer& p : partials) {
         gathered.insert(gathered.end(), p.sample.begin(), p.sample.end());
       }
-      gathered.insert(gathered.end(), global_sample_rows_.begin(),
-                      global_sample_rows_.end());
-      result->from_local_sample = true;
-      result->sample = DatasetView(table_, std::move(gathered));
+      return degrade(std::move(gathered));
+    }
+    // All slices present: compose the partials through RestoreTheta. A
+    // re-draw reads the ascending union of every shard's matching rows —
+    // the exact vector a single-instance scan produces, so re-drawn
+    // samples are K-invariant.
+    std::vector<RowId> candidate;
+    LossState state;
+    size_t raw_count = 0;
+    for (const SpatialGrid::RangeAnswer& p : partials) {
+      if (p.raw_count == 0) continue;
+      candidate.insert(candidate.end(), p.sample.begin(), p.sample.end());
+      state.Merge(p.state);
+      raw_count += p.raw_count;
+    }
+    if (raw_count == 0) {
+      result->empty_cell = true;
+      result->sample = DatasetView(table_, {});
       return Status::OK();
     }
-    // All slices present: compose under the θ ladder. Re-sampling (when
-    // the ladder rejects the union) draws from the ascending union of
-    // every shard's matching rows — the exact vector a single-instance
-    // scan produces, so re-drawn samples are K-invariant.
     auto gather_raw = [&]() -> Result<std::vector<RowId>> {
       std::vector<RowId> raw;
       for (const Shard& shard : shards_) {
@@ -128,26 +123,18 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
       return raw;
     };
     TABULA_ASSIGN_OR_RETURN(
-        SpatialGrid::RangeAnswer answer,
-        SpatialGrid::ComposePartials(ctx, std::move(partials), gather_raw));
-    if (answer.raw_count == 0) {
-      result->empty_cell = true;
-      result->sample = DatasetView(table_, {});
-      return Status::OK();
-    }
+        RestoredSample composed,
+        RestoreTheta(ctx, {std::move(candidate), &state, raw_count},
+                     gather_raw));
     result->from_local_sample = true;
-    result->sample = DatasetView(table_, std::move(answer.sample));
+    result->sample = DatasetView(table_, std::move(composed.sample));
     return Status::OK();
   }
 
-  // Hybrid bbox + equality: the equality path's WHERE-clause contract
-  // (and error wording), then filter the union of the shards' bbox rows
-  // — which equals the single-instance row set, so exact answers and
-  // query-time re-samples are K-invariant byte for byte.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(Tabula::ValidateEqualityTerms(
-      encoder_, request.where, &codes, &provably_empty));
+  // Hybrid bbox + equality: filter the union of the shards' bbox rows —
+  // which equals the single-instance row set, so exact answers and
+  // query-time re-draws are K-invariant byte for byte.
+  std::vector<RowId> matching;
   if (!provably_empty) {
     Stopwatch fanout_timer;
     std::vector<RowId> rows;
@@ -165,32 +152,13 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
         .RecordMillis(fanout_timer.ElapsedMillis());
     TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
                             BoundPredicate::Bind(*table_, request.where));
-    std::vector<RowId> matching = pred.FilterRows(rows);
+    matching = pred.FilterRows(rows);
     if (!result->unavailable_shards.empty()) {
-      metrics_.counter("shard_degraded_answers").Increment();
-      matching.insert(matching.end(), global_sample_rows_.begin(),
-                      global_sample_rows_.end());
-      result->from_local_sample = true;
-      result->sample = DatasetView(table_, std::move(matching));
-      return Status::OK();
-    }
-    if (!matching.empty()) {
-      result->from_local_sample = true;
-      size_t cap = g0.options().resample_cap;
-      if (cap == 0 || matching.size() <= cap) {
-        result->sample = DatasetView(table_, std::move(matching));
-      } else {
-        GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                                sampler.Sample(DatasetView(table_, matching)));
-        result->sample = DatasetView(table_, std::move(sample));
-      }
-      return Status::OK();
+      return degrade(std::move(matching));
     }
   }
-  result->empty_cell = true;
-  result->sample = DatasetView(table_, {});
-  return Status::OK();
+  return Tabula::ServeHybrid(ctx, g0.options().resample_cap,
+                             std::move(matching), result);
 }
 
 }  // namespace tabula

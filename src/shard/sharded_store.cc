@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "sampling/greedy_sampler.h"
+#include "sampling/theta_restore.h"
 #include "shard/sharded_tabula.h"
 #include "testing/fault_injection.h"
 
@@ -78,12 +78,9 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
   if (rows.empty()) {
     return Status::Internal("override cell has no rows in any shard");
   }
-  GreedySamplerOptions sampler_opts = options_.base.sampler;
-  sampler_opts.seed = options_.base.seed;
-  GreedySampler sampler(options_.base.effective_loss(),
-                        options_.base.threshold, sampler_opts);
-  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                          sampler.Sample(DatasetView(table_, rows)));
+  TABULA_ASSIGN_OR_RETURN(
+      std::vector<RowId> sample,
+      Redraw(theta_context(), DatasetView(table_, std::move(rows))));
   out->insert(out->end(), sample.begin(), sample.end());
 
   const uint32_t id = cell.override_id;

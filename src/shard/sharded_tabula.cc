@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "cube/dry_run.h"
 #include "sampling/random_sampler.h"
+#include "sampling/theta_restore.h"
 #include "testing/fault_injection.h"
 
 namespace tabula {
@@ -389,9 +390,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   FlatHashMap<PendingCell> needs_raw;
   const bool union_closed = loss->UnionClosed();
   const bool ref_free = !loss->StateDependsOnReference();
-  GreedySamplerOptions sampler_opts = base.sampler;
-  sampler_opts.seed = base.seed;
-  GreedySampler sampler(loss, base.threshold, sampler_opts);
+  const ThetaContext ctx = theta_context();
   for (size_t m = 0; m < lattice_.num_cuboids(); ++m) {
     const CuboidMask mask = static_cast<CuboidMask>(m);
     // Global-sample rows grouped by this cuboid's cell key: a conflict
@@ -436,8 +435,9 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
         // slice's ascending rows, exactly what the unit's promote draws.
         std::vector<RowId> slice = cell->raw_rows;
         if (slice.empty()) unit.AppendCellRows(key, mask, &slice);
-        TABULA_ASSIGN_OR_RETURN(std::vector<RowId> redrawn,
-                                sampler.Sample(DatasetView(table_, slice)));
+        TABULA_ASSIGN_OR_RETURN(
+            std::vector<RowId> redrawn,
+            Redraw(ctx, DatasetView(table_, std::move(slice))));
         candidate.insert(candidate.end(), redrawn.begin(), redrawn.end());
       }
       if (conflict) {
@@ -455,24 +455,22 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
         continue;
       }
       if (ref_free) {
-        // loss(raw, candidate) == Bind(candidate)->Finalize(state(raw))
-        // exactly — no raw rows needed for the check itself.
-        TABULA_ASSIGN_OR_RETURN(
-            std::unique_ptr<BoundLoss> cand_bound,
-            loss->Bind(*table_, DatasetView(table_, candidate)));
+        // The check decides from the merged state — no raw rows needed.
         ++out.verified_cells;
-        if (cand_bound->Finalize(merged.state) <= base.threshold) {
+        TABULA_ASSIGN_OR_RETURN(
+            bool within,
+            WithinTheta(ctx, candidate, &merged.state, DatasetView()));
+        if (within) {
           out.merged[key] = MergedCell{mask, false, false, 0};
           continue;
         }
-        needs_raw[key] = PendingCell{mask, merged.shards,
-                                     /*verify_first=*/false,
-                                     /*augmented=*/false, std::move(candidate)};
-      } else {
-        needs_raw[key] = PendingCell{mask, merged.shards,
-                                     /*verify_first=*/true, conflict,
-                                     std::move(candidate)};
       }
+      // A reference-free cell failed its check and is re-drawn; any
+      // other is checked against its raw rows first.
+      needs_raw[key] = PendingCell{mask, merged.shards,
+                                   /*verify_first=*/!ref_free,
+                                   /*augmented=*/!ref_free && conflict,
+                                   std::move(candidate)};
     }
   }
 
@@ -532,16 +530,15 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
       DatasetView raw(table_, std::move(rows));
       if (cell->verify_first) {
         ++out.verified_cells;
-        DatasetView cand(table_, cell->candidate);
-        TABULA_ASSIGN_OR_RETURN(double measured, loss->Loss(raw, cand));
-        if (measured <= base.threshold) {
+        TABULA_ASSIGN_OR_RETURN(
+            bool within, WithinTheta(ctx, cell->candidate, nullptr, raw));
+        if (within) {
           out.merged[key] =
               MergedCell{cell->cuboid, false, cell->augmented, 0};
           continue;
         }
       }
-      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample,
-                              sampler.Sample(raw));
+      TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, Redraw(ctx, raw));
       uint32_t id = out.overrides.Add(std::move(sample));
       out.merged[key] = MergedCell{cell->cuboid, true, false, id};
       ++out.resampled_cells;

@@ -313,14 +313,17 @@ class ShardedTabula : public QueryEngine {
                             TabulaQueryResult* result) const;
 
   /// Scatter-gather bbox path (defined in sharded_spatial.cc): per-shard
-  /// grid partials composed with the same θ ladder as the merge, a
-  /// failed shard degrading the answer to include the global sample.
+  /// grid partials composed through RestoreTheta, a failed shard
+  /// degrading the answer to include the global sample.
   Status QueryRange(const QueryRequest& request, bool has_pending,
                     TabulaQueryResult* result) const;
 
-  /// Loss machinery for per-shard grid calls on the serving path
-  /// (ctx.ref = the shared global sample).
-  SpatialGrid::Context SpatialContext() const;
+  /// The coordinator's θ-restoration context (see
+  /// Tabula::MakeThetaContext): the merge, override promotes and the
+  /// range path read it.
+  ThetaContext theta_context() const {
+    return Tabula::MakeThetaContext(table_, options_.base, global_sample_);
+  }
 
   /// The settings the coordinator fixes for every unit: no
   /// representative-sample sharing (an answer is a union of per-shard

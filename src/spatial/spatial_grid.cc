@@ -79,45 +79,77 @@ Status SpatialGrid::BuildCellSample(const Context& ctx, Cell* cell) const {
     cell->sample = cell->rows;
     return Status::OK();
   }
-  GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
   TABULA_ASSIGN_OR_RETURN(cell->sample,
-                          sampler.Sample(DatasetView(ctx.table, cell->rows)));
+                          Redraw(ctx, DatasetView(ctx.table, cell->rows)));
   return Status::OK();
 }
 
-Result<bool> SpatialGrid::VerifyComposedSample(
-    const Context& ctx, const std::vector<RowId>& sample,
-    const LossState& state, const std::vector<RowId>& raw_rows) {
-  if (!ctx.loss->StateDependsOnReference()) {
-    // The state summarizes the raw slice alone, so binding the candidate
-    // as the reference makes Finalize the exact loss — no raw scan.
-    TABULA_ASSIGN_OR_RETURN(
-        std::unique_ptr<BoundLoss> bound,
-        ctx.loss->Bind(*ctx.table, DatasetView(ctx.table, sample)));
-    return bound->Finalize(state) <= ctx.threshold;
+const SpatialGrid::Cell& SpatialGrid::CellAt(uint32_t level, uint32_t index,
+                                             const StagedCells* staged) const {
+  if (staged != nullptr) {
+    auto it = (*staged)[level].find(index);
+    if (it != (*staged)[level].end()) return it->second;
   }
-  TABULA_ASSIGN_OR_RETURN(double l,
-                          ctx.loss->Loss(DatasetView(ctx.table, raw_rows),
-                                         DatasetView(ctx.table, sample)));
-  return l <= ctx.threshold;
+  return levels_[level][index];
 }
 
-std::vector<RowId> SpatialGrid::CellRawRows(uint32_t level,
-                                            uint32_t index) const {
-  std::vector<RowId> rows;
-  uint32_t dim = dim_at(level);
-  uint32_t n = finest_dim();
-  uint32_t scale = n / dim;
-  uint32_t ix = index % dim;
-  uint32_t iy = index / dim;
+void SpatialGrid::AppendFinestRows(uint32_t level, uint32_t index,
+                                   const StagedCells* staged,
+                                   std::vector<RowId>* out) const {
+  const uint32_t finest = static_cast<uint32_t>(levels_.size() - 1);
+  const uint32_t dim = dim_at(level);
+  const uint32_t n = finest_dim();
+  const uint32_t scale = n / dim;
+  const uint32_t ix = index % dim;
+  const uint32_t iy = index / dim;
   for (uint32_t fy = iy * scale; fy < (iy + 1) * scale; ++fy) {
     for (uint32_t fx = ix * scale; fx < (ix + 1) * scale; ++fx) {
-      const std::vector<RowId>& cell_rows = levels_.back()[fy * n + fx].rows;
-      rows.insert(rows.end(), cell_rows.begin(), cell_rows.end());
+      const std::vector<RowId>& rows = CellAt(finest, fy * n + fx, staged).rows;
+      out->insert(out->end(), rows.begin(), rows.end());
     }
   }
-  std::sort(rows.begin(), rows.end());
-  return rows;
+}
+
+std::vector<RowId> SpatialGrid::FoldChildren(uint32_t level, uint32_t index,
+                                             const StagedCells* staged,
+                                             Cell* parent) const {
+  const uint32_t dim = dim_at(level);
+  const uint32_t cdim = dim_at(level + 1);
+  const uint32_t ix = index % dim;
+  const uint32_t iy = index / dim;
+  std::vector<RowId> candidate;
+  for (uint32_t dy = 0; dy < 2; ++dy) {
+    for (uint32_t dx = 0; dx < 2; ++dx) {
+      const Cell& ch =
+          CellAt(level + 1, (2 * iy + dy) * cdim + (2 * ix + dx), staged);
+      parent->state.Merge(ch.state);
+      parent->row_count += ch.row_count;
+      candidate.insert(candidate.end(), ch.sample.begin(), ch.sample.end());
+    }
+  }
+  return candidate;
+}
+
+Result<bool> SpatialGrid::ComposeParent(const Context& ctx, uint32_t level,
+                                        uint32_t index,
+                                        const StagedCells* staged,
+                                        Cell* parent) const {
+  std::vector<RowId> candidate = FoldChildren(level, index, staged, parent);
+  // Every child is θ-valid for its rows, so their union is a composed
+  // sample; the thin cap keeps zoomed-out cells dashboard-sized.
+  TABULA_ASSIGN_OR_RETURN(
+      RestoredSample restored,
+      RestoreTheta(ctx,
+                   {std::move(candidate), &parent->state, parent->row_count,
+                    /*pieces_valid=*/true, options_.resample_cap},
+                   [&]() -> Result<std::vector<RowId>> {
+                     std::vector<RowId> raw;
+                     AppendFinestRows(level, index, staged, &raw);
+                     std::sort(raw.begin(), raw.end());
+                     return raw;
+                   }));
+  parent->sample = std::move(restored.sample);
+  return restored.redrawn;
 }
 
 Result<SpatialGrid> SpatialGrid::Build(const Context& ctx,
@@ -129,31 +161,10 @@ Result<SpatialGrid> SpatialGrid::Build(const Context& ctx,
   if (options.levels > kMaxLevels) {
     return Status::InvalidArgument("spatial grid supports at most 8 levels");
   }
-  TABULA_ASSIGN_OR_RETURN(auto cols,
-                          ResolveSpatialColumns(*ctx.table, options));
-  const DoubleColumn* xc = cols.first;
-  const DoubleColumn* yc = cols.second;
-
   SpatialGrid g;
   g.options_ = options;
-  size_t n_rows = rows != nullptr ? rows->size() : ctx.table->num_rows();
-  auto row_at = [&](size_t i) {
-    return rows != nullptr ? (*rows)[i] : static_cast<RowId>(i);
-  };
-
-  g.data_min_x_ = kInf;
-  g.data_max_x_ = -kInf;
-  g.data_min_y_ = kInf;
-  g.data_max_y_ = -kInf;
-  for (size_t i = 0; i < n_rows; ++i) {
-    RowId r = row_at(i);
-    double x = xc->At(r);
-    double y = yc->At(r);
-    g.data_min_x_ = std::min(g.data_min_x_, x);
-    g.data_max_x_ = std::max(g.data_max_x_, x);
-    g.data_min_y_ = std::min(g.data_min_y_, y);
-    g.data_max_y_ = std::max(g.data_max_y_, y);
-  }
+  TABULA_RETURN_NOT_OK(g.SetDataExtrema(ctx, rows));
+  const size_t n_rows = rows != nullptr ? rows->size() : ctx.table->num_rows();
   if (n_rows > 0) {
     g.ext_x_lo_ = g.data_min_x_;
     g.ext_x_hi_ = g.data_max_x_;
@@ -166,71 +177,19 @@ Result<SpatialGrid> SpatialGrid::Build(const Context& ctx,
     uint32_t dim = dim_at(l);
     g.levels_[l].assign(static_cast<size_t>(dim) * dim, Cell{});
   }
-
-  // Finest assignment in ascending row order keeps every cell's row list
-  // ascending (callers pass ascending `rows`).
-  uint32_t n = g.finest_dim();
-  std::vector<Cell>& finest = g.levels_.back();
-  for (size_t i = 0; i < n_rows; ++i) {
-    RowId r = row_at(i);
-    finest[g.FinestCellFor(xc->At(r), yc->At(r))].rows.push_back(r);
-  }
-
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          ctx.loss->Bind(*ctx.table, ctx.ref));
-  for (uint32_t c = 0; c < n * n; ++c) {
-    Cell& cell = finest[c];
+  TABULA_RETURN_NOT_OK(g.IndexRows(ctx, rows));
+  for (Cell& cell : g.levels_.back()) {
     cell.row_count = static_cast<uint32_t>(cell.rows.size());
-    for (RowId r : cell.rows) bound->Accumulate(&cell.state, r);
     TABULA_RETURN_NOT_OK(g.BuildCellSample(ctx, &cell));
   }
 
-  // Coarser levels bottom-up: merge states, then accept the union of the
-  // children's samples via the union-closure / exact-state / re-sample
-  // ladder (the shard-merge idiom).
+  // Coarser levels bottom-up, each cell composed from its children.
   for (size_t l = options.levels - 1; l-- > 0;) {
-    uint32_t dim = dim_at(l);
-    uint32_t cdim = dim_at(l + 1);
-    for (uint32_t iy = 0; iy < dim; ++iy) {
-      for (uint32_t ix = 0; ix < dim; ++ix) {
-        Cell& cell = g.levels_[l][iy * dim + ix];
-        std::vector<RowId> candidate;
-        bool children_exact = true;
-        for (uint32_t dy = 0; dy < 2; ++dy) {
-          for (uint32_t dx = 0; dx < 2; ++dx) {
-            const Cell& ch =
-                g.levels_[l + 1][(2 * iy + dy) * cdim + (2 * ix + dx)];
-            cell.state.Merge(ch.state);
-            cell.row_count += ch.row_count;
-            candidate.insert(candidate.end(), ch.sample.begin(),
-                             ch.sample.end());
-            if (ch.sample.size() != ch.row_count) children_exact = false;
-          }
-        }
-        if (cell.row_count == 0) continue;
-        bool accepted = children_exact || ctx.loss->UnionClosed();
-        std::vector<RowId> raw;
-        if (!accepted) {
-          if (ctx.loss->StateDependsOnReference()) {
-            raw = g.CellRawRows(static_cast<uint32_t>(l), iy * dim + ix);
-          }
-          TABULA_ASSIGN_OR_RETURN(
-              accepted, g.VerifyComposedSample(ctx, candidate, cell.state, raw));
-        }
-        bool thin = options.resample_cap > 0 &&
-                    candidate.size() > options.resample_cap &&
-                    candidate.size() < cell.row_count;
-        if (!accepted || thin) {
-          if (raw.empty()) {
-            raw = g.CellRawRows(static_cast<uint32_t>(l), iy * dim + ix);
-          }
-          GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-          TABULA_ASSIGN_OR_RETURN(cell.sample,
-                                  sampler.Sample(DatasetView(ctx.table, raw)));
-        } else {
-          cell.sample = std::move(candidate);
-        }
-      }
+    std::vector<Cell>& level = g.levels_[l];
+    for (uint32_t index = 0; index < level.size(); ++index) {
+      TABULA_RETURN_NOT_OK(g.ComposeParent(ctx, static_cast<uint32_t>(l),
+                                           index, nullptr, &level[index])
+                               .status());
     }
   }
   return g;
@@ -360,10 +319,6 @@ SpatialGrid::Decomposition SpatialGrid::Decompose(
 Result<SpatialGrid::RangeAnswer> SpatialGrid::RangeQuery(
     const Context& ctx, const ResolvedBBox& box) const {
   TABULA_FAULT_POINT("spatial.plan");
-  TABULA_ASSIGN_OR_RETURN(auto cols,
-                          ResolveSpatialColumns(*ctx.table, options_));
-  const DoubleColumn* xc = cols.first;
-  const DoubleColumn* yc = cols.second;
   Decomposition d = Decompose(box);
 
   RangeAnswer out;
@@ -379,14 +334,8 @@ Result<SpatialGrid::RangeAnswer> SpatialGrid::RangeQuery(
     out.raw_count += c.row_count;
   }
 
-  std::vector<RowId> boundary_rows;
-  for (uint32_t cell : d.boundary) {
-    TABULA_FAULT_POINT("spatial.scan");
-    for (RowId r : levels_.back()[cell].rows) {
-      if (InBox(xc->At(r), yc->At(r), box)) boundary_rows.push_back(r);
-    }
-    out.scanned_rows += levels_.back()[cell].rows.size();
-  }
+  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> boundary_rows,
+                          ScanBoundary(ctx, d, box, &out.scanned_rows));
   if (!boundary_rows.empty()) {
     TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
                             ctx.loss->Bind(*ctx.table, ctx.ref));
@@ -396,137 +345,55 @@ Result<SpatialGrid::RangeAnswer> SpatialGrid::RangeQuery(
                      boundary_rows.end());
   }
 
-  if (out.raw_count == 0) {
-    out.exact = true;
-    return out;
-  }
-  // Disjoint slices → distinct rows, so size equality means the
-  // candidate IS every matching row.
-  if (candidate.size() == out.raw_count) {
-    out.exact = true;
-    out.sample = std::move(candidate);
-    return out;
-  }
-
-  // θ-restoration ladder (same shape as the shard merge): every slice is
-  // within θ locally (interior by construction, boundary exactly), so a
-  // union-closed loss accepts the union outright; reference-free losses
-  // verify from the merged state; otherwise evaluate directly — and on
-  // rejection, re-sample deterministically from the gathered raw rows.
-  bool accepted = ctx.loss->UnionClosed();
-  std::vector<RowId> raw;
-  auto gather_raw = [&]() {
-    raw.clear();
-    raw.reserve(out.raw_count);
-    for (const auto& [level, index] : d.interior) {
-      uint32_t dim = dim_at(level);
-      uint32_t scale = finest_dim() / dim;
-      uint32_t ix = index % dim;
-      uint32_t iy = index / dim;
-      for (uint32_t fy = iy * scale; fy < (iy + 1) * scale; ++fy) {
-        for (uint32_t fx = ix * scale; fx < (ix + 1) * scale; ++fx) {
-          const std::vector<RowId>& rs =
-              levels_.back()[fy * finest_dim() + fx].rows;
-          raw.insert(raw.end(), rs.begin(), rs.end());
-        }
-      }
-    }
-    raw.insert(raw.end(), boundary_rows.begin(), boundary_rows.end());
-    std::sort(raw.begin(), raw.end());
-  };
-  if (!accepted) {
-    if (ctx.loss->StateDependsOnReference()) gather_raw();
-    TABULA_ASSIGN_OR_RETURN(
-        accepted, VerifyComposedSample(ctx, candidate, out.state, raw));
-  }
-  if (accepted) {
-    out.sample = std::move(candidate);
-    return out;
-  }
-  if (raw.empty()) gather_raw();
-  GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-  TABULA_ASSIGN_OR_RETURN(out.sample,
-                          sampler.Sample(DatasetView(ctx.table, raw)));
-  out.resampled = true;
-  return out;
-}
-
-Result<SpatialGrid::RangeAnswer> SpatialGrid::ComposePartials(
-    const Context& ctx, std::vector<RangeAnswer> partials,
-    const std::function<Result<std::vector<RowId>>()>& gather_raw) {
-  RangeAnswer out;
-  std::vector<RowId> candidate;
-  for (RangeAnswer& p : partials) {
-    out.interior_cells += p.interior_cells;
-    out.boundary_cells += p.boundary_cells;
-    out.scanned_rows += p.scanned_rows;
-    if (p.raw_count == 0) continue;
-    candidate.insert(candidate.end(), p.sample.begin(), p.sample.end());
-    out.state.Merge(p.state);
-    out.raw_count += p.raw_count;
-  }
-  if (out.raw_count == 0) {
-    out.exact = true;
-    return out;
-  }
-  // Slices are disjoint row sets, so size equality means the candidate
-  // is every matching row — exactly the argument RangeQuery makes for
-  // interior + boundary slices.
-  if (candidate.size() == out.raw_count) {
-    out.exact = true;
-    out.sample = std::move(candidate);
-    return out;
-  }
-  bool accepted = ctx.loss->UnionClosed();
-  std::vector<RowId> raw;
-  if (!accepted) {
-    if (ctx.loss->StateDependsOnReference()) {
-      TABULA_ASSIGN_OR_RETURN(raw, gather_raw());
-    }
-    TABULA_ASSIGN_OR_RETURN(
-        accepted, VerifyComposedSample(ctx, candidate, out.state, raw));
-  }
-  if (accepted) {
-    out.sample = std::move(candidate);
-    return out;
-  }
-  if (raw.empty()) {
-    TABULA_ASSIGN_OR_RETURN(raw, gather_raw());
-  }
-  GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-  TABULA_ASSIGN_OR_RETURN(out.sample,
-                          sampler.Sample(DatasetView(ctx.table, raw)));
-  out.resampled = true;
+  // Every slice is within θ: interior cells by construction, boundary
+  // rows exactly. The gather reuses the boundary rows filtered above.
+  TABULA_ASSIGN_OR_RETURN(
+      RestoredSample restored,
+      RestoreTheta(ctx, {std::move(candidate), &out.state, out.raw_count},
+                   [&]() -> Result<std::vector<RowId>> {
+                     return RangeRows(d, boundary_rows);
+                   }));
+  out.sample = std::move(restored.sample);
+  out.exact = restored.exact;
+  out.resampled = restored.redrawn;
   return out;
 }
 
 Result<std::vector<RowId>> SpatialGrid::GatherRangeRows(
     const Context& ctx, const ResolvedBBox& box) const {
+  Decomposition d = Decompose(box);
+  size_t scanned = 0;
+  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> boundary_rows,
+                          ScanBoundary(ctx, d, box, &scanned));
+  return RangeRows(d, boundary_rows);
+}
+
+Result<std::vector<RowId>> SpatialGrid::ScanBoundary(const Context& ctx,
+                                                     const Decomposition& d,
+                                                     const ResolvedBBox& box,
+                                                     size_t* scanned) const {
   TABULA_ASSIGN_OR_RETURN(auto cols,
                           ResolveSpatialColumns(*ctx.table, options_));
   const DoubleColumn* xc = cols.first;
   const DoubleColumn* yc = cols.second;
-  Decomposition d = Decompose(box);
   std::vector<RowId> rows;
-  uint32_t n = finest_dim();
-  for (const auto& [level, index] : d.interior) {
-    uint32_t dim = dim_at(level);
-    uint32_t scale = n / dim;
-    uint32_t ix = index % dim;
-    uint32_t iy = index / dim;
-    for (uint32_t fy = iy * scale; fy < (iy + 1) * scale; ++fy) {
-      for (uint32_t fx = ix * scale; fx < (ix + 1) * scale; ++fx) {
-        const std::vector<RowId>& rs = levels_.back()[fy * n + fx].rows;
-        rows.insert(rows.end(), rs.begin(), rs.end());
-      }
-    }
-  }
   for (uint32_t cell : d.boundary) {
     TABULA_FAULT_POINT("spatial.scan");
     for (RowId r : levels_.back()[cell].rows) {
       if (InBox(xc->At(r), yc->At(r), box)) rows.push_back(r);
     }
+    *scanned += levels_.back()[cell].rows.size();
   }
+  return rows;
+}
+
+std::vector<RowId> SpatialGrid::RangeRows(
+    const Decomposition& d, const std::vector<RowId>& boundary_rows) const {
+  std::vector<RowId> rows;
+  for (const auto& [level, index] : d.interior) {
+    AppendFinestRows(level, index, nullptr, &rows);
+  }
+  rows.insert(rows.end(), boundary_rows.begin(), boundary_rows.end());
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -562,101 +429,50 @@ Result<SpatialGrid::AppendDelta> SpatialGrid::PlanAppend(const Context& ctx,
   TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
                           ctx.loss->Bind(*ctx.table, ctx.ref));
   size_t L = levels_.size();
-  // Staged replacements per level, keyed by cell index.
-  std::vector<std::map<uint32_t, Cell>> staged(L);
+  StagedCells staged(L);
   for (const auto& [cell_id, new_rows] : touched) {
     Cell c = levels_.back()[cell_id];
-    bool was_exact = !c.rows.empty() && c.sample.size() == c.rows.size();
-    std::vector<RowId> old_sample = c.sample;
+    const bool was_exact = !c.rows.empty() && c.sample.size() == c.rows.size();
     for (RowId r : new_rows) bound->Accumulate(&c.state, r);
     c.rows.insert(c.rows.end(), new_rows.begin(), new_rows.end());
     c.row_count = static_cast<uint32_t>(c.rows.size());
-    if (c.rows.size() <= options_.exact_sample_cap) {
-      c.sample = c.rows;
-    } else if (old_sample.empty()) {
+    if (c.sample.empty() || c.rows.size() <= options_.exact_sample_cap) {
       TABULA_RETURN_NOT_OK(BuildCellSample(ctx, &c));
     } else {
-      // The old sample covers only the pre-append slice, so union
-      // closure cannot vouch for it — verify against the merged state
-      // (or the raw rows) and re-sample when θ no longer holds.
-      std::vector<RowId> candidate = was_exact ? c.rows : old_sample;
+      // The old sample covers only the pre-append slice and the appended
+      // rows contributed no piece, so union closure cannot vouch for it.
+      // A cell that was exact offers every row it now holds.
+      std::vector<RowId> candidate = std::move(c.sample);
+      if (was_exact) candidate = c.rows;
       TABULA_ASSIGN_OR_RETURN(
-          bool ok, VerifyComposedSample(ctx, candidate, c.state, c.rows));
-      if (ok) {
-        c.sample = std::move(candidate);
-      } else {
-        GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-        TABULA_ASSIGN_OR_RETURN(c.sample,
-                                sampler.Sample(DatasetView(ctx.table, c.rows)));
-        ++delta.resampled_cells;
-      }
+          RestoredSample restored,
+          RestoreTheta(ctx,
+                       {std::move(candidate), &c.state, c.rows.size(),
+                        /*pieces_valid=*/false},
+                       [&]() -> Result<std::vector<RowId>> { return c.rows; }));
+      c.sample = std::move(restored.sample);
+      if (restored.redrawn) ++delta.resampled_cells;
     }
     staged.back().emplace(cell_id, std::move(c));
   }
 
-  // Re-merge the touched ancestors bottom-up from (staged or live)
+  // Re-compose the touched ancestors bottom-up from (staged or live)
   // children.
   for (size_t l = L - 1; l-- > 0;) {
     uint32_t dim = dim_at(l);
     uint32_t cdim = dim_at(l + 1);
-    std::map<uint32_t, Cell>& out_level = staged[l];
     for (const auto& [child_id, unused] : staged[l + 1]) {
       (void)unused;
       uint32_t cix = child_id % cdim;
       uint32_t ciy = child_id / cdim;
       uint32_t parent = (ciy / 2) * dim + (cix / 2);
-      if (out_level.count(parent) > 0) continue;
+      if (staged[l].count(parent) > 0) continue;
       Cell cell;
-      std::vector<RowId> candidate;
-      bool children_exact = true;
-      for (uint32_t dy = 0; dy < 2; ++dy) {
-        for (uint32_t dx = 0; dx < 2; ++dx) {
-          uint32_t cid = ((parent / dim) * 2 + dy) * cdim +
-                         ((parent % dim) * 2 + dx);
-          auto it = staged[l + 1].find(cid);
-          const Cell& ch =
-              it != staged[l + 1].end() ? it->second : levels_[l + 1][cid];
-          cell.state.Merge(ch.state);
-          cell.row_count += ch.row_count;
-          candidate.insert(candidate.end(), ch.sample.begin(),
-                           ch.sample.end());
-          if (ch.sample.size() != ch.row_count) children_exact = false;
-        }
-      }
-      if (cell.row_count > 0) {
-        bool accepted = children_exact || ctx.loss->UnionClosed();
-        std::vector<RowId> raw;
-        auto gather_raw = [&]() {
-          raw = CellRawRows(static_cast<uint32_t>(l), parent);
-          for (const auto& [cell_id, new_rows] : touched) {
-            uint32_t fx = cell_id % finest_dim();
-            uint32_t fy = cell_id / finest_dim();
-            uint32_t scale = finest_dim() / dim;
-            if (fx / scale == parent % dim && fy / scale == parent / dim) {
-              raw.insert(raw.end(), new_rows.begin(), new_rows.end());
-            }
-          }
-          std::sort(raw.begin(), raw.end());
-        };
-        if (!accepted) {
-          if (ctx.loss->StateDependsOnReference()) gather_raw();
-          TABULA_ASSIGN_OR_RETURN(
-              accepted, VerifyComposedSample(ctx, candidate, cell.state, raw));
-        }
-        bool thin = options_.resample_cap > 0 &&
-                    candidate.size() > options_.resample_cap &&
-                    candidate.size() < cell.row_count;
-        if (!accepted || thin) {
-          if (raw.empty()) gather_raw();
-          GreedySampler sampler(ctx.loss, ctx.threshold, ctx.sampler);
-          TABULA_ASSIGN_OR_RETURN(cell.sample,
-                                  sampler.Sample(DatasetView(ctx.table, raw)));
-          ++delta.resampled_cells;
-        } else {
-          cell.sample = std::move(candidate);
-        }
-      }
-      out_level.emplace(parent, std::move(cell));
+      TABULA_ASSIGN_OR_RETURN(bool redrawn,
+                              ComposeParent(ctx, static_cast<uint32_t>(l),
+                                            parent, &staged, &cell));
+      if (redrawn) ++delta.resampled_cells;
+      staged[l].emplace(parent, std::move(cell));
     }
   }
 
@@ -739,69 +555,73 @@ Result<SpatialGrid> SpatialGrid::DecodeFrom(BufferReader* in) {
   return g;
 }
 
-Status SpatialGrid::RebuildTransient(const Context& ctx,
-                                     const std::vector<RowId>* rows) {
-  if (!present()) return Status::OK();
+Status SpatialGrid::SetDataExtrema(const Context& ctx,
+                                   const std::vector<RowId>* rows) {
   TABULA_ASSIGN_OR_RETURN(auto cols,
                           ResolveSpatialColumns(*ctx.table, options_));
-  const DoubleColumn* xc = cols.first;
-  const DoubleColumn* yc = cols.second;
-  size_t n_rows = rows != nullptr ? rows->size() : ctx.table->num_rows();
-  auto row_at = [&](size_t i) {
-    return rows != nullptr ? (*rows)[i] : static_cast<RowId>(i);
-  };
+  data_min_x_ = kInf;
+  data_max_x_ = -kInf;
+  data_min_y_ = kInf;
+  data_max_y_ = -kInf;
+  const size_t n_rows = rows != nullptr ? rows->size() : ctx.table->num_rows();
+  for (size_t i = 0; i < n_rows; ++i) {
+    const RowId r = rows != nullptr ? (*rows)[i] : static_cast<RowId>(i);
+    data_min_x_ = std::min(data_min_x_, cols.first->At(r));
+    data_max_x_ = std::max(data_max_x_, cols.first->At(r));
+    data_min_y_ = std::min(data_min_y_, cols.second->At(r));
+    data_max_y_ = std::max(data_max_y_, cols.second->At(r));
+  }
+  return Status::OK();
+}
 
+Status SpatialGrid::IndexRows(const Context& ctx,
+                              const std::vector<RowId>* rows) {
+  TABULA_ASSIGN_OR_RETURN(auto cols,
+                          ResolveSpatialColumns(*ctx.table, options_));
   for (auto& level : levels_) {
     for (Cell& c : level) {
       c.rows.clear();
       c.state = LossState{};
     }
   }
-  data_min_x_ = kInf;
-  data_max_x_ = -kInf;
-  data_min_y_ = kInf;
-  data_max_y_ = -kInf;
+  // Assignment in ascending row order keeps every cell's row list
+  // ascending (callers pass ascending `rows`).
   std::vector<Cell>& finest = levels_.back();
+  const size_t n_rows = rows != nullptr ? rows->size() : ctx.table->num_rows();
   for (size_t i = 0; i < n_rows; ++i) {
-    RowId r = row_at(i);
-    double x = xc->At(r);
-    double y = yc->At(r);
-    data_min_x_ = std::min(data_min_x_, x);
-    data_max_x_ = std::max(data_max_x_, x);
-    data_min_y_ = std::min(data_min_y_, y);
-    data_max_y_ = std::max(data_max_y_, y);
-    finest[FinestCellFor(x, y)].rows.push_back(r);
+    const RowId r = rows != nullptr ? (*rows)[i] : static_cast<RowId>(i);
+    const uint32_t cell = FinestCellFor(cols.first->At(r), cols.second->At(r));
+    finest[cell].rows.push_back(r);
   }
-
   TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
                           ctx.loss->Bind(*ctx.table, ctx.ref));
   for (Cell& c : finest) {
+    for (RowId r : c.rows) bound->Accumulate(&c.state, r);
+  }
+  return Status::OK();
+}
+
+Status SpatialGrid::RebuildTransient(const Context& ctx,
+                                     const std::vector<RowId>* rows) {
+  if (!present()) return Status::OK();
+  TABULA_RETURN_NOT_OK(SetDataExtrema(ctx, rows));
+  TABULA_RETURN_NOT_OK(IndexRows(ctx, rows));
+  for (const Cell& c : levels_.back()) {
     if (c.rows.size() != c.row_count) {
       return Status::DataLoss(
           "spatial grid row counts do not match the table (grid/table "
           "mismatch after load)");
     }
-    for (RowId r : c.rows) bound->Accumulate(&c.state, r);
   }
   for (size_t l = levels_.size() - 1; l-- > 0;) {
-    uint32_t dim = dim_at(l);
-    uint32_t cdim = dim_at(l + 1);
-    for (uint32_t iy = 0; iy < dim; ++iy) {
-      for (uint32_t ix = 0; ix < dim; ++ix) {
-        Cell& cell = levels_[l][iy * dim + ix];
-        uint32_t count = 0;
-        for (uint32_t dy = 0; dy < 2; ++dy) {
-          for (uint32_t dx = 0; dx < 2; ++dx) {
-            const Cell& ch =
-                levels_[l + 1][(2 * iy + dy) * cdim + (2 * ix + dx)];
-            cell.state.Merge(ch.state);
-            count += ch.row_count;
-          }
-        }
-        if (count != cell.row_count) {
-          return Status::DataLoss("spatial grid level roll-up mismatch");
-        }
+    for (uint32_t index = 0; index < levels_[l].size(); ++index) {
+      Cell folded;
+      FoldChildren(static_cast<uint32_t>(l), index, nullptr, &folded);
+      Cell& cell = levels_[l][index];
+      if (folded.row_count != cell.row_count) {
+        return Status::DataLoss("spatial grid level roll-up mismatch");
       }
+      cell.state = std::move(folded.state);
     }
   }
   return Status::OK();

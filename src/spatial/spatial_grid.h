@@ -2,7 +2,7 @@
 #define TABULA_SPATIAL_SPATIAL_GRID_H_
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -12,7 +12,7 @@
 #include "common/status.h"
 #include "core/query_request.h"
 #include "loss/loss_function.h"
-#include "sampling/greedy_sampler.h"
+#include "sampling/theta_restore.h"
 #include "storage/table.h"
 
 namespace tabula {
@@ -49,9 +49,10 @@ struct SpatialGridOptions {
 /// spatial analogue of the cube's `finest_rows_` index). A bbox query
 /// decomposes into interior cells (answered from materialized samples /
 /// merged states) and boundary finest cells (answered by targeted
-/// re-filter scans), and the composed answer's θ bound is restored with
-/// the same union-closure / exact-state / re-sample ladder the shard
-/// merge uses (src/shard/sharded_tabula.cc).
+/// re-filter scans), and every composed sample — a coarse cell, a grown
+/// finest cell, a bbox answer — has its θ bound restored by RestoreTheta
+/// (src/sampling/theta_restore.h), whose check and re-draw the shard
+/// merge uses too.
 ///
 /// The grid is a plain value: copyable (shards embed one by value),
 /// default-constructed means "absent". All operations take the base
@@ -68,16 +69,9 @@ class SpatialGrid {
     uint32_t row_count = 0;
   };
 
-  /// Loss machinery threaded through build / append / query calls.
-  struct Context {
-    const Table* table = nullptr;
-    const LossFunction* loss = nullptr;
-    double threshold = 0.0;
-    GreedySamplerOptions sampler;
-    /// Reference sample states are bound against (the engine's global
-    /// sample); only read by reference-dependent losses.
-    DatasetView ref;
-  };
+  /// Loss machinery threaded through build / append / query calls;
+  /// cell and boundary states accumulate against `ref`.
+  using Context = ThetaContext;
 
   /// Inclusive, fully resolved bbox. Unconstrained sides are ±infinity.
   struct ResolvedBBox {
@@ -161,16 +155,6 @@ class SpatialGrid {
   /// Deterministic interior/boundary decomposition of `box`.
   Decomposition Decompose(const ResolvedBBox& box) const;
 
-  /// Composes per-slice answers over DISJOINT row slices (one per shard
-  /// in the scatter-gather path) into one θ-valid answer, running the
-  /// same union-closure / exact-state / re-sample ladder RangeQuery
-  /// applies to cells. `gather_raw` materializes every matching raw row
-  /// ascending; it is invoked only when verification or re-sampling
-  /// needs the rows.
-  static Result<RangeAnswer> ComposePartials(
-      const Context& ctx, std::vector<RangeAnswer> partials,
-      const std::function<Result<std::vector<RowId>>()>& gather_raw);
-
   /// Composes the θ-valid answer for `box`. Carries the `spatial.plan`
   /// and `spatial.scan` fault seams; a failure leaves no trace (const).
   Result<RangeAnswer> RangeQuery(const Context& ctx,
@@ -217,17 +201,53 @@ class SpatialGrid {
   /// Index of `v` along one axis at the finest level (clamped).
   uint32_t AxisIndex(double v, double lo, double inv_width) const;
 
-  /// Raw rows of a cell at any level: concatenation of its descendant
-  /// finest cells' row lists, sorted ascending.
-  std::vector<RowId> CellRawRows(uint32_t level, uint32_t index) const;
+  /// Replacement cells PlanAppend stages per level, keyed by index.
+  using StagedCells = std::vector<std::map<uint32_t, Cell>>;
 
-  /// Verify-or-resample ladder shared by build, append, and compose.
-  /// Returns true when `sample` (already within per-slice θ) is accepted
-  /// for the slice union summarized by `state` / `raw_rows`.
-  static Result<bool> VerifyComposedSample(const Context& ctx,
-                                           const std::vector<RowId>& sample,
-                                           const LossState& state,
-                                           const std::vector<RowId>& raw_rows);
+  /// Cell (level, index) as `staged` replaces it (nullptr → live).
+  const Cell& CellAt(uint32_t level, uint32_t index,
+                     const StagedCells* staged) const;
+
+  /// Appends the row lists of every finest cell under cell (level,
+  /// index), as `staged` has them, in finest-cell order (unsorted).
+  void AppendFinestRows(uint32_t level, uint32_t index,
+                        const StagedCells* staged,
+                        std::vector<RowId>* out) const;
+
+  /// The rows of `d`'s boundary cells inside `box`, firing the
+  /// `spatial.scan` seam once per cell; `*scanned` counts the rows read.
+  Result<std::vector<RowId>> ScanBoundary(const Context& ctx,
+                                          const Decomposition& d,
+                                          const ResolvedBBox& box,
+                                          size_t* scanned) const;
+
+  /// Every row of `d`'s box, ascending: the interior cells' rows plus
+  /// `boundary_rows`, the boundary cells' rows ScanBoundary kept.
+  std::vector<RowId> RangeRows(const Decomposition& d,
+                               const std::vector<RowId>& boundary_rows) const;
+
+  /// Sets the data extrema to those of `rows` (nullptr → every row of
+  /// ctx.table; ±infinity when there are none).
+  Status SetDataExtrema(const Context& ctx, const std::vector<RowId>* rows);
+
+  /// Resets every cell's rows and state, assigns `rows` (as above;
+  /// ascending) to finest cells, and accumulates each finest cell's
+  /// state against ctx.ref.
+  Status IndexRows(const Context& ctx, const std::vector<RowId>* rows);
+
+  /// The fold from four children to their parent: the children of cell
+  /// (level, index), as `staged` has them, merge their states and sum
+  /// their row counts into `parent`; returns their samples concatenated
+  /// in (dy, dx) order.
+  std::vector<RowId> FoldChildren(uint32_t level, uint32_t index,
+                                  const StagedCells* staged,
+                                  Cell* parent) const;
+
+  /// FoldChildren, then θ restored on the children's union under the
+  /// thin cap. True when the sample was re-drawn.
+  Result<bool> ComposeParent(const Context& ctx, uint32_t level,
+                             uint32_t index, const StagedCells* staged,
+                             Cell* parent) const;
 
   Status BuildCellSample(const Context& ctx, Cell* cell) const;
 

@@ -7,8 +7,8 @@
 ///    in-process answer row for row, flags included;
 ///  - torn frames / garbage bytes close the connection after a kError
 ///    best-effort reply (no resync marker — the stream is dead);
-///  - version negotiation: overlap → highest common version, disjoint
-///    ranges → refusal;
+///  - one wire and codec version: any other is kDataLoss naming it, and
+///    the Hello is acked only when the client's range includes it;
 ///  - fault-seam matrix over net.accept / net.read / net.write: a
 ///    single injected transport failure is absorbed by the client's
 ///    reconnect-and-retry; the answer still arrives;
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,23 +123,40 @@ TEST(WireCodecTest, QueryRequestCodecRoundTrips) {
   EXPECT_EQ(decoded->parent_span, 0u);
 }
 
-TEST(WireCodecTest, QueryRequestRangeRoundTripsAndStaysV1WhenAbsent) {
-  // Range-free requests must encode as codec v1 byte-for-byte so v1
-  // peers interoperate; the version field is the first u32.
+/// The u32 codec version every record starts with.
+uint32_t RecordVersion(const BufferWriter& w) {
+  BufferReader peek(w.data(), w.size());
+  auto version = peek.ReadU32();
+  EXPECT_TRUE(version.ok());
+  return version.ok() ? version.value() : 0;
+}
+
+/// `w`'s bytes with the leading codec version replaced by `version`.
+std::string WithRecordVersion(const BufferWriter& w, uint32_t version) {
+  std::string bytes(w.data(), w.size());
+  std::memcpy(bytes.data(), &version, sizeof(version));
+  return bytes;
+}
+
+TEST(WireCodecTest, EveryRecordCarriesVersion3AndRoundTrips) {
+  // A range-free request carries the full v3 record (an empty range).
   QueryRequest plain;
   plain.where = {{"a", CompareOp::kEq, Value("x")}};
   BufferWriter w1;
   EncodeQueryRequest(plain, &w1);
-  BufferReader peek(w1.data(), w1.size());
-  auto version = peek.ReadU32();
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 1u);
+  EXPECT_EQ(RecordVersion(w1), 3u);
+  BufferReader r1(w1.data(), w1.size());
+  auto plain_back = DecodeQueryRequest(&r1);
+  ASSERT_TRUE(plain_back.ok()) << plain_back.status().ToString();
+  EXPECT_TRUE(plain_back->range.empty());
+  EXPECT_TRUE(r1.exhausted());
 
   QueryRequest ranged;
   ranged.where = {{"a", CompareOp::kEq, Value("x")}};
   ranged.range.bounds = {{"pickup_x", 0.25, 0.75}, {"", -1.5, 2.5}};
   BufferWriter w2;
   EncodeQueryRequest(ranged, &w2);
+  EXPECT_EQ(RecordVersion(w2), 3u);
   BufferReader r(w2.data(), w2.size());
   auto decoded = DecodeQueryRequest(&r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -151,6 +169,71 @@ TEST(WireCodecTest, QueryRequestRangeRoundTripsAndStaysV1WhenAbsent) {
   EXPECT_EQ(decoded->range.bounds[1].hi, 2.5);
   ASSERT_EQ(decoded->where.size(), 1u);
   EXPECT_EQ(decoded->where[0].column, "a");
+
+  // Answers carry the store-degradation flag whether or not it is set,
+  // and an empty row list decodes cleanly.
+  for (bool store_degraded : {false, true}) {
+    auto result = std::make_shared<TabulaQueryResult>();
+    result->store_degraded = store_degraded;
+    result->generation = 7;
+    ServeAnswer answer;
+    answer.result = result;
+    answer.cache_hit = true;
+    BufferWriter w;
+    EncodeServeAnswer(answer, &w);
+    EXPECT_EQ(RecordVersion(w), 3u);
+    BufferReader ar(w.data(), w.size());
+    auto back = DecodeServeAnswer(&ar, nullptr);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_NE(back->result, nullptr);
+    EXPECT_EQ(back->result->store_degraded, store_degraded);
+    EXPECT_EQ(back->result->generation, 7u);
+    EXPECT_TRUE(back->result->sample.ToRowIds().empty());
+    EXPECT_TRUE(back->cache_hit);
+    EXPECT_TRUE(ar.exhausted());
+  }
+}
+
+TEST(WireCodecTest, OldAndNextCodecVersionsAreDataLoss) {
+  QueryRequest request;
+  request.where = {{"a", CompareOp::kEq, Value("x")}};
+  BufferWriter rw;
+  EncodeQueryRequest(request, &rw);
+  ServeAnswer answer;
+  answer.result = std::make_shared<TabulaQueryResult>();
+  BufferWriter aw;
+  EncodeServeAnswer(answer, &aw);
+
+  for (uint32_t version : {kQueryCodecVersion - 1u, kQueryCodecVersion + 1u}) {
+    const std::string want = "codec version " + std::to_string(version);
+    std::string req_bytes = WithRecordVersion(rw, version);
+    BufferReader rr(req_bytes);
+    Status req_status = DecodeQueryRequest(&rr).status();
+    EXPECT_EQ(req_status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(req_status.message().find(want), std::string::npos)
+        << req_status.ToString();
+
+    std::string ans_bytes = WithRecordVersion(aw, version);
+    BufferReader ar(ans_bytes);
+    Status ans_status = DecodeServeAnswer(&ar, nullptr).status();
+    EXPECT_EQ(ans_status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(ans_status.message().find(want), std::string::npos)
+        << ans_status.ToString();
+  }
+}
+
+TEST(WireCodecTest, OldAndNextFrameVersionsAreDataLoss) {
+  const std::string frame = EncodeFrame(FrameType::kQuery, 3, "payload");
+  for (uint16_t version : {static_cast<uint16_t>(kWireVersion - 1),
+                           static_cast<uint16_t>(kWireVersion + 1)}) {
+    std::string bytes = frame;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    Status status = DecodeFrameHeader(bytes.data(), kFrameHeaderBytes).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+    EXPECT_NE(status.message().find("wire version " + std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -249,7 +332,8 @@ TEST(NetLoopbackTest, QueryOverSocketEqualsInProcessAnswer) {
     EXPECT_EQ(wire->result->generation, in_proc->result->generation);
     EXPECT_TRUE(wire->result->unavailable_shards.empty());
   }
-  EXPECT_EQ(client.negotiated_version(), kWireVersion);
+  // Every pooled connection opened with the Hello check.
+  EXPECT_GE(fx.net->metrics().counter("net_frames_Hello").value(), 1u);
 }
 
 TEST(NetLoopbackTest, RangeQueryOverSocketEqualsInProcessAnswer) {
@@ -286,7 +370,7 @@ TEST(NetLoopbackTest, RangeQueryOverSocketEqualsInProcessAnswer) {
   bad.range.bounds = {{"value", 0.0, 1.0}};
   auto refused = client.Query(bad);
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(client.negotiated_version(), kWireVersion);
+  EXPECT_GE(fx.net->metrics().counter("net_frames_Hello").value(), 1u);
 }
 
 TEST(NetLoopbackTest, BatchQueryOverSocketEqualsInProcess) {
@@ -441,7 +525,8 @@ TEST(NetLoopbackTest, OverlappingVersionRangeNegotiatesHighestCommon) {
   ASSERT_TRUE(fd.ok());
   OwnedFd conn(fd.value());
 
-  std::string hello = EncodeHelloPayload(kWireMinVersion, kWireVersion + 7);
+  // A range around the server's one version is acked with that version.
+  std::string hello = EncodeHelloPayload(kWireVersion - 1, kWireVersion + 7);
   ASSERT_TRUE(
       WriteFrame(conn.get(), FrameType::kHello, 1, hello, 2000.0).ok());
   auto reply = ReadFrame(conn.get(), 2000.0);
@@ -449,7 +534,7 @@ TEST(NetLoopbackTest, OverlappingVersionRangeNegotiatesHighestCommon) {
   ASSERT_EQ(reply->type, FrameType::kHelloAck);
   auto ack = DecodeHelloAckPayload(reply->payload);
   ASSERT_TRUE(ack.ok());
-  EXPECT_EQ(ack->first, kWireVersion);  // not the client's max
+  EXPECT_EQ(ack->first, kWireVersion);  // not the client's max or min
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -9,6 +10,7 @@
 #include "sampling/greedy_sampler.h"
 #include "sampling/random_sampler.h"
 #include "sampling/stratified_sampler.h"
+#include "sampling/theta_restore.h"
 #include "storage/table.h"
 
 namespace tabula {
@@ -299,6 +301,239 @@ TEST(StratifiedSamplerTest, FindByKey) {
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->population, s0.population);
   EXPECT_EQ(sample->Find(0xDEADBEEFull), nullptr);
+}
+
+// ---------------------------------------------------------------------
+// RestoreTheta: the ladder's decisions and how lazily it reads raw rows.
+// ---------------------------------------------------------------------
+
+/// Delegates to `inner`, counting the calls the ladder's cost argument
+/// is about: binds of a candidate and direct loss evaluations.
+class CountingLoss final : public LossFunction {
+ public:
+  explicit CountingLoss(const LossFunction* inner) : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  Result<std::unique_ptr<BoundLoss>> Bind(
+      const Table& table, const DatasetView& ref) const override {
+    ++binds;
+    return inner_->Bind(table, ref);
+  }
+  Result<double> Loss(const DatasetView& raw,
+                      const DatasetView& sample) const override {
+    ++loss_evals;
+    return inner_->Loss(raw, sample);
+  }
+  Result<std::unique_ptr<GreedyLossEvaluator>> MakeGreedyEvaluator(
+      const DatasetView& raw) const override {
+    return inner_->MakeGreedyEvaluator(raw);
+  }
+  bool SubmodularGain() const override { return inner_->SubmodularGain(); }
+  bool UnionClosed() const override { return inner_->UnionClosed(); }
+  bool StateDependsOnReference() const override {
+    return inner_->StateDependsOnReference();
+  }
+  std::vector<std::string> InputColumns() const override {
+    return inner_->InputColumns();
+  }
+
+  mutable int binds = 0;
+  mutable int loss_evals = 0;
+
+ private:
+  const LossFunction* inner_;
+};
+
+constexpr uint64_t kBuildSeed = 77;
+
+/// Rows of `table` split into three disjoint slices (ascending each),
+/// plus everything a caller of RestoreTheta holds for their union.
+struct ThetaFixture {
+  std::unique_ptr<Table> table;
+  std::unique_ptr<LossFunction> inner;
+  std::unique_ptr<CountingLoss> loss;
+  ThetaContext ctx;
+  std::vector<std::vector<RowId>> slices;
+  std::vector<RowId> all_rows;  ///< ascending
+  LossState state;              ///< folded over all_rows
+  int gathers = 0;
+
+  ThetaFixture(std::unique_ptr<LossFunction> loss_fn, double theta,
+               bool split_by_x) {
+    table = NumericTable(900, 5);
+    inner = std::move(loss_fn);
+    loss = std::make_unique<CountingLoss>(inner.get());
+    ctx.table = table.get();
+    ctx.loss = loss.get();
+    ctx.threshold = theta;
+    ctx.sampler.seed = kBuildSeed;
+    ctx.ref = DatasetView(table.get(), std::vector<RowId>{0, 1, 2, 3});
+    const DoubleColumn* x =
+        table->ColumnByName("x").value()->As<DoubleColumn>();
+    slices.resize(3);
+    for (RowId r = 0; r < table->num_rows(); ++r) {
+      size_t s = split_by_x ? std::min<size_t>(2, x->At(r) * 3) : r % 3;
+      slices[s].push_back(r);
+      all_rows.push_back(r);
+    }
+    auto bound = inner->Bind(*table, ctx.ref);
+    EXPECT_TRUE(bound.ok());
+    for (RowId r : all_rows) bound.value()->Accumulate(&state, r);
+  }
+
+  /// Slice `s`'s own θ-valid piece, drawn like a build would.
+  std::vector<RowId> Piece(size_t s) const {
+    auto piece = Redraw(ctx, DatasetView(table.get(), slices[s]));
+    EXPECT_TRUE(piece.ok());
+    return piece.value();
+  }
+
+  RawRowSource Gather() {
+    return [this]() -> Result<std::vector<RowId>> {
+      ++gathers;
+      return all_rows;
+    };
+  }
+
+  /// What every re-draw must equal: Algorithm 1 with the build seed
+  /// over the ascending raw rows.
+  std::vector<RowId> ExpectedRedraw() const {
+    GreedySamplerOptions opts;
+    opts.seed = kBuildSeed;
+    auto want = GreedySampler(inner.get(), ctx.threshold, opts)
+                    .Sample(DatasetView(table.get(), all_rows));
+    EXPECT_TRUE(want.ok());
+    return want.value();
+  }
+
+  void ResetCounts() {
+    gathers = 0;
+    loss->binds = 0;
+    loss->loss_evals = 0;
+  }
+};
+
+TEST(RestoreThetaTest, ExactCandidateNeedsNoGatherAndNoBind) {
+  ThetaFixture f(std::make_unique<MeanLoss>("v"), 0.01, false);
+  std::vector<RowId> candidate;
+  for (const auto& slice : f.slices) {
+    candidate.insert(candidate.end(), slice.begin(), slice.end());
+  }
+  const std::vector<RowId> want = candidate;
+  f.ResetCounts();
+  auto got = RestoreTheta(
+      f.ctx, {candidate, &f.state, f.all_rows.size()}, f.Gather());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->exact);
+  EXPECT_FALSE(got->redrawn);
+  EXPECT_EQ(got->sample, want);
+  EXPECT_EQ(f.gathers, 0);
+  EXPECT_EQ(f.loss->binds, 0);
+  EXPECT_EQ(f.loss->loss_evals, 0);
+}
+
+TEST(RestoreThetaTest, UnionClosedPiecesAreAcceptedWithoutGather) {
+  ThetaFixture f(MakeHeatmapLoss("x", "y"), 0.05, false);
+  std::vector<RowId> candidate;
+  for (size_t s = 0; s < f.slices.size(); ++s) {
+    std::vector<RowId> piece = f.Piece(s);
+    candidate.insert(candidate.end(), piece.begin(), piece.end());
+  }
+  ASSERT_LT(candidate.size(), f.all_rows.size());
+  const std::vector<RowId> want = candidate;
+  f.ResetCounts();
+  auto got = RestoreTheta(
+      f.ctx, {candidate, &f.state, f.all_rows.size()}, f.Gather());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got->exact);
+  EXPECT_FALSE(got->redrawn);
+  EXPECT_EQ(got->sample, want);
+  EXPECT_EQ(f.gathers, 0);
+  EXPECT_EQ(f.loss->binds, 0);
+  EXPECT_EQ(f.loss->loss_evals, 0);
+}
+
+TEST(RestoreThetaTest, ReferenceFreeStateDecidesAndGathersOnlyToRedraw) {
+  ThetaFixture f(std::make_unique<MeanLoss>("v"), 0.01, false);
+  ASSERT_FALSE(f.loss->UnionClosed());
+  ASSERT_FALSE(f.loss->StateDependsOnReference());
+
+  // A candidate within θ of the union: the merged state accepts it.
+  std::vector<RowId> good = f.ExpectedRedraw();
+  f.ResetCounts();
+  auto kept = RestoreTheta(f.ctx, {good, &f.state, f.all_rows.size()},
+                           f.Gather());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_FALSE(kept->redrawn);
+  EXPECT_EQ(kept->sample, good);
+  EXPECT_EQ(f.gathers, 0);
+  EXPECT_EQ(f.loss->binds, 1);
+  EXPECT_EQ(f.loss->loss_evals, 0);
+
+  // The five rows with the largest values: far off the union's mean, so
+  // the check fails and the ladder gathers once to re-draw.
+  std::vector<RowId> biased = f.all_rows;
+  const DoubleColumn* v = f.table->ColumnByName("v").value()->As<DoubleColumn>();
+  std::sort(biased.begin(), biased.end(),
+            [&](RowId a, RowId b) { return v->At(a) > v->At(b); });
+  biased.resize(5);
+  f.ResetCounts();
+  auto redrawn = RestoreTheta(f.ctx, {biased, &f.state, f.all_rows.size()},
+                              f.Gather());
+  ASSERT_TRUE(redrawn.ok()) << redrawn.status().ToString();
+  EXPECT_TRUE(redrawn->redrawn);
+  EXPECT_EQ(redrawn->sample, f.ExpectedRedraw());
+  EXPECT_EQ(f.gathers, 1);
+  EXPECT_EQ(f.loss->loss_evals, 0);
+}
+
+TEST(RestoreThetaTest, ReferenceDependentCheckGathersOnceAndRedrawReusesRows) {
+  // Slices split by x, and only the left slice offers a piece — what a
+  // grown finest cell offers: its old sample, nothing for the new rows.
+  ThetaFixture f(MakeHeatmapLoss("x", "y"), 0.05, /*split_by_x=*/true);
+  ASSERT_TRUE(f.loss->StateDependsOnReference());
+  std::vector<RowId> stale = f.Piece(0);
+  f.ResetCounts();
+  auto got = RestoreTheta(f.ctx,
+                          {stale, &f.state, f.all_rows.size(),
+                           /*pieces_valid=*/false},
+                          f.Gather());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->redrawn);
+  EXPECT_EQ(got->sample, f.ExpectedRedraw());
+  EXPECT_EQ(f.gathers, 1);
+  EXPECT_EQ(f.loss->loss_evals, 1);
+  EXPECT_EQ(f.loss->binds, 0);
+}
+
+TEST(RestoreThetaTest, CandidateAboveThinCapIsRedrawnEvenWhenAccepted) {
+  ThetaFixture f(MakeHeatmapLoss("x", "y"), 0.05, false);
+  std::vector<RowId> candidate;
+  for (size_t s = 0; s < f.slices.size(); ++s) {
+    std::vector<RowId> piece = f.Piece(s);
+    candidate.insert(candidate.end(), piece.begin(), piece.end());
+  }
+  const size_t cap = candidate.size() - 1;
+  f.ResetCounts();
+  auto got = RestoreTheta(f.ctx,
+                          {candidate, &f.state, f.all_rows.size(),
+                           /*pieces_valid=*/true, cap},
+                          f.Gather());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->redrawn);
+  EXPECT_EQ(got->sample, f.ExpectedRedraw());
+  EXPECT_LT(got->sample.size(), candidate.size());
+  EXPECT_EQ(f.gathers, 1);
+  EXPECT_EQ(f.loss->loss_evals, 0);
+
+  // At the cap itself the accepted union stands.
+  f.ResetCounts();
+  auto kept = RestoreTheta(f.ctx,
+                           {candidate, &f.state, f.all_rows.size(),
+                            /*pieces_valid=*/true, candidate.size()},
+                           f.Gather());
+  ASSERT_TRUE(kept.ok());
+  EXPECT_FALSE(kept->redrawn);
+  EXPECT_EQ(f.gathers, 0);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "net/client.h"
+#include "net/wire.h"
 #include "serve/query_server.h"
 #include "net_demo_common.h"
 
@@ -126,7 +127,7 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "ping failed: %s\n", ping.ToString().c_str());
       return 1;
     }
-    std::printf("pong (wire version %u)\n", client.negotiated_version());
+    std::printf("pong (wire version %u)\n", kWireVersion);
     return 0;
   }
 
