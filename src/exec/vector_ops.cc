@@ -1,5 +1,6 @@
 #include "exec/vector_ops.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -29,6 +30,19 @@ void MaskRollKeysScalar(const uint64_t* keys, size_t n, uint64_t keep,
   for (size_t i = 0; i < n; ++i) {
     out[i] = (keys[i] & keep) | set;
   }
+}
+
+double MinDistGainScalar(const double* xs, const double* ys,
+                         const double* cur_min, size_t n, double cx,
+                         double cy, bool manhattan, double gain) {
+  for (size_t i = 0; i < n; ++i) {
+    double dx = xs[i] - cx;
+    double dy = ys[i] - cy;
+    double d = manhattan ? std::abs(dx) + std::abs(dy)
+                         : std::sqrt(dx * dx + dy * dy);
+    if (d < cur_min[i]) gain += cur_min[i] - d;
+  }
+  return gain;
 }
 
 #if defined(TABULA_VEC_X86)
@@ -108,6 +122,39 @@ __attribute__((target("avx2"))) void MaskRollKeysAvx2(const uint64_t* keys,
   MaskRollKeysScalar(keys + i, n - i, keep, set, out + i);
 }
 
+/// target("avx2") enables AVX and AVX2 only, not FMA, so the separate
+/// mul and add below cannot be contracted: every lane rounds exactly as
+/// the scalar reference does.
+__attribute__((target("avx2"))) double MinDistGainAvx2(
+    const double* xs, const double* ys, const double* cur_min, size_t n,
+    double cx, double cy, bool manhattan, double gain) {
+  const __m256d cx_v = _mm256_set1_pd(cx);
+  const __m256d cy_v = _mm256_set1_pd(cy);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+  alignas(32) double terms[4];
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), cx_v);
+    __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), cy_v);
+    __m256d d =
+        manhattan
+            ? _mm256_add_pd(_mm256_and_pd(dx, abs_mask),
+                            _mm256_and_pd(dy, abs_mask))
+            : _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(dx, dx),
+                                           _mm256_mul_pd(dy, dy)));
+    __m256d cur = _mm256_loadu_pd(cur_min + i);
+    int gains = _mm256_movemask_pd(_mm256_cmp_pd(d, cur, _CMP_LT_OQ));
+    if (gains == 0) continue;
+    _mm256_store_pd(terms, _mm256_sub_pd(cur, d));
+    for (int lane = 0; lane < 4; ++lane) {
+      if (gains & (1 << lane)) gain += terms[lane];
+    }
+  }
+  return MinDistGainScalar(xs + i, ys + i, cur_min + i, n - i, cx, cy,
+                           manhattan, gain);
+}
+
 }  // namespace
 
 bool SimdEnabled() {
@@ -146,6 +193,15 @@ void MaskRollKeys(const uint64_t* keys, size_t n, uint64_t keep, uint64_t set,
   }
 }
 
+double MinDistGain(const double* xs, const double* ys, const double* cur_min,
+                   size_t n, double cx, double cy, bool manhattan,
+                   double gain) {
+  if (SimdEnabled() && n >= 4) {
+    return MinDistGainAvx2(xs, ys, cur_min, n, cx, cy, manhattan, gain);
+  }
+  return MinDistGainScalar(xs, ys, cur_min, n, cx, cy, manhattan, gain);
+}
+
 #else  // !TABULA_VEC_X86: scalar-only build (other ISAs / compilers).
 
 bool SimdEnabled() { return false; }
@@ -163,6 +219,12 @@ void OrShiftGatherU32(const uint32_t* codes, const RowId* rows, size_t n,
 void MaskRollKeys(const uint64_t* keys, size_t n, uint64_t keep, uint64_t set,
                   uint64_t* out) {
   MaskRollKeysScalar(keys, n, keep, set, out);
+}
+
+double MinDistGain(const double* xs, const double* ys, const double* cur_min,
+                   size_t n, double cx, double cy, bool manhattan,
+                   double gain) {
+  return MinDistGainScalar(xs, ys, cur_min, n, cx, cy, manhattan, gain);
 }
 
 #endif  // TABULA_VEC_X86

@@ -42,6 +42,19 @@ void OrShiftGatherU32(const uint32_t* codes, const RowId* rows, size_t n,
 void MaskRollKeys(const uint64_t* keys, size_t n, uint64_t keep,
                   uint64_t set, uint64_t* out);
 
+/// Facility-location gain of a candidate at (cx, cy) over n points stored
+/// as coordinate arrays `xs`, `ys` beside their current min-distances
+/// `cur_min` — the inner loop of the min-distance greedy evaluator.
+/// Returns `gain` plus cur_min[i] - d_i for every i with d_i < cur_min[i],
+/// added in ascending i, where d_i is the Euclidean distance (Manhattan
+/// when `manhattan`) from point i to the candidate, computed as
+/// Distance() computes it. Both paths return bit-identical sums: each
+/// lane does the same IEEE sub/mul/add/sqrt (no FMA), and the lanes'
+/// terms are added one by one in index order.
+double MinDistGain(const double* xs, const double* ys, const double* cur_min,
+                   size_t n, double cx, double cy, bool manhattan,
+                   double gain);
+
 /// Scalar reference implementations (always used when SimdEnabled() is
 /// false; exercised head-to-head by exec_vector_test).
 void OrShiftU32Scalar(const uint32_t* codes, size_t n, uint32_t shift,
@@ -50,6 +63,9 @@ void OrShiftGatherU32Scalar(const uint32_t* codes, const RowId* rows,
                             size_t n, uint32_t shift, uint64_t* out);
 void MaskRollKeysScalar(const uint64_t* keys, size_t n, uint64_t keep,
                         uint64_t set, uint64_t* out);
+double MinDistGainScalar(const double* xs, const double* ys,
+                         const double* cur_min, size_t n, double cx,
+                         double cy, bool manhattan, double gain);
 
 }  // namespace vec
 

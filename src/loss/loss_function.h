@@ -65,6 +65,17 @@ class BoundLoss {
   virtual ~BoundLoss() = default;
   virtual void Accumulate(LossState* state, RowId row) const = 0;
   virtual double Finalize(const LossState& state) const = 0;
+
+  /// A lower bound on Finalize() of a cell's full state, given `prefix`,
+  /// the state accumulated over some of its `total_rows` rows. A caller
+  /// that only asks whether the loss is within θ can stop accumulating
+  /// once this exceeds θ. The default knows no bound.
+  virtual double FinalLossLowerBound(const LossState& prefix,
+                                     uint64_t total_rows) const {
+    (void)prefix;
+    (void)total_rows;
+    return -std::numeric_limits<double>::infinity();
+  }
 };
 
 /// \brief Incremental evaluator driving Algorithm 1 over one cell.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/vector_ops.h"
+
 namespace tabula {
 
 namespace {
@@ -27,11 +29,23 @@ class MinDistBoundLoss final : public BoundLoss {
     return state.ref_dist_sum / state.num.count;
   }
 
+  /// Every row adds a non-negative distance, so a prefix's sum never
+  /// exceeds the full sum, nor does it divided by the full row count.
+  double FinalLossLowerBound(const LossState& prefix,
+                             uint64_t total_rows) const override {
+    if (total_rows == 0) return 0.0;
+    return prefix.ref_dist_sum / static_cast<double>(total_rows);
+  }
+
  private:
   const DoubleColumn* x_col_;
   const DoubleColumn* y_col_;
   std::unique_ptr<PointGrid> ref_index_;
 };
+
+/// Cells per run. The evaluator keeps each run's largest cell bound, so
+/// a walk can pass over a whole run of well-covered cells in one test.
+constexpr int kRunCells = 8;
 
 /// Incremental facility-location evaluator with a spatial-grid pruning
 /// index: a candidate c can only improve raw tuples whose current
@@ -40,6 +54,13 @@ class MinDistBoundLoss final : public BoundLoss {
 /// that (monotonically shrinking) radius of the candidate. Early rounds
 /// touch everything; once the sample covers the cell, each round touches
 /// a tiny neighborhood — the difference between O(k·N) and ~O(N) total.
+///
+/// Points are stored cell by cell in row-major cell order (ascending raw
+/// index inside a cell) as x, y and current-min-distance arrays, so a
+/// cell is a [begin, end) range the gain kernel (vec::MinDistGain) scans
+/// contiguously. A gain is the sum of the same terms, in the same order,
+/// as a walk testing every cell of the window: the run skip and the flat
+/// first pass leave out only cells that walk's per-cell test skips.
 class MinDistGreedyEvaluator final : public GreedyLossEvaluator {
  public:
   MinDistGreedyEvaluator(std::vector<Point> raw_points, DistanceMetric metric)
@@ -55,28 +76,69 @@ class MinDistGreedyEvaluator final : public GreedyLossEvaluator {
       max_x = std::max(max_x, p.x);
       max_y = std::max(max_y, p.y);
     }
+    const size_t n = points_.size();
     double diag = points_.empty()
                       ? 1.0
                       : (max_x - min_x_) + (max_y - min_y_) + 1.0;
-    cur_min_.assign(points_.size(), diag);
-    cur_sum_ = diag * static_cast<double>(points_.size());
+    cur_sum_ = diag * static_cast<double>(n);
     radius_bound_ = diag;
 
     // Uniform grid over the bounding box (~1 point/cell, clamped).
-    int target =
-        static_cast<int>(std::sqrt(static_cast<double>(points_.size())));
+    int target = static_cast<int>(std::sqrt(static_cast<double>(n)));
     nx_ = ny_ = std::clamp(target, 1, 512);
     double w = max_x - min_x_;
     double h = max_y - min_y_;
     cell_w_ = w > 0 ? w / nx_ : 1.0;
     cell_h_ = h > 0 ? h / ny_ : 1.0;
+    runs_per_row_ = (nx_ + kRunCells - 1) / kRunCells;
+
+    // Counting sort into cells; stable, so a cell's points stay in
+    // ascending raw index. `end` serves as the fill cursor.
     cells_.resize(static_cast<size_t>(nx_) * ny_);
-    for (uint32_t i = 0; i < points_.size(); ++i) {
-      cells_[CellOf(points_[i])].points.push_back(i);
+    std::vector<uint32_t> cell_of(n);
+    for (size_t i = 0; i < n; ++i) {
+      cell_of[i] = static_cast<uint32_t>(CellOf(points_[i]));
+      ++cells_[cell_of[i]].end;
     }
+    uint32_t begin = 0;
     for (auto& cell : cells_) {
-      cell.bound = cell.points.empty() ? 0.0 : diag;
+      uint32_t count = cell.end;
+      cell.begin = cell.end = begin;
+      begin += count;
     }
+    xs_.resize(n);
+    ys_.resize(n);
+    cur_min_.assign(n, diag);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t slot = cells_[cell_of[i]].end++;
+      xs_[slot] = points_[i].x;
+      ys_[slot] = points_[i].y;
+    }
+    run_bound_.assign(static_cast<size_t>(ny_) * runs_per_row_, 0.0);
+    for (int cy = 0; cy < ny_; ++cy) {
+      for (int cx = 0; cx < nx_; ++cx) {
+        GridCell& cell = cells_[static_cast<size_t>(cy) * nx_ + cx];
+        cell.bound = cell.begin == cell.end ? 0.0 : diag;
+        double& run = run_bound_[RunOf(cx, cy)];
+        run = std::max(run, cell.bound);
+      }
+    }
+
+    // Before the first Add every non-empty cell's bound is diag, which
+    // exceeds any distance inside the box, so the walk visits every
+    // non-empty cell. The window edges and a cell's distance to the
+    // candidate are monotone in the candidate's coordinates, so the box's
+    // extreme coordinates confirm it for every candidate at once; only
+    // coordinates so far from zero that rounding swallows diag fail it.
+    auto axis_covered = [&](double lo, double hi, double width, int cells) {
+      return WindowLo(hi, diag, lo, width, cells) == 0 &&
+             WindowHi(lo, diag, lo, width, cells) == cells - 1 &&
+             std::max(SpanGap(lo, lo, width, cells - 1, cells - 1),
+                      SpanGap(hi, lo, width, 0, 0)) < diag;
+    };
+    first_walk_visits_all_ = !points_.empty() &&
+                             axis_covered(min_x_, max_x, cell_w_, nx_) &&
+                             axis_covered(min_y_, max_y, cell_h_, ny_);
   }
 
   double CurrentLoss() const override {
@@ -91,23 +153,40 @@ class MinDistGreedyEvaluator final : public GreedyLossEvaluator {
 
   double LossWithCandidate(size_t candidate) const override {
     const Point& c = points_[candidate];
+    const bool manhattan = metric_ == DistanceMetric::kManhattan;
+    auto gain_over = [&](uint32_t begin, uint32_t end, double gain) {
+      return vec::MinDistGain(xs_.data() + begin, ys_.data() + begin,
+                              cur_min_.data() + begin, end - begin, c.x, c.y,
+                              manhattan, gain);
+    };
     double gain = 0.0;
-    VisitNeighborhood(c, [&](const GridCell& cell) {
-      for (uint32_t i : cell.points) {
-        double d = Distance(metric_, points_[i], c);
-        if (d < cur_min_[i]) gain += cur_min_[i] - d;
-      }
-    });
+    if (chosen_count_ == 0 && first_walk_visits_all_) {
+      gain = gain_over(0, static_cast<uint32_t>(xs_.size()), gain);
+    } else {
+      // Visited cells that follow each other in storage are scanned as
+      // one range: the terms and their order stay the same.
+      uint32_t begin = 0, end = 0;
+      VisitNeighborhood(c, [&](size_t cell_index, size_t) {
+        const GridCell& cell = cells_[cell_index];
+        if (cell.begin != end) {
+          gain = gain_over(begin, end, gain);
+          begin = cell.begin;
+        }
+        end = cell.end;
+      });
+      gain = gain_over(begin, end, gain);
+    }
     return (cur_sum_ - gain) / static_cast<double>(points_.size());
   }
 
   void Add(size_t candidate) override {
     const Point& c = points_[candidate];
     double gain = 0.0;
-    VisitNeighborhood(c, [&](GridCell& cell) {
+    VisitNeighborhood(c, [&](size_t cell_index, size_t run) {
+      GridCell& cell = cells_[cell_index];
       double new_bound = 0.0;
-      for (uint32_t i : cell.points) {
-        double d = Distance(metric_, points_[i], c);
+      for (uint32_t i = cell.begin; i < cell.end; ++i) {
+        double d = Distance(metric_, Point{xs_[i], ys_[i]}, c);
         if (d < cur_min_[i]) {
           gain += cur_min_[i] - d;
           cur_min_[i] = d;
@@ -115,6 +194,7 @@ class MinDistGreedyEvaluator final : public GreedyLossEvaluator {
         new_bound = std::max(new_bound, cur_min_[i]);
       }
       cell.bound = new_bound;
+      RefreshRunBound(run);
     });
     cur_sum_ -= gain;
     ++chosen_count_;
@@ -125,78 +205,120 @@ class MinDistGreedyEvaluator final : public GreedyLossEvaluator {
 
  private:
   struct GridCell {
-    std::vector<uint32_t> points;
+    /// The cell's points: [begin, end) of xs_ / ys_ / cur_min_.
+    uint32_t begin = 0;
+    uint32_t end = 0;
     /// Max cur_min_ among this cell's points (an upper bound maintained
     /// exactly on every Add that touches the cell).
     double bound = 0.0;
   };
 
+  /// First and last cell, on one axis, that may hold a point within r of
+  /// coordinate v.
+  static int WindowLo(double v, double r, double lo, double width,
+                      int cells) {
+    return ClampedCellIndex((v - r - lo) / width, cells);
+  }
+  static int WindowHi(double v, double r, double lo, double width,
+                      int cells) {
+    return ClampedCellIndex((v + r - lo) / width, cells);
+  }
+
+  /// Distance, on one axis, from v to the span of cells [first, last].
+  /// A span's gap never exceeds the gap of a cell inside it.
+  static double SpanGap(double v, double lo, double width, int first,
+                        int last) {
+    double span_lo = lo + first * width;
+    double span_hi = lo + last * width + width;
+    return std::max({span_lo - v, v - span_hi, 0.0});
+  }
+
   size_t CellOf(const Point& p) const {
-    int cx = std::clamp(static_cast<int>((p.x - min_x_) / cell_w_), 0,
-                        nx_ - 1);
-    int cy = std::clamp(static_cast<int>((p.y - min_y_) / cell_h_), 0,
-                        ny_ - 1);
+    int cx = ClampedCellIndex((p.x - min_x_) / cell_w_, nx_);
+    int cy = ClampedCellIndex((p.y - min_y_) / cell_h_, ny_);
     return static_cast<size_t>(cy) * nx_ + cx;
   }
 
-  /// Invokes fn(cell) for every grid cell that could contain a point
-  /// gaining from a facility at c. Two prunes stack: the global
-  /// radius_bound_ (no cur_min_ exceeds it) trims the window, and each
-  /// cell's own bound vs. its minimum distance to c skips well-covered
-  /// cells. Both bounds dominate Chebyshev distance, which lower-bounds
-  /// every supported metric.
+  size_t RunOf(int cx, int cy) const {
+    return static_cast<size_t>(cy) * runs_per_row_ + cx / kRunCells;
+  }
+
+  /// Invokes fn(cell index, run index) for every non-empty grid cell, in
+  /// row-major order, that could contain a point gaining from a facility
+  /// at c. Three prunes stack: the global radius_bound_ (no cur_min_
+  /// exceeds it) trims the window, a run of cells is passed over when its
+  /// largest bound is within its distance to c, and each cell's own bound
+  /// vs. its distance to c decides the rest. Every bound dominates
+  /// Chebyshev distance, which lower-bounds every supported metric.
   template <typename Fn>
   void VisitNeighborhood(const Point& c, const Fn& fn) const {
-    int x0 = std::clamp(
-        static_cast<int>((c.x - radius_bound_ - min_x_) / cell_w_), 0,
-        nx_ - 1);
-    int x1 = std::clamp(
-        static_cast<int>((c.x + radius_bound_ - min_x_) / cell_w_), 0,
-        nx_ - 1);
-    int y0 = std::clamp(
-        static_cast<int>((c.y - radius_bound_ - min_y_) / cell_h_), 0,
-        ny_ - 1);
-    int y1 = std::clamp(
-        static_cast<int>((c.y + radius_bound_ - min_y_) / cell_h_), 0,
-        ny_ - 1);
+    int x0 = WindowLo(c.x, radius_bound_, min_x_, cell_w_, nx_);
+    int x1 = WindowHi(c.x, radius_bound_, min_x_, cell_w_, nx_);
+    int y0 = WindowLo(c.y, radius_bound_, min_y_, cell_h_, ny_);
+    int y1 = WindowHi(c.y, radius_bound_, min_y_, cell_h_, ny_);
     for (int cy = y0; cy <= y1; ++cy) {
-      // Chebyshev distance from c to the cell's y-band.
-      double cell_lo_y = min_y_ + cy * cell_h_;
-      double dy = std::max({cell_lo_y - c.y, c.y - (cell_lo_y + cell_h_),
-                            0.0});
-      for (int cx = x0; cx <= x1; ++cx) {
-        auto& cell =
-            const_cast<GridCell&>(cells_[static_cast<size_t>(cy) * nx_ + cx]);
-        if (cell.points.empty()) continue;
-        double cell_lo_x = min_x_ + cx * cell_w_;
-        double dx = std::max({cell_lo_x - c.x, c.x - (cell_lo_x + cell_w_),
-                              0.0});
-        // No point in the cell can improve if even the closest corner is
-        // beyond every point's current min-distance.
-        if (std::max(dx, dy) >= cell.bound) continue;
-        fn(cell);
+      double dy = SpanGap(c.y, min_y_, cell_h_, cy, cy);
+      const size_t row = static_cast<size_t>(cy) * nx_;
+      for (int run_lo = x0 - x0 % kRunCells; run_lo <= x1;
+           run_lo += kRunCells) {
+        const int run_hi = std::min(run_lo + kRunCells, nx_) - 1;
+        const size_t run = RunOf(run_lo, cy);
+        if (std::max(SpanGap(c.x, min_x_, cell_w_, run_lo, run_hi), dy) >=
+            run_bound_[run]) {
+          continue;
+        }
+        for (int cx = std::max(x0, run_lo); cx <= std::min(x1, run_hi);
+             ++cx) {
+          const GridCell& cell = cells_[row + cx];
+          if (cell.begin == cell.end) continue;
+          double dx = SpanGap(c.x, min_x_, cell_w_, cx, cx);
+          // No point in the cell can improve if even the closest corner
+          // is beyond every point's current min-distance.
+          if (std::max(dx, dy) >= cell.bound) continue;
+          fn(row + cx, run);
+        }
       }
     }
+  }
+
+  /// Recomputes a run's bound after Add lowered the bound of one of its
+  /// cells.
+  void RefreshRunBound(size_t run) {
+    const size_t cy = run / runs_per_row_;
+    const size_t first = cy * nx_ + (run % runs_per_row_) * kRunCells;
+    const size_t last = std::min(first + kRunCells, (cy + 1) * nx_);
+    double bound = 0.0;
+    for (size_t i = first; i < last; ++i) {
+      bound = std::max(bound, cells_[i].bound);
+    }
+    run_bound_[run] = bound;
   }
 
   void RefreshRadiusBound() {
     adds_since_refresh_ = 0;
     double r = 0.0;
-    for (const auto& cell : cells_) r = std::max(r, cell.bound);
+    for (double bound : run_bound_) r = std::max(r, bound);
     radius_bound_ = r;
   }
 
-  std::vector<Point> points_;
+  std::vector<Point> points_;  // raw order: candidate coordinates
   DistanceMetric metric_;
+  // Cell-ordered point storage.
+  std::vector<double> xs_;
+  std::vector<double> ys_;
   std::vector<double> cur_min_;
   double cur_sum_ = 0.0;
   size_t chosen_count_ = 0;
   double radius_bound_ = 0.0;
   size_t adds_since_refresh_ = 0;
+  bool first_walk_visits_all_ = false;
 
   double min_x_ = 0.0, min_y_ = 0.0, cell_w_ = 1.0, cell_h_ = 1.0;
   int nx_ = 1, ny_ = 1;
+  int runs_per_row_ = 1;
   std::vector<GridCell> cells_;
+  /// Max bound over each run of kRunCells cells in a grid row.
+  std::vector<double> run_bound_;
 };
 
 }  // namespace

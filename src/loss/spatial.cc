@@ -49,13 +49,11 @@ PointGrid::PointGrid(std::vector<Point> points, DistanceMetric metric)
 }
 
 int PointGrid::CellX(double x) const {
-  int c = static_cast<int>((x - min_x_) / cell_w_);
-  return std::clamp(c, 0, nx_ - 1);
+  return ClampedCellIndex((x - min_x_) / cell_w_, nx_);
 }
 
 int PointGrid::CellY(double y) const {
-  int c = static_cast<int>((y - min_y_) / cell_h_);
-  return std::clamp(c, 0, ny_ - 1);
+  return ClampedCellIndex((y - min_y_) / cell_h_, ny_);
 }
 
 double PointGrid::NearestDistance(const Point& q) const {

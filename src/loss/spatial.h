@@ -26,6 +26,17 @@ inline double Distance(DistanceMetric m, const Point& a, const Point& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+/// Index of the cell holding grid coordinate q = (v - lo) / width on an
+/// axis of n cells, clamped to [0, n). The clamp happens in double before
+/// the cast, so a far point or a near-zero extent never converts an
+/// out-of-range value to int (undefined behaviour); NaN maps to 0. In
+/// range it equals the truncating cast.
+inline int ClampedCellIndex(double q, int n) {
+  if (!(q >= 1.0)) return 0;
+  if (!(q < static_cast<double>(n))) return n - 1;
+  return static_cast<int>(q);
+}
+
 /// \brief Uniform-grid nearest-neighbor index over a point set.
 ///
 /// The avg-min-distance loss evaluates min_{s in Sam} dist(x, s) for every

@@ -11,6 +11,11 @@
 namespace tabula {
 
 namespace {
+
+/// Rows an edge test accumulates between checks of the loss's lower
+/// bound; a test whose bound already exceeds θ stops there.
+constexpr size_t kBoundCheckRows = 16;
+
 double SignatureDistance(const std::vector<double>& a,
                          const std::vector<double>& b) {
   double sum = 0.0;
@@ -57,6 +62,7 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
   std::mutex error_mu;
 
   pool.ParallelFor(m, [&](size_t begin, size_t end) {
+    std::vector<double> sig_dist(m);
     for (size_t u = begin; u < end; ++u) {
       const IcebergCell& rep = cube.cells()[u];
       // Candidate targets: all other vertices, ranked by signature
@@ -69,12 +75,16 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
       if (options.max_candidates_per_vertex > 0 &&
           candidates.size() > options.max_candidates_per_vertex) {
         if (have_signatures) {
+          // Each distance once, read by the comparator: the same
+          // comparisons over the same initial order pick the same set.
+          for (size_t v = 0; v < m; ++v) {
+            sig_dist[v] = SignatureDistance(sample_sig[u], raw_sig[v]);
+          }
           std::nth_element(
               candidates.begin(),
               candidates.begin() + options.max_candidates_per_vertex,
               candidates.end(), [&](uint32_t a, uint32_t b) {
-                return SignatureDistance(sample_sig[u], raw_sig[a]) <
-                       SignatureDistance(sample_sig[u], raw_sig[b]);
+                return sig_dist[a] < sig_dist[b];
               });
         }
         candidates.resize(options.max_candidates_per_vertex);
@@ -89,14 +99,19 @@ Result<SamGraph> SamGraph::Build(const Table& base, const CubeTable& cube,
 
       std::vector<uint32_t> found;
       found.push_back(static_cast<uint32_t>(u));  // self-edge
+      const BoundLoss& bound_loss = *bound.value();
       for (uint32_t v : candidates) {
-        const IcebergCell& cell = cube.cells()[v];
+        const std::vector<RowId>& rows = cube.cells()[v].raw_rows;
         LossState state;
-        for (RowId r : cell.raw_rows) {
-          bound.value()->Accumulate(&state, r);
+        bool may_pass = true;
+        for (size_t done = 0; done < rows.size() && may_pass;) {
+          const size_t stop = std::min(rows.size(), done + kBoundCheckRows);
+          for (; done < stop; ++done) bound_loss.Accumulate(&state, rows[done]);
+          may_pass = !(bound_loss.FinalLossLowerBound(state, rows.size()) >
+                       theta);
         }
         evals.fetch_add(1, std::memory_order_relaxed);
-        if (bound.value()->Finalize(state) <= theta) {
+        if (may_pass && bound_loss.Finalize(state) <= theta) {
           found.push_back(v);
         }
       }

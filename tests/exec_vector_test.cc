@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -123,6 +126,61 @@ TEST(VectorOpsTest, MaskRollKeysMatchesScalarAndAllowsAliasing) {
     vec::MaskRollKeys(in_place.data(), n, keep, set, in_place.data());
     EXPECT_EQ(in_place, want) << "aliased, n=" << n;
   }
+}
+
+TEST(VectorOpsTest, MinDistGainMatchesScalarBitForBit) {
+  // The greedy's samples depend on every bit of a gain, so the AVX2 body
+  // must add the same terms, rounded the same way, in the same order.
+  Rng rng(31);
+  for (size_t n : kEdgeSizes) {
+    for (bool manhattan : {false, true}) {
+      std::vector<double> xs(n), ys(n), cur(n);
+      const double cx = rng.UniformDouble(0, 1);
+      const double cy = rng.UniformDouble(0, 1);
+      for (size_t i = 0; i < n; ++i) {
+        xs[i] = rng.UniformDouble(-1, 2);
+        ys[i] = rng.UniformDouble(-1, 2);
+        double dx = xs[i] - cx, dy = ys[i] - cy;
+        double d = manhattan ? std::abs(dx) + std::abs(dy)
+                             : std::sqrt(dx * dx + dy * dy);
+        switch (i % 5) {
+          case 0: cur[i] = d; break;  // tie: no gain on either path
+          case 1: cur[i] = std::numeric_limits<double>::infinity(); break;
+          case 2: cur[i] = 0.0; break;
+          default: cur[i] = rng.UniformDouble(0, 3); break;
+        }
+      }
+      for (double start : {0.0, 0.1 + rng.UniformDouble(0, 1)}) {
+        double got = vec::MinDistGain(xs.data(), ys.data(), cur.data(), n, cx,
+                                      cy, manhattan, start);
+        double want = vec::MinDistGainScalar(xs.data(), ys.data(), cur.data(),
+                                             n, cx, cy, manhattan, start);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "n=" << n << " manhattan=" << manhattan << " got " << got
+            << " want " << want;
+      }
+    }
+  }
+}
+
+TEST(VectorOpsTest, MinDistGainAddsTermsInIndexOrder) {
+  // Terms of wildly different magnitude: any reordering of the sum
+  // changes its bits. Finite current min-distances only.
+  Rng rng(37);
+  const size_t n = 1023;
+  std::vector<double> xs(n), ys(n, 0.0), cur(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = rng.UniformDouble(0, 1) * std::pow(10.0, (i % 7) * 3.0 - 9.0);
+    cur[i] = 2.0 * xs[i] + 1e-3 * static_cast<double>(i % 3);
+  }
+  double want = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double d = std::sqrt(xs[i] * xs[i] + 0.0 * 0.0);
+    if (d < cur[i]) want += cur[i] - d;
+  }
+  double got =
+      vec::MinDistGain(xs.data(), ys.data(), cur.data(), n, 0.0, 0.0, false, 0.0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want));
 }
 
 // ---------- Columnar packing vs the per-row reference ----------

@@ -7,6 +7,7 @@
 #include "loss/min_dist_loss.h"
 #include "loss/regression_loss.h"
 #include "loss/spatial.h"
+#include "sampling/greedy_sampler.h"
 #include "storage/table.h"
 
 namespace tabula {
@@ -64,6 +65,25 @@ TEST(PointGridTest, DegenerateColinearPoints) {
   PointGrid grid(pts, DistanceMetric::kEuclidean);
   EXPECT_NEAR(grid.NearestDistance({0.55, 0.0}), 0.05, 1e-12);
   EXPECT_NEAR(grid.NearestDistance({0.3, 1.0}), 1.0, 1e-12);
+}
+
+TEST(PointGridTest, FarQueryAgainstTinyExtentIsExact) {
+  // A sample whose extent is ~1e-12: a far query's cell coordinate is
+  // ~1e18, far outside int. The index clamps it before converting.
+  std::vector<Point> pts;
+  for (int i = 0; i < 64; ++i) {
+    pts.push_back({0.5 + i * 1e-12, 0.25 + (i % 8) * 1e-12});
+  }
+  PointGrid grid(pts, DistanceMetric::kEuclidean);
+  for (Point query : {Point{1e6, -1e6}, Point{-3.0, 0.25}, Point{0.5, 7.5},
+                      Point{0.5 + 20e-12, 0.25}}) {
+    double brute = kInfiniteLoss;
+    for (const auto& p : pts) {
+      brute = std::min(brute, Distance(DistanceMetric::kEuclidean, query, p));
+    }
+    EXPECT_EQ(grid.NearestDistance(query), brute)
+        << query.x << "," << query.y;
+  }
 }
 
 // ---------- MeanLoss ----------
@@ -223,6 +243,108 @@ TEST(MinDistLossTest, GreedyGainIsSubmodular) {
     EXPECT_LE(gain, prev_gain + 1e-12);
     prev_gain = gain;
     eval.value()->Add(add);
+  }
+}
+
+TEST(MinDistLossTest, GreedyOverTinyExtentStaysThetaValid) {
+  // x values 1e-12 apart: the evaluator's cells are ~1e-12 wide while its
+  // first search radius is ~1, so window bounds fall far outside int.
+  Rng rng(6);
+  std::vector<Point> pts;
+  for (int i = 0; i < 64; ++i) {
+    pts.push_back({0.3 + i * 1e-12, rng.UniformDouble(0, 1)});
+  }
+  auto table = PointsTable(pts);
+  auto loss = MakeHeatmapLoss("x", "y");
+  DatasetView raw(table.get());
+  for (double theta : {0.05, 0.01}) {
+    auto sample = GreedySampler(loss.get(), theta).Sample(raw);
+    ASSERT_TRUE(sample.ok());
+    DatasetView sample_view(table.get(), sample.value());
+    EXPECT_LE(loss->Loss(raw, sample_view).value(), theta);
+  }
+}
+
+/// Point sets that stress the evaluator's grid: sizes that are not
+/// multiples of the kernel's 4 lanes, duplicates, a zero-height box, a
+/// single point, and points exactly on cell edges.
+std::vector<std::vector<Point>> EvaluatorEdgeSets() {
+  Rng rng(41);
+  std::vector<std::vector<Point>> sets;
+  std::vector<Point> uniform;
+  for (int i = 0; i < 37; ++i) {
+    uniform.push_back({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
+  }
+  sets.push_back(uniform);
+  std::vector<Point> duplicates;
+  for (int i = 0; i < 30; ++i) {
+    duplicates.push_back(uniform[static_cast<size_t>(rng.UniformInt(0, 4))]);
+  }
+  sets.push_back(duplicates);
+  std::vector<Point> flat;
+  for (int i = 0; i < 23; ++i) flat.push_back({rng.UniformDouble(2, 5), 0.5});
+  sets.push_back(flat);
+  sets.push_back({{0.25, 0.75}});
+  // A 9×9 lattice at k/9 plus the corner (1, 1): 82 points give the
+  // evaluator 9×9 cells of width 1/9 over [0, 1]², so every lattice
+  // coordinate lies on a cell edge (rounding may put it on either side).
+  std::vector<Point> edges;
+  for (int i = 0; i < 9; ++i) {
+    for (int j = 0; j < 9; ++j) edges.push_back({i / 9.0, j / 9.0});
+  }
+  edges.push_back({1.0, 1.0});
+  sets.push_back(edges);
+  std::vector<Point> clustered;
+  for (int i = 0; i < 203; ++i) {
+    bool far = i % 10 == 0;
+    clustered.push_back({far ? rng.UniformDouble(0, 10) : rng.Normal(3, 0.05),
+                         far ? rng.UniformDouble(0, 10) : rng.Normal(6, 0.05)});
+  }
+  sets.push_back(clustered);
+  return sets;
+}
+
+TEST(MinDistLossTest, EvaluatorMatchesBruteForceOnEdgeCases) {
+  for (DistanceMetric metric :
+       {DistanceMetric::kEuclidean, DistanceMetric::kManhattan}) {
+    for (const std::vector<Point>& pts : EvaluatorEdgeSets()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << pts.size() << " manhattan="
+                   << (metric == DistanceMetric::kManhattan));
+      auto table = PointsTable(pts);
+      auto loss = MakeHeatmapLoss("x", "y", metric);
+      DatasetView raw(table.get());
+      auto made = loss->MakeGreedyEvaluator(raw);
+      ASSERT_TRUE(made.ok());
+      GreedyLossEvaluator& eval = *made.value();
+      const size_t n = pts.size();
+      // Brute force: each point's distance to its nearest chosen point.
+      std::vector<double> nearest(n, kInfiniteLoss);
+      auto loss_with = [&](size_t c) {
+        double sum = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          sum += std::min(nearest[i], Distance(metric, pts[i], pts[c]));
+        }
+        return sum / static_cast<double>(n);
+      };
+      Rng rng(n);
+      std::vector<size_t> order(n);
+      for (size_t i = 0; i < n; ++i) order[i] = i;
+      rng.Shuffle(&order);
+      order.resize(std::min<size_t>(n, 25));
+      for (size_t add : order) {
+        for (size_t c = 0; c < n; ++c) {
+          EXPECT_NEAR(eval.LossWithCandidate(c), loss_with(c), 1e-9)
+              << "candidate " << c;
+        }
+        double want = loss_with(add);
+        eval.Add(add);
+        for (size_t i = 0; i < n; ++i) {
+          nearest[i] = std::min(nearest[i], Distance(metric, pts[i], pts[add]));
+        }
+        EXPECT_NEAR(eval.CurrentLoss(), want, 1e-9) << "after adding " << add;
+      }
+    }
   }
 }
 

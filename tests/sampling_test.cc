@@ -536,5 +536,100 @@ TEST(RestoreThetaTest, CandidateAboveThinCapIsRedrawnEvenWhenAccepted) {
   EXPECT_EQ(f.gathers, 0);
 }
 
+// ---------------------------------------------------------------------
+// Determinism pins: Algorithm 1's samples under the min-distance losses.
+// The min-distance evaluator skips work that cannot change a gain; these
+// digests pin that every chosen row, in order, stays what the plain
+// neighbourhood walk chose. They run at any TABULA_THREADS and with
+// TABULA_NO_SIMD=1, and must give the same digests everywhere.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the chosen row ids, in sample order.
+uint64_t SampleDigest(const std::vector<RowId>& rows) {
+  uint64_t h = 1469598103934665603ull;
+  for (RowId r : rows) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (static_cast<uint64_t>(r) >> (8 * b)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Dense Gaussian blobs over a sparse uniform background, like pickups
+/// in a city: blob points are covered in the first rounds while the
+/// background keeps the evaluator's search radius wide.
+std::unique_ptr<Table> BlobTable(size_t n, uint64_t seed) {
+  Schema schema({{"x", DataType::kDouble},
+                 {"y", DataType::kDouble},
+                 {"v", DataType::kDouble}});
+  auto table = std::make_unique<Table>(schema);
+  Rng rng(seed);
+  const double centers[][2] = {{0.2, 0.3}, {0.7, 0.6}, {0.45, 0.85}};
+  for (size_t i = 0; i < n; ++i) {
+    double x, y;
+    if (rng.Bernoulli(0.2)) {
+      x = rng.UniformDouble(0, 1);
+      y = rng.UniformDouble(0, 1);
+    } else {
+      const double* c = centers[rng.UniformInt(0, 2)];
+      x = rng.Normal(c[0], 0.03);
+      y = rng.Normal(c[1], 0.05);
+    }
+    double v = rng.Bernoulli(0.9) ? rng.Normal(12, 4) : rng.Exponential(0.02);
+    EXPECT_TRUE(table->AppendRow({Value(x), Value(y), Value(v)}).ok());
+  }
+  return table;
+}
+
+void ExpectPinnedSample(const LossFunction& loss, const Table& table,
+                        double theta, const GreedySamplerOptions& opts,
+                        size_t want_size, uint64_t want_digest) {
+  DatasetView raw(&table);
+  auto sample = GreedySampler(&loss, theta, opts).Sample(raw);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  DatasetView sample_view(&table, sample.value());
+  EXPECT_LE(loss.Loss(raw, sample_view).value(), theta);
+  EXPECT_EQ(sample->size(), want_size);
+  EXPECT_EQ(SampleDigest(sample.value()), want_digest)
+      << "digest 0x" << std::hex << SampleDigest(sample.value());
+}
+
+TEST(GreedySamplerDeterminismTest, HeatmapEuclideanSampleIsPinned) {
+  auto table = BlobTable(5000, 101);
+  auto loss = MakeHeatmapLoss("x", "y");
+  ExpectPinnedSample(*loss, *table, 0.004, GreedySamplerOptions{}, 2069,
+                     0xc89d607653441892ull);
+}
+
+TEST(GreedySamplerDeterminismTest, HeatmapUncappedPoolScansInParallel) {
+  // 1500 rows with no candidate cap: every round-one evaluation (and
+  // every exhaustive round) runs over a pool larger than the greedy's
+  // serial cutoff, so LossWithCandidate runs on ParallelForChunked.
+  auto table = BlobTable(1500, 102);
+  auto loss = MakeHeatmapLoss("x", "y");
+  GreedySamplerOptions lazy;
+  lazy.max_candidates = 0;
+  ExpectPinnedSample(*loss, *table, 0.006, lazy, 383, 0x50f897e6e3c152ecull);
+  GreedySamplerOptions exhaustive = lazy;
+  exhaustive.lazy_forward = false;
+  ExpectPinnedSample(*loss, *table, 0.02, exhaustive, 88,
+                     0x1faa22db25dde670ull);
+}
+
+TEST(GreedySamplerDeterminismTest, HistogramSampleIsPinned) {
+  auto table = BlobTable(4000, 103);
+  auto loss = MakeHistogramLoss("v");
+  ExpectPinnedSample(*loss, *table, 0.05, GreedySamplerOptions{}, 1027,
+                     0x8546ad841f9ccf04ull);
+}
+
+TEST(GreedySamplerDeterminismTest, HeatmapManhattanSampleIsPinned) {
+  auto table = BlobTable(3000, 104);
+  auto loss = MakeHeatmapLoss("x", "y", DistanceMetric::kManhattan);
+  ExpectPinnedSample(*loss, *table, 0.006, GreedySamplerOptions{}, 1102,
+                     0xffa8dbcf4b21d950ull);
+}
+
 }  // namespace
 }  // namespace tabula

@@ -3,6 +3,8 @@
 #include "common/rng.h"
 #include "cube/dry_run.h"
 #include "cube/real_run.h"
+#include "data/taxi_gen.h"
+#include "loss/loss_registry.h"
 #include "loss/mean_loss.h"
 #include "sampling/random_sampler.h"
 #include "selection/rep_selection.h"
@@ -111,6 +113,122 @@ TEST(SamGraphTest, CandidateCapBoundsEvaluations) {
   auto graph = SamGraph::Build(*fx.table, fx.cube, fx.loss, fx.theta, capped);
   ASSERT_TRUE(graph.ok());
   EXPECT_LE(graph->loss_evaluations(), fx.cube.size() * 2);
+}
+
+/// A pre-selection cube over a taxi table under `loss`, as the real run
+/// leaves it: every cell keeps its raw rows and its local sample.
+CubeTable TaxiCube(const Table& table, const LossFunction& loss,
+                   double theta) {
+  const std::vector<std::string> attrs = {"vendor_name", "pickup_weekday",
+                                          "payment_type"};
+  auto encoder = KeyEncoder::Make(table, attrs);
+  EXPECT_TRUE(encoder.ok());
+  auto packer = KeyPacker::Make(encoder.value(), {0, 1, 2});
+  EXPECT_TRUE(packer.ok());
+  Lattice lattice(attrs.size());
+  Rng rng(3);
+  DatasetView global(&table, RandomSample(DatasetView(&table), 300, &rng));
+  auto dry = RunDryRun(table, encoder.value(), packer.value(), lattice, loss,
+                       global, theta);
+  EXPECT_TRUE(dry.ok());
+  auto real = RunRealRun(table, encoder.value(), packer.value(), lattice,
+                         dry.value(), loss, theta, GreedySamplerOptions{});
+  EXPECT_TRUE(real.ok());
+  return std::move(real->cube);
+}
+
+struct LossCase {
+  const char* name;
+  std::vector<std::string> columns;
+  /// A θ at which TaxiCube's cells have edges that pass and edges that
+  /// fail.
+  double theta;
+};
+
+const LossCase kLossCases[] = {
+    {"heatmap_loss", {"pickup_x", "pickup_y"}, 0.006},
+    {"histogram_loss", {"fare_amount"}, 0.05},
+    {"mean_loss", {"fare_amount"}, 0.01},
+    {"regression_loss", {"fare_amount", "tip_amount"}, 0.5},
+};
+
+TEST(SamGraphTest, ExhaustiveJoinFindsEveryRepresentationEdge) {
+  // With no candidate cap SamGraph tests every ordered pair, so its
+  // edges must be exactly the pairs within θ (Definition 5): an early
+  // exit in the edge test may only skip pairs that fail.
+  TaxiGeneratorOptions gen;
+  gen.num_rows = 3000;
+  gen.seed = 5;
+  auto table = TaxiGenerator(gen).Generate();
+  for (const LossCase& c : kLossCases) {
+    SCOPED_TRACE(c.name);
+    auto loss = MakeLossFunction(c.name, {.columns = c.columns});
+    ASSERT_TRUE(loss.ok());
+    CubeTable cube = TaxiCube(*table, *loss.value(), c.theta);
+    ASSERT_GT(cube.size(), 4u);
+    SamGraphOptions exhaustive;
+    exhaustive.max_candidates_per_vertex = 0;
+    auto graph = SamGraph::Build(*table, cube, *loss.value(), c.theta,
+                                 exhaustive);
+    ASSERT_TRUE(graph.ok());
+    const size_t m = cube.size();
+    EXPECT_EQ(graph->loss_evaluations(), m * (m - 1));
+    size_t within = 0;
+    for (uint32_t u = 0; u < m; ++u) {
+      DatasetView sam_u(table.get(), cube.cells()[u].local_sample);
+      const auto& out = graph->OutEdges(u);
+      for (uint32_t v = 0; v < m; ++v) {
+        if (v == u) continue;
+        DatasetView raw_v(table.get(), cube.cells()[v].raw_rows);
+        bool is_within = loss.value()->Loss(raw_v, sam_u).value() <= c.theta;
+        within += is_within;
+        EXPECT_EQ(std::find(out.begin(), out.end(), v) != out.end(),
+                  is_within)
+            << "pair " << u << "->" << v;
+      }
+    }
+    // The case is only a test when both outcomes occur.
+    EXPECT_GT(within, 0u);
+    EXPECT_LT(within, m * (m - 1));
+  }
+}
+
+TEST(SamGraphTest, PrefixLowerBoundNeverExceedsFinalLoss) {
+  TaxiGeneratorOptions gen;
+  gen.num_rows = 2000;
+  gen.seed = 8;
+  auto table = TaxiGenerator(gen).Generate();
+  DatasetView all(table.get());
+  Rng rng(21);
+  for (const LossCase& c : kLossCases) {
+    SCOPED_TRACE(c.name);
+    auto loss = MakeLossFunction(c.name, {.columns = c.columns});
+    ASSERT_TRUE(loss.ok());
+    // An empty reference makes the min-distance losses infinite.
+    for (size_t ref_size : {size_t{0}, size_t{1}, size_t{40}}) {
+      auto bound = loss.value()->Bind(
+          *table, DatasetView(table.get(), RandomSample(all, ref_size, &rng)));
+      ASSERT_TRUE(bound.ok());
+      for (size_t cell_size : {size_t{0}, size_t{1}, size_t{17}, size_t{300}}) {
+        std::vector<RowId> rows = RandomSample(all, cell_size, &rng);
+        LossState full;
+        for (RowId r : rows) bound.value()->Accumulate(&full, r);
+        const double final_loss = bound.value()->Finalize(full);
+        for (int trial = 0; trial < 8; ++trial) {
+          size_t k = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(rows.size())));
+          LossState prefix;
+          for (size_t i = 0; i < k; ++i) {
+            bound.value()->Accumulate(&prefix, rows[i]);
+          }
+          EXPECT_LE(bound.value()->FinalLossLowerBound(prefix, rows.size()),
+                    final_loss)
+              << "ref " << ref_size << " cell " << cell_size << " prefix "
+              << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(RepSelectionTest, EveryCellLinksToAValidSample) {

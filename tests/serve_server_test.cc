@@ -472,9 +472,17 @@ TEST_F(QueryServerTest, RefreshMidLoadNeverServesStaleSample) {
   row[10] = Value(0.0);
   row[11] = Value(0.5);
   row[12] = Value(0.5);
-  for (size_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(table_->AppendRow(row).ok());
-  }
+  // Appends go through the server's exclusive path, as the Ingestor's
+  // do: the client threads read the table under the shared lock.
+  Status appended = Status::OK();
+  server.MutateExclusive([&] {
+    for (size_t i = 0; i < 2000 && appended.ok(); ++i) {
+      appended = table_->AppendRow(row);
+    }
+  });
+  ASSERT_TRUE(appended.ok()) << appended.ToString();
+  // Read after the append's own fence, so the check below pins
+  // Refresh's fence.
   uint64_t generation_before = server.cache().generation();
   Tabula::RefreshStats rstats;
   ASSERT_TRUE(server.Refresh(&rstats).ok());
