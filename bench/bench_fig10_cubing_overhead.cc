@@ -24,6 +24,7 @@
 #include "cube/real_run.h"
 #include "exec/vector_ops.h"
 #include "sampling/random_sampler.h"
+#include "testing/reference_engines.h"
 
 namespace {
 
@@ -50,10 +51,10 @@ bool CubesIdentical(const RealRunResult& a, const RealRunResult& b) {
 ///  - dry run: the preserved std::unordered_map reference
 ///    (RunDryRunLegacy) vs the vectorized flat-hash roll-up (RunDryRun);
 ///    both must find the exact same iceberg cells.
-///  - real run: the per-row scalar reference (kScalarReference) vs the
-///    batched columnar engine (kVectorized: one PackRows pass + two-op
-///    mask transforms per cuboid); both must produce byte-identical
-///    cubes — raw rows AND samples.
+///  - real run: the per-row scalar reference (RunRealRunScalarReference)
+///    vs the batched columnar engine (RunRealRun: one PackRows pass +
+///    two-op mask transforms per cuboid); both must produce
+///    byte-identical cubes — raw rows AND samples.
 /// Prints the per-stage breakdown (fold/rollup/finalize, pack/collect/
 /// sample) and writes BENCH_fig10_cubing_overhead.json. Returns the
 /// combined (legacy dry + scalar real) / (new dry + vectorized real)
@@ -136,16 +137,13 @@ double CompareBuildEngines(const Table& table, double theta) {
   RealRunResult scalar_real, vec_real;
   for (int rep = 0; rep < 5; ++rep) {
     Stopwatch t1;
-    auto scalar = RunRealRun(table, *encoder, *packer, lattice, flat_result,
-                             *loss, theta, sampler_opts,
-                             RealRunPathPolicy::kAuto,
-                             RealRunEngine::kScalarReference);
+    auto scalar = RunRealRunScalarReference(table, *encoder, *packer,
+                                            flat_result, *loss, theta,
+                                            sampler_opts);
     double ms1 = t1.ElapsedMillis();
     Stopwatch t2;
     auto vectorized = RunRealRun(table, *encoder, *packer, lattice,
-                                 flat_result, *loss, theta, sampler_opts,
-                                 RealRunPathPolicy::kAuto,
-                                 RealRunEngine::kVectorized);
+                                 flat_result, *loss, theta, sampler_opts);
     double ms2 = t2.ElapsedMillis();
     if (!scalar.ok() || !vectorized.ok()) {
       std::printf("real-run engine ERROR: %s\n",

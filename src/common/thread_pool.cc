@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <exception>
+#include <latch>
+#include <memory>
 
 #include "testing/fault_injection.h"
 
 namespace tabula {
 
 namespace {
-/// Set while a pool worker runs a task; nested ParallelFor calls from
-/// worker threads execute inline to avoid self-deadlock (all workers
-/// blocked waiting on tasks that can never be scheduled).
+/// Set while a pool worker runs a task, or a caller drains grains of its
+/// own dispatch; nested ParallelFor calls from such threads execute
+/// inline, so every grain is a self-contained sequential computation
+/// and no worker blocks waiting on tasks that can never be scheduled.
 thread_local bool t_inside_worker = false;
 
 /// RAII flag so the marker resets even if a task unwinds.
@@ -122,39 +126,54 @@ void ThreadPool::RunStealing(
   // is scheduling-dependent, but the unit boundaries themselves are fixed
   // by (n, count, unit), so callers that keep per-unit state and merge it
   // in ascending unit order are unaffected by the stealing.
-  std::atomic<size_t> cursor{0};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  auto drain = [&] {
+  //
+  // The caller waits for its units, never for its helpers: a helper
+  // queued behind busy workers may start only after every unit has run
+  // (or never, while those workers block on a lock the caller holds).
+  // The job state lives on the heap, shared with every helper, so a late
+  // helper finds the cursor exhausted and touches nothing else — `fn`
+  // is only called for a claimed unit, which the caller waits for.
+  struct Job {
+    explicit Job(size_t units)
+        : unfinished(static_cast<std::ptrdiff_t>(units)) {}
+    std::atomic<size_t> cursor{0};
+    std::latch unfinished;
+    std::mutex error_mu;
+    std::exception_ptr first_error;  // guarded by error_mu
+  };
+  auto job = std::make_shared<Job>(count);
+  const auto* body = &fn;
+  auto drain = [job, body, n, count, unit] {
     for (;;) {
-      size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
+      size_t g = job->cursor.fetch_add(1, std::memory_order_relaxed);
       if (g >= count) return;
       size_t begin = g * unit;
       size_t end = std::min(n, begin + unit);
-      if (begin >= end) continue;
       // Capture instead of unwinding: every unit must run (sibling units
       // reference caller-frame state), and the drain loops in workers
       // must never leak an exception into the pool's task plumbing.
       try {
-        fn(g, begin, end);
+        if (begin < end) (*body)(g, begin, end);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
+        std::lock_guard<std::mutex> lock(job->error_mu);
+        if (job->first_error == nullptr) {
+          job->first_error = std::current_exception();
+        }
       }
+      job->unfinished.count_down();
     }
   };
   size_t helpers = std::min(num_threads(), count);
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (size_t i = 0; i < helpers; ++i) futures.push_back(Submit(drain));
+  for (size_t i = 0; i < helpers; ++i) Submit(drain);
   // The calling thread steals too: progress is guaranteed even when every
-  // pool worker is stuck behind unrelated long-running tasks.
-  drain();
-  // drain() never throws, so the futures only signal completion; the
-  // gets below are the barrier keeping `fn`, `cursor`, and `drain` alive
-  // until the last worker leaves the loop.
-  for (auto& f : futures) f.get();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  // pool worker is stuck behind unrelated long-running tasks. Like a
+  // worker, it runs the nested parallel calls of its units inline.
+  {
+    InsideWorkerScope scope;
+    drain();
+  }
+  job->unfinished.wait();
+  if (job->first_error != nullptr) std::rethrow_exception(job->first_error);
 }
 
 namespace {

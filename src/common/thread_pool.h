@@ -104,7 +104,9 @@ class ThreadPool {
  private:
   void WorkerLoop();
   /// Runs `count` units of `unit` rows each over [0, n) via the shared
-  /// atomic-cursor steal loop; the calling thread participates.
+  /// atomic-cursor steal loop; the calling thread participates and
+  /// returns once every unit has run, whether or not its helper tasks
+  /// have started.
   void RunStealing(size_t n, size_t count, size_t unit,
                    const std::function<void(size_t, size_t, size_t)>& fn);
 

@@ -409,10 +409,12 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   // load leaves the tail pending for the next Refresh()/ingest cycle
   // (and tags answers stale until it runs).
   tabula->refreshed_rows_ = saved_rows;
-  // Tiered store: track any samples the tier records did not adopt,
-  // build the finest-row index lazy promotes gather through, and
+  if (tabula->keeps_finest_index()) {
+    TABULA_RETURN_NOT_OK(tabula->RebuildFinestIndex(tabula->encoder_, nullptr));
+  }
+  // Tiered store: track any samples the tier records did not adopt and
   // enforce the (possibly smaller) budget.
-  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers(nullptr));
+  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers());
   return tabula;
 }
 
@@ -427,7 +429,8 @@ Result<std::unique_ptr<Tabula>> Tabula::LoadUnit(BinaryReader* r,
                    *unit.global_rows));
   TABULA_RETURN_NOT_OK(tabula->DecodeBody(r, saved_rows, unit.rows));
   tabula->refreshed_rows_ = saved_rows;
-  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers(unit.rows));
+  TABULA_RETURN_NOT_OK(tabula->RebuildFinestIndex(tabula->encoder_, unit.rows));
+  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers());
   return tabula;
 }
 

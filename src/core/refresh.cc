@@ -1,10 +1,10 @@
 /// Incremental maintenance of an initialized sampling cube (see
 /// Tabula::Refresh in tabula.h). The paper builds the cube once over a
 /// static table; this extension keeps the deterministic guarantee valid
-/// as rows are appended, at a cost far below re-initialization:
-/// per-finest-cell loss states absorb the new rows, the lattice roll-up
-/// reclassifies every cell without touching the table again, and only
-/// cells that actually need new samples trigger raw-data collection.
+/// as rows are appended, at a cost far below re-initialization: the
+/// finest-cell index's loss states absorb the new rows, the dry run's
+/// lattice roll-up reclassifies every cell without touching the table
+/// again, and only cells that actually need new samples gather raw rows.
 ///
 /// The work is factored into the four-phase streaming protocol of
 /// QueryEngine (PlanIngest → BeginIngest → ExecuteIngest →
@@ -12,7 +12,6 @@
 /// shared lock while queries keep serving; Refresh() is the batch
 /// composition of the four phases.
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -44,16 +43,17 @@ struct CellWork {
 /// until CommitIngest.
 struct TabulaIngestPlan : QueryEngine::IngestPlan {
   KeyEncoder new_encoder;
-  /// Finest-cuboid loss states including the pending rows (adopted at
-  /// commit when keep_maintenance_state is set).
-  FlatHashMap<LossState> staged_finest;
+  /// The finest-cell index's states including the pending rows, parallel
+  /// to its keys (adopted at commit when the engine keeps the index).
+  std::vector<LossState> staged_states;
   /// Cells that need verification / (re)sampling in ExecuteIngest.
   FlatHashMap<CellWork> needs_rows;
   /// Cells that dropped below θ (removed at commit).
   std::vector<uint64_t> to_remove;
-  /// Raw rows of every cell in `needs_rows`, ascending by key so the
-  /// execute phase assigns sample-table ids deterministically.
-  std::vector<std::pair<uint64_t, std::vector<RowId>>> cell_rows_sorted;
+  /// The keys of `needs_rows` ascending, so the execute phase assigns
+  /// sample-table ids deterministically, and each cell's raw rows.
+  std::vector<uint64_t> cell_keys;
+  std::vector<std::vector<RowId>> cell_rows;
 
   /// Redrawn global sample over [0, target_rows) — byte-for-byte the
   /// sample a from-scratch build over the grown table would draw (same
@@ -81,26 +81,6 @@ struct TabulaIngestPlan : QueryEngine::IngestPlan {
 
 }  // namespace
 
-Status Tabula::BuildMaintenanceState() {
-  if (maintenance_bound_ == nullptr) {
-    TABULA_ASSIGN_OR_RETURN(maintenance_bound_,
-                            loss_fn()->Bind(*table_, global_sample_));
-  }
-  finest_states_.clear();
-  DatasetView all(table_);
-  BoundLoss* bound = maintenance_bound_.get();
-  finest_states_ = GroupAccumulate<LossState>(
-      encoder_, packer_, all,
-      [bound](LossState* state, RowId row) { bound->Accumulate(state, row); });
-  finest_rows_.clear();
-  for (size_t r = 0; r < table_->num_rows(); ++r) {
-    finest_rows_[packer_.PackRow(encoder_, static_cast<RowId>(r))].push_back(
-        static_cast<RowId>(r));
-  }
-  finest_rows_indexed_ = table_->num_rows();
-  return Status::OK();
-}
-
 Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   auto owned = std::make_unique<TabulaIngestPlan>();
   TabulaIngestPlan& plan = *owned;
@@ -123,11 +103,11 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // is staged into the plan and committed in one infallible block by
   // CommitIngest — so an abandoned plan leaves the instance answering
   // queries exactly as before, generation unchanged. The only members
-  // this phase may touch are maintenance-only (maintenance_bound_,
-  // finest_states_), which no Query() path reads.
+  // this phase may touch are maintenance-only (maintenance_bound_, the
+  // finest-cell index), which no Query() path reads.
   //
   // With the tiered store enabled that carve-out no longer holds:
-  // Query() promotes cold cells through the finest-row index this
+  // Query() promotes cold cells through the finest-cell index this
   // phase extends, and the recheck below reads sample slots a
   // concurrent promote may be filling — so the whole phase runs in the
   // store's exclusive section. Disabled-store instances take no lock
@@ -191,73 +171,40 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
     bound = maintenance_bound_.get();
   }
 
-  // Lazily build the finest-state map when Initialize didn't keep it
-  // (one full accumulation pass; kept for subsequent refreshes). Safe
-  // to persist before the commit point: it only describes rows
-  // [0, n0), which matches refreshed_rows_ whether or not this cycle
-  // completes. The old and new encoders agree on those rows (appends
-  // never re-code existing values; the layout check above passed).
-  if (finest_states_.empty()) {
-    std::vector<RowId> old_rows(n0);
-    for (size_t i = 0; i < n0; ++i) old_rows[i] = static_cast<RowId>(i);
-    DatasetView old_view(table_, std::move(old_rows));
-    finest_states_ = GroupAccumulate<LossState>(
-        plan.new_encoder, packer_, old_view,
-        [bound](LossState* state, RowId row) {
-          bound->Accumulate(state, row);
-        });
-  }
-
-  // Extend the finest-cell row index over the pending rows (and, after
-  // a Load or with keep_maintenance_state off, over the whole table).
-  // Safe before the commit point: the index is a pure function of the
-  // append-only prefix it covers, and layout changes took the
+  // The index must cover the committed prefix [0, n0): an engine that
+  // does not keep it rebuilds it here with the dry run's fold (kept for
+  // an abandoned cycle's retry, dropped again at commit). Then the
+  // pending rows join it in place: rows are append-only, readers cap
+  // them at the committed prefix, and layout changes took the
   // full-rebuild exit above, so old and new encoders agree.
-  for (size_t r = finest_rows_indexed_; r < n1; ++r) {
-    uint64_t key = packer_.PackRow(plan.new_encoder, static_cast<RowId>(r));
-    finest_rows_[key].push_back(static_cast<RowId>(r));
+  if (finest_.num_rows < n0) {
+    TABULA_RETURN_NOT_OK(RebuildFinestIndex(plan.new_encoder, nullptr));
   }
-  finest_rows_indexed_ = n1;
+  AppendFinestRows(plan.new_encoder, packer_, n1, &finest_);
 
-  // 1. Fold the appended rows into a STAGED copy of the finest states
-  //    (committed only once all fallible work succeeded).
-  plan.staged_finest = finest_states_;
-  FlatHashSet dirty_finest;
+  // 1. Fold the appended rows, in row order, into a STAGED copy of the
+  //    finest states (committed only once all fallible work succeeded),
+  //    and mark every cell holding one — full-width keys are unique
+  //    across cuboids, so one set holds them all.
+  Lattice lattice(options_.cubed_attributes.size());
+  std::vector<KeyPacker::MaskTransform> roll_up(lattice.num_cuboids());
+  for (size_t m = 0; m < roll_up.size(); ++m) {
+    roll_up[m] = packer_.TransformFor(static_cast<CuboidMask>(m));
+  }
+  GroupedStates<LossState> staged{finest_.keys, finest_.states};
+  FlatHashSet dirty;
   for (size_t r = n0; r < n1; ++r) {
     uint64_t key = packer_.PackRow(plan.new_encoder, static_cast<RowId>(r));
-    bound->Accumulate(&plan.staged_finest[key], static_cast<RowId>(r));
-    dirty_finest.Insert(key);
+    const size_t cell = FindFinestCell(finest_, key);
+    TABULA_CHECK(cell < staged.states.size());  // indexed just above
+    bound->Accumulate(&staged.states[cell], static_cast<RowId>(r));
+    for (const auto& t : roll_up) dirty.Insert((key & t.keep) | t.set);
   }
 
-  // 2. Roll the states up the lattice (no table scan) and reclassify.
-  //    Parents fold in slot order; layouts are deterministic, so every
-  //    ordering derived below is thread-count independent.
-  Lattice lattice(options_.cubed_attributes.size());
-  const size_t n_attrs = lattice.num_attributes();
-  std::vector<FlatHashMap<LossState>> maps(lattice.num_cuboids());
-  std::vector<FlatHashSet> dirty(lattice.num_cuboids());
-  maps[lattice.finest()] = plan.staged_finest;  // copy: roll-up consumes it
-  dirty[lattice.finest()] = std::move(dirty_finest);
-  for (CuboidMask mask : lattice.TopDownOrder()) {
-    if (mask == lattice.finest()) continue;
-    size_t j = 0;
-    while (j < n_attrs && (mask & (CuboidMask{1} << j))) ++j;
-    CuboidMask parent = mask | (CuboidMask{1} << j);
-    FlatHashMap<LossState>& my_map = maps[mask];
-    my_map.reserve(maps[parent].size());
-    maps[parent].ForEach([&](uint64_t key, const LossState& state) {
-      uint64_t rolled = packer_.WithNull(key, j);
-      auto [slot, inserted] = my_map.TryEmplace(rolled);
-      if (inserted) {
-        *slot = state;
-      } else {
-        slot->Merge(state);
-      }
-    });
-    for (uint64_t key : dirty[parent].SortedKeys()) {
-      dirty[mask].Insert(packer_.WithNull(key, j));
-    }
-  }
+  // 2. Roll the states up the lattice exactly as the dry run does (no
+  //    table scan) and reclassify.
+  std::vector<GroupedStates<LossState>> maps =
+      RollUpCuboids(std::move(staged), packer_, lattice);
 
   // Classify the work per cuboid. Drops are only recorded here; the
   // cube itself mutates in the commit block.
@@ -269,7 +216,9 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   std::vector<Recheck> rechecks;
   for (size_t m = 0; m < lattice.num_cuboids(); ++m) {
     CuboidMask mask = static_cast<CuboidMask>(m);
-    maps[m].ForEach([&](uint64_t key, const LossState& state) {
+    for (size_t i = 0; i < maps[m].keys.size(); ++i) {
+      const uint64_t key = maps[m].keys[i];
+      const LossState& state = maps[m].states[i];
       bool iceberg = bound->Finalize(state) > options_.threshold;
       const IcebergCell* existing = cube_.Find(key);
       if (iceberg && existing == nullptr) {
@@ -280,11 +229,12 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
         // serve it from the global sample again.
         plan.to_remove.push_back(key);
         ++plan.stats.dropped_iceberg_cells;
-      } else if (iceberg && existing != nullptr && dirty[m].Contains(key)) {
+      } else if (iceberg && existing != nullptr && dirty.Contains(key)) {
         rechecks.push_back({key, mask, state});
       }
-    });
+    }
   }
+  plan.staged_states = std::move(maps[lattice.finest()].states);
 
   // Existing iceberg cells the pending rows touched: does the stored
   // sample still meet θ against the grown cell? For reference-
@@ -325,40 +275,11 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
 
   if (!plan.needs_rows.empty()) {
     // 3. Gather the raw rows of every cell that needs (re)sampling from
-    //    the finest-cell row index: a cell's rows are the union of the
-    //    finest groups that roll up into it. No table scan — the pass
-    //    is O(finest cells × affected cuboids) plus the copied rows.
-    std::vector<CuboidMask> affected;
-    plan.needs_rows.ForEach([&](uint64_t, const CellWork& work) {
-      affected.push_back(work.cuboid);
-    });
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    std::vector<std::vector<size_t>> rolled_attrs(affected.size());
-    for (size_t a = 0; a < affected.size(); ++a) {
-      for (size_t j = 0; j < n_attrs; ++j) {
-        if (!(affected[a] & (CuboidMask{1} << j))) rolled_attrs[a].push_back(j);
-      }
-    }
-    FlatHashMap<std::vector<RowId>> cell_rows;
-    finest_rows_.ForEach([&](uint64_t fkey, const std::vector<RowId>& rows) {
-      for (size_t a = 0; a < affected.size(); ++a) {
-        uint64_t key = fkey;
-        for (size_t j : rolled_attrs[a]) key = packer_.WithNull(key, j);
-        const CellWork* work = plan.needs_rows.Find(key);
-        if (work != nullptr && work->cuboid == affected[a]) {
-          std::vector<RowId>& dst = cell_rows[key];
-          dst.insert(dst.end(), rows.begin(), rows.end());
-        }
-      }
-    });
-    plan.cell_rows_sorted = cell_rows.ExtractSorted();
-    // Groups concatenate in index order; ascending row order keeps the
-    // greedy sampler's candidate sequence deterministic.
-    for (auto& [key, rows] : plan.cell_rows_sorted) {
-      std::sort(rows.begin(), rows.end());
-    }
+    //    the finest-cell index — no table scan. Ascending key order lets
+    //    the execute phase assign sample-table ids deterministically.
+    plan.cell_keys = plan.needs_rows.SortedKeys();
+    plan.cell_rows = GatherCellRows({&finest_}, packer_, plan.cell_keys,
+                                    static_cast<RowId>(n1));
   }
 
   // Stage the spatial grid's absorption of the pending rows (fallible,
@@ -379,11 +300,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // even when re-verification will keep its sample) plus every cell
   // whose classification flips this cycle (possible without being
   // touched: the global-sample redraw moves the loss reference).
-  for (size_t m = 0; m < lattice.num_cuboids(); ++m) {
-    for (uint64_t key : dirty[m].SortedKeys()) {
-      plan.dirty_keys.push_back(key);
-    }
-  }
+  plan.dirty_keys = dirty.SortedKeys();
   plan.needs_rows.ForEach([&](uint64_t key, const CellWork&) {
     plan.dirty_keys.push_back(key);
   });
@@ -425,9 +342,10 @@ Status Tabula::ExecuteIngest(IngestPlan* plan) {
     store_lock = std::shared_lock<std::shared_mutex>(*store_mu_);
   }
   const ThetaContext ctx = theta_context();
-  for (auto& [key, rows] : p->cell_rows_sorted) {
+  for (size_t c = 0; c < p->cell_keys.size(); ++c) {
+    const uint64_t key = p->cell_keys[c];
     const CellWork& work = *p->needs_rows.Find(key);
-    DatasetView raw(table_, rows);
+    DatasetView raw(table_, p->cell_rows[c]);
     TABULA_FAULT_POINT("refresh.sample");
     if (work.is_new) {
       TABULA_ASSIGN_OR_RETURN(std::vector<RowId> sample, Redraw(ctx, raw));
@@ -564,18 +482,13 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     stats_.spatial_sample_tuples = grid_.SampleTuples();
   }
   refreshed_rows_ = p->target_rows;
-  if (options_.keep_maintenance_state) {
-    finest_states_ = std::move(p->staged_finest);
+  if (keeps_finest_index()) {
+    // The plan staged one state per key of the index it extended; no
+    // other plan ran in between.
+    TABULA_CHECK(p->staged_states.size() == finest_.keys.size());
+    finest_.states = std::move(p->staged_states);
   } else {
-    finest_states_.clear();  // rebuilt lazily next time
-    if (!store_enabled()) {
-      // The store's lazy promotes gather through the finest-row index,
-      // so tiered instances keep it across cycles (it is a pure
-      // function of the append-only prefix, already extended to
-      // target_rows by PlanIngest).
-      finest_rows_.clear();
-      finest_rows_indexed_ = 0;
-    }
+    finest_ = FinestIndex();  // the next PlanIngest rebuilds it
   }
   uint64_t tuple_bytes = BytesPerTuple();
   stats_.cube_table_bytes = cube_.MemoryBytes();

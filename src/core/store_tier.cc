@@ -17,7 +17,7 @@
 
 namespace tabula {
 
-Status Tabula::AssignInitialTiers(const std::vector<RowId>* rows) {
+Status Tabula::AssignInitialTiers() {
   // Never truncate the spill file: a full-rebuild ingest builds the
   // fresh instance while the old one still serves (and may still read
   // its own spill records), so records are append-only for the life of
@@ -35,20 +35,6 @@ Status Tabula::AssignInitialTiers(const std::vector<RowId>* rows) {
     return Status::InvalidArgument(
         "store.hot_theta_factor must be in (0, 1]");
   }
-  // Lazy promotes gather cell rows from the finest-row index, so build
-  // it up front (just the index — NOT BuildMaintenanceState, whose
-  // finest_states_ must keep covering exactly [0, refreshed_rows_) for
-  // a resume_partial load). Indexing past refreshed_rows_ is harmless:
-  // AppendCellRows caps at the folded prefix, and PlanIngest's
-  // watermark makes the extension idempotent. A shard unit indexes
-  // exactly its own rows.
-  const DatasetView view =
-      rows != nullptr ? DatasetView(table_, *rows) : DatasetView(table_);
-  for (size_t i = finest_rows_indexed_; i < view.size(); ++i) {
-    const RowId r = view.row(i);
-    finest_rows_[packer_.PackRow(encoder_, r)].push_back(r);
-  }
-  finest_rows_indexed_ = view.size();
   // Register every sample at kWarm with its cube refcount (selection
   // shares representative slots across cells).
   std::vector<uint32_t> refs(samples_.size(), 0);
@@ -65,29 +51,12 @@ Status Tabula::AssignInitialTiers(const std::vector<RowId>* rows) {
   return Status::OK();
 }
 
-void Tabula::AppendCellRows(uint64_t key, CuboidMask cuboid,
-                            std::vector<RowId>* rows) const {
-  const size_t first = rows->size();
-  const size_t n_attrs = options_.cubed_attributes.size();
-  std::vector<size_t> rolled;
-  for (size_t j = 0; j < n_attrs; ++j) {
-    if (!(cuboid & (CuboidMask{1} << j))) rolled.push_back(j);
-  }
-  // Only rows the cube has folded in: the index may already cover
-  // pending appends staged by an in-flight (or abandoned) ingest cycle,
-  // and the sample must match the committed prefix.
-  const RowId bound = static_cast<RowId>(refreshed_rows_);
-  finest_rows_.ForEach([&](uint64_t fkey, const std::vector<RowId>& frows) {
-    uint64_t cell_key = fkey;
-    for (size_t j : rolled) cell_key = packer_.WithNull(cell_key, j);
-    if (cell_key != key) return;
-    for (RowId r : frows) {
-      if (r < bound) rows->push_back(r);
-    }
-  });
-  // Ascending row order = the build-time gather order, so re-sampling
-  // is byte-deterministic.
-  std::sort(rows->begin() + first, rows->end());
+std::vector<RowId> Tabula::CellRows(uint64_t key) const {
+  // Only rows the cube has folded in: the index may already hold pending
+  // appends of an in-flight (or abandoned) ingest cycle, and the sample
+  // must match the committed prefix.
+  return std::move(GatherCellRows({&finest_}, packer_, {key},
+                                  static_cast<RowId>(refreshed_rows_))[0]);
 }
 
 Status Tabula::PromoteLocked(IcebergCell* cell,
@@ -95,8 +64,7 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   transient->clear();
   TABULA_FAULT_POINT("store.promote");
   const uint32_t old_id = cell->sample_id;
-  std::vector<RowId> rows;
-  AppendCellRows(cell->key, cell->cuboid, &rows);
+  std::vector<RowId> rows = CellRows(cell->key);
   if (rows.empty()) {
     return Status::Internal("iceberg cell has no rows in the finest index");
   }
@@ -230,8 +198,7 @@ Status Tabula::MaintainStoreTiers() {
     if (!store_.resident(id) || store_.tier(id) == SampleTier::kHot) continue;
     if (store_.refs(id) != 1) continue;
     if (store_.hits(id) < options_.store.hot_promote_hits) continue;
-    std::vector<RowId> rows;
-    AppendCellRows(cell->key, cell->cuboid, &rows);
+    std::vector<RowId> rows = CellRows(cell->key);
     if (rows.empty()) {
       return Status::Internal("iceberg cell has no rows in the finest index");
     }

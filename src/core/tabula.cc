@@ -1,6 +1,7 @@
 #include "core/tabula.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -109,9 +110,6 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
   tabula->stats_.total_cells = dry.total_cells;
   tabula->stats_.iceberg_cells = dry.total_iceberg_cells;
   tabula->stats_.iceberg_cuboids = dry.iceberg_cuboids;
-  // A shard unit keeps the finest states for the coordinator's merge.
-  if (unit != nullptr) tabula->unit_finest_ = std::move(dry.finest);
-  dry.finest = GroupedStates<LossState>();
   dry_span.SetAttribute("rows_scanned", rows.size());
   dry_span.SetAttribute("total_cells", dry.total_cells);
   dry_span.SetAttribute("iceberg_cells", dry.total_iceberg_cells);
@@ -133,7 +131,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
   tabula->stats_.real_run_millis = real_span.End();
 
   // Stage 3: representative sample selection (or persist-all for
-  // Tabula* and shard units, which keep the raw rows for the merge).
+  // Tabula* and shard units).
   Span sel_span = tracer->StartSpan("tabula.init.selection", init_span.id());
   if (opts.enable_sample_selection) {
     TABULA_ASSIGN_OR_RETURN(
@@ -146,8 +144,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
   } else {
     TABULA_ASSIGN_OR_RETURN(
         SelectionResult sel,
-        PersistAllSamples(&tabula->cube_, &tabula->samples_,
-                          /*keep_raw_rows=*/unit != nullptr));
+        PersistAllSamples(&tabula->cube_, &tabula->samples_));
     tabula->stats_.representative_samples = sel.representatives;
   }
   sel_span.SetAttribute("representatives",
@@ -174,14 +171,15 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
   }
 
   tabula->refreshed_rows_ = table.num_rows();
-  if (opts.keep_maintenance_state) {
-    TABULA_RETURN_NOT_OK(tabula->BuildMaintenanceState());
+  // The dry run's finest states seed the finest-cell index, when kept.
+  if (unit != nullptr || tabula->keeps_finest_index()) {
+    tabula->finest_ = IndexFinestRows(std::move(dry.finest), tabula->encoder_,
+                                      tabula->packer_, rows);
   }
 
   // Tiered sample store: initial tier assignment (every sample starts
   // kWarm) and first budget enforcement. Inert when budget_bytes == 0.
-  TABULA_RETURN_NOT_OK(
-      tabula->AssignInitialTiers(unit != nullptr ? unit->rows : nullptr));
+  TABULA_RETURN_NOT_OK(tabula->AssignInitialTiers());
 
   uint64_t tuple_bytes = tabula->BytesPerTuple();
   tabula->stats_.global_sample_bytes =
@@ -196,14 +194,18 @@ Result<std::unique_ptr<Tabula>> Tabula::Build(const Table& table,
   return tabula;
 }
 
-Status Tabula::EnsureUnitFinest(const std::vector<RowId>& rows) {
-  if (!unit_finest_.keys.empty() || rows.empty()) return Status::OK();
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<BoundLoss> bound,
-                          loss_fn()->Bind(*table_, global_sample_));
-  // The dry run's own fold, so the states match a fresh build's.
-  unit_finest_ = GroupAccumulateSorted<LossState>(
-      encoder_, packer_, DatasetView(table_, rows),
-      [&bound](LossState* state, RowId row) { bound->Accumulate(state, row); });
+Status Tabula::RebuildFinestIndex(const KeyEncoder& encoder,
+                                  const std::vector<RowId>* rows) {
+  if (maintenance_bound_ == nullptr) {
+    TABULA_ASSIGN_OR_RETURN(maintenance_bound_,
+                            loss_fn()->Bind(*table_, global_sample_));
+  }
+  std::vector<RowId> prefix(rows == nullptr ? refreshed_rows_ : 0);
+  std::iota(prefix.begin(), prefix.end(), RowId{0});
+  const DatasetView view(table_, rows != nullptr ? *rows : std::move(prefix));
+  finest_ = IndexFinestRows(
+      FoldFinestStates(view, encoder, packer_, *maintenance_bound_), encoder,
+      packer_, view);
   return Status::OK();
 }
 

@@ -13,6 +13,7 @@
 #include "core/query_request.h"
 #include "cube/cube_table.h"
 #include "cube/dry_run.h"
+#include "cube/finest_index.h"
 #include "cube/real_run.h"
 #include "loss/loss_function.h"
 #include "obs/trace.h"
@@ -58,10 +59,11 @@ struct TabulaOptions {
   /// When false, every local sample is persisted individually — the
   /// paper's Tabula* ablation (Section V, compared approach 6).
   bool enable_sample_selection = true;
-  /// Keep the per-finest-cell loss states after initialization so
-  /// Refresh() (incremental maintenance after appends) avoids one
-  /// full-table accumulation pass. Costs one extra scan at init plus
-  /// O(#finest cells) memory.
+  /// Keep the finest-cell index (the dry run's per-finest-cell loss
+  /// states plus each cell's row ids) between Refresh() calls, so an
+  /// incremental refresh avoids one full-table accumulation pass. Costs
+  /// O(#finest cells) states and one RowId per row of memory; an engine
+  /// with the tiered store enabled keeps the index either way.
   bool keep_maintenance_state = false;
   /// Hierarchical spatial grid for bbox (pan/zoom) queries. Disabled by
   /// default (`spatial.levels == 0`): the engine then behaves bit for
@@ -284,9 +286,9 @@ class Tabula : public QueryEngine {
   /// split lets the ingestion layer run the fallible/slow phases under
   /// a shared lock so queries keep serving. Plan/Execute mutate only
   /// plan-staged state plus maintenance-only members no Query() path
-  /// reads (finest_states_, maintenance_bound_); Begin/Commit mutate
-  /// query-visible state and need the exclusive section. At most one
-  /// plan may be in flight at a time.
+  /// reads (the finest-cell index's rows, maintenance_bound_);
+  /// Begin/Commit mutate query-visible state and need the exclusive
+  /// section. At most one plan may be in flight at a time.
   Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
   void BeginIngest(IngestPlan* plan) override;
   Status ExecuteIngest(IngestPlan* plan) override;
@@ -333,9 +335,8 @@ class Tabula : public QueryEngine {
   /// in `tracer` (a private tracer when null, so init_stats() is
   /// span-derived either way). With `unit` null this is Initialize()
   /// over every row. Otherwise it builds a shard unit over unit->rows
-  /// with the coordinator's encoder and global sample, and keeps what
-  /// the coordinator's merge reads: the dry run's finest states and
-  /// every iceberg cell's raw rows.
+  /// with the coordinator's encoder and global sample, and keeps the
+  /// finest-cell index the coordinator's merge reads.
   static Result<std::unique_ptr<Tabula>> Build(const Table& table,
                                                TabulaOptions options,
                                                const UnitInput* unit,
@@ -390,13 +391,19 @@ class Tabula : public QueryEngine {
                                                   const UnitInput& unit,
                                                   uint64_t saved_rows);
 
-  /// Shard units: recomputes the dry run's finest states over `rows`
-  /// when a load left them empty (manifests do not persist them).
-  Status EnsureUnitFinest(const std::vector<RowId>& rows);
-
-  /// Accumulates the per-finest-cell loss states over rows [0, n) for
-  /// incremental maintenance.
-  Status BuildMaintenanceState();
+  /// Whether finest_ outlives a build, load or ingest cycle of a
+  /// single-instance engine (shard units always keep it): lazy promotes
+  /// read it with the store enabled, and keep_maintenance_state asks for
+  /// it.
+  bool keeps_finest_index() const {
+    return store_enabled() || options_.keep_maintenance_state;
+  }
+  /// Rebuilds finest_ over a shard unit's `rows` (nullptr = the
+  /// committed prefix [0, refreshed_rows_)) with the dry run's fold
+  /// (files do not persist the index): after a Load, and in the first
+  /// PlanIngest of an engine that does not keep it.
+  Status RebuildFinestIndex(const KeyEncoder& encoder,
+                            const std::vector<RowId>* rows);
 
   /// The bound loss (options_.effective_loss(), cached at Initialize).
   const LossFunction* loss_fn() const { return options_.effective_loss(); }
@@ -448,17 +455,13 @@ class Tabula : public QueryEngine {
   /// Whether the tiered store is active for this instance.
   bool store_enabled() const { return options_.store.budget_bytes > 0; }
   /// Configures the store, registers every sample at kWarm with its
-  /// cube refcount, builds the finest-row index (lazy promotes need
-  /// it) over `rows` (nullptr = every table row), and enforces the
-  /// budget. Called at the end of a build and (with adopted tier records
-  /// already in place) by a load.
-  Status AssignInitialTiers(const std::vector<RowId>* rows);
-  /// Appends cell (`key`, `cuboid`)'s rows of this instance — ascending,
-  /// capped at refreshed_rows_, possibly none — gathered from the
-  /// finest-row index by rolling each finest key up to the cell's
-  /// cuboid: the lazy-promote analogue of PlanIngest's gather.
-  void AppendCellRows(uint64_t key, CuboidMask cuboid,
-                      std::vector<RowId>* rows) const;
+  /// cube refcount, and enforces the budget. Called at the end of a
+  /// build and (with adopted tier records already in place) by a load.
+  Status AssignInitialTiers();
+  /// Cell `key`'s rows of this instance — ascending, capped at
+  /// refreshed_rows_, possibly none — gathered from the finest-cell
+  /// index (GatherCellRows).
+  std::vector<RowId> CellRows(uint64_t key) const;
   /// Restores a cold cell's sample: spill read + lazy re-verify when a
   /// record exists, deterministic re-sample otherwise (seeded like the
   /// build, so promote→demote→promote reproduces the original bytes).
@@ -504,24 +507,17 @@ class Tabula : public QueryEngine {
   SpatialGrid grid_;
   TabulaInitStats stats_;
 
-  /// Shard units only: the dry run's finest-cuboid states over the
-  /// unit's rows, ascending by key — the coordinator's merge input.
-  GroupedStates<LossState> unit_finest_;
-
-  /// Incremental-maintenance state (see Refresh()).
+  /// The finest-cell index (cube/finest_index.h): the dry run's states
+  /// and every finest cell's rows. Kept after a build or a load exactly
+  /// when something reads it later — a shard unit (the coordinator's
+  /// merge and promotes), an enabled store (lazy promotes), or
+  /// keep_maintenance_state; otherwise the first PlanIngest rebuilds it
+  /// and CommitIngest drops it again. PlanIngest appends rows in place
+  /// and stages the states; CommitIngest adopts them.
+  FinestIndex finest_;
+  /// The loss bound to global_sample_ for incremental maintenance.
   std::unique_ptr<BoundLoss> maintenance_bound_;
-  FlatHashMap<LossState> finest_states_;
   size_t refreshed_rows_ = 0;
-  /// Row ids of every finest cell over rows [0, finest_rows_indexed_),
-  /// each list ascending. Lets ingest cycles gather any cell's raw rows
-  /// without a table scan — a coarser cell's rows are the union of its
-  /// finest descendants'. Maintenance-only and extended in place during
-  /// PlanIngest: a pure function of the (append-only) table prefix it
-  /// covers, so it stays valid across abandoned cycles; the watermark
-  /// makes re-indexing idempotent. Costs one RowId per indexed row —
-  /// the same trade keep_maintenance_state already opts into.
-  FlatHashMap<std::vector<RowId>> finest_rows_;
-  size_t finest_rows_indexed_ = 0;
   /// Cells the in-flight ingest cycle will change (packed keys across
   /// all cuboids), published by BeginIngest and cleared by CommitIngest.
   /// Query() reads it for precise staleness tagging; empty while rows

@@ -42,8 +42,8 @@ struct DryRunResult {
   double rollup_millis = 0.0;
   double finalize_millis = 0.0;
   /// Finest-cuboid loss states over the scanned rows, ascending by packed
-  /// key (RunDryRun only). A sharded coordinator merges these across its
-  /// shard units instead of accumulating the rows a second time.
+  /// key (RunDryRun only). An engine that keeps a finest-cell index
+  /// (cube/finest_index.h) takes these instead of folding the rows again.
   GroupedStates<LossState> finest;
 };
 
@@ -148,6 +148,16 @@ std::vector<GroupedStates<State>> RollUpCuboids(GroupedStates<State> finest,
   return cells;
 }
 
+/// The dry run's fold: one GroupBy over `rows` at the finest cuboid,
+/// folding each row into its cell's LossState under `bound`, cells in
+/// ascending packed-key order. Deterministic grains + grain-order merge +
+/// sorted emission make the result a pure function of the data at any
+/// thread count.
+GroupedStates<LossState> FoldFinestStates(const DatasetView& rows,
+                                          const KeyEncoder& encoder,
+                                          const KeyPacker& packer,
+                                          const BoundLoss& bound);
+
 /// \brief Stage 1 of cube initialization: iceberg-cell lookup.
 ///
 /// Because the loss function is algebraic while SAMPLING() is holistic,
@@ -183,19 +193,6 @@ inline Result<DryRunResult> RunDryRun(const Table& table,
   return RunDryRun(DatasetView(&table), encoder, packer, lattice, loss,
                    global_sample, theta);
 }
-
-/// The pre-flat-hash dry-run engine — std::unordered_map folds, serial
-/// lattice roll-up, thread-count-dependent chunking — preserved as the
-/// reference implementation for bench_fig10_cubing_overhead's
-/// before/after comparison and as a differential oracle for the new
-/// engine (iceberg-cell sets must match modulo ordering).
-Result<DryRunResult> RunDryRunLegacy(const Table& table,
-                                     const KeyEncoder& encoder,
-                                     const KeyPacker& packer,
-                                     const Lattice& lattice,
-                                     const LossFunction& loss,
-                                     const DatasetView& global_sample,
-                                     double theta);
 
 }  // namespace tabula
 

@@ -38,60 +38,13 @@ CellRowsMap MergeGrainMaps(std::vector<CellRowsMap> partials,
   return merged;
 }
 
-/// Semi-join path: one scan; only rows whose cell key is an iceberg key
-/// are collected (paper's "equi-join with the iceberg cell table").
-CellRowsMap CollectJoinPath(const DatasetView& rows, const KeyEncoder& enc,
-                            const KeyPacker& packer, CuboidMask mask,
-                            const FlatHashSet& iceberg) {
-  auto& pool = ThreadPool::Global();
-  std::vector<CellRowsMap> partials(ThreadPool::GrainCount(rows.size()));
-  pool.ParallelForGrains(
-      rows.size(), [&](size_t grain, size_t begin, size_t end) {
-        auto& map = partials[grain];
-        map.reserve(iceberg.size());
-        for (size_t r = begin; r < end; ++r) {
-          uint64_t key = packer.PackRowMasked(enc, rows.row(r), mask);
-          if (iceberg.Contains(key)) {
-            map[key].push_back(static_cast<RowId>(r));
-          }
-        }
-      });
-  return MergeGrainMaps(std::move(partials), iceberg.size());
-}
-
-/// Full-GroupBy path: group *all* rows of the cuboid, then keep iceberg
-/// groups only.
-CellRowsMap CollectGroupByPath(const DatasetView& rows, const KeyEncoder& enc,
-                               const KeyPacker& packer, CuboidMask mask,
-                               const FlatHashSet& iceberg,
-                               size_t total_cells) {
-  auto& pool = ThreadPool::Global();
-  std::vector<CellRowsMap> partials(ThreadPool::GrainCount(rows.size()));
-  pool.ParallelForGrains(
-      rows.size(), [&](size_t grain, size_t begin, size_t end) {
-        auto& map = partials[grain];
-        map.reserve(std::min(total_cells, end - begin));
-        for (size_t r = begin; r < end; ++r) {
-          uint64_t key = packer.PackRowMasked(enc, rows.row(r), mask);
-          map[key].push_back(static_cast<RowId>(r));
-        }
-      });
-  CellRowsMap merged = MergeGrainMaps(std::move(partials), total_cells);
-  // Filter to iceberg cells.
-  CellRowsMap filtered(iceberg.size());
-  merged.ForEach([&](uint64_t key, std::vector<RowId>& cell_rows) {
-    if (iceberg.Contains(key)) filtered[key] = std::move(cell_rows);
-  });
-  return filtered;
-}
-
-/// Vectorized collectors: both derive the cuboid's cell keys from the
-/// precomputed finest-cuboid row keys with the two-op mask transform —
-/// batched (key & keep) | set over whole morsels — instead of
-/// re-gathering every key column per cuboid. Grain boundaries are pure
-/// f(n) and partials merge in ascending grain order, so each cell's row
-/// list is ascending and the merged map is byte-identical to the scalar
-/// reference engine.
+/// Collectors: each derives the cuboid's cell keys from the precomputed
+/// finest-cuboid row keys with the two-op mask transform — batched
+/// (key & keep) | set over whole morsels — instead of re-gathering every
+/// key column per cuboid. Grain boundaries are pure f(n) and partials
+/// merge in ascending grain order, so each cell's row list is ascending
+/// and the merged map is byte-identical to the per-row scalar reference
+/// (testing/reference_engines.h).
 
 CellRowsMap CollectJoinPathVec(const std::vector<uint64_t>& row_keys,
                                const KeyPacker& packer, CuboidMask mask,
@@ -283,7 +236,7 @@ Result<RealRunResult> RunRealRun(
     const KeyPacker& packer, const Lattice& lattice,
     const DryRunResult& dry_run, const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
-    RealRunPathPolicy path_policy, RealRunEngine engine) {
+    RealRunPathPolicy path_policy) {
   Stopwatch total;
   RealRunResult result;
   GreedySampler sampler(&loss, theta, sampler_options);
@@ -300,7 +253,7 @@ Result<RealRunResult> RunRealRun(
   // two bitwise ops per row away (see CollectJoinPathVec).
   std::vector<uint64_t> row_keys;
   FinestGroups finest_groups;
-  if (engine == RealRunEngine::kVectorized && dry_run.iceberg_cuboids > 0) {
+  if (dry_run.iceberg_cuboids > 0) {
     Stopwatch pack_timer;
     row_keys.resize(num_rows);
     pool.ParallelForGrains(num_rows, [&](size_t, size_t begin, size_t end) {
@@ -332,32 +285,22 @@ Result<RealRunResult> RunRealRun(
                            static_cast<double>(info.total_cells));
         break;
     }
+    // Under kAuto the grouped-dense collector beats either scalar-shaped
+    // plan whenever the finest grouping is selective: every per-row hash
+    // is replaced by an array gather, and per-cuboid hash work shrinks
+    // from |rows| to |distinct finest keys|. Explicit path policies (and
+    // cuboids too wide for counting-sort arrays) keep the join/group-by
+    // collectors, which mirror the reference plans.
     CellRowsMap cell_rows;
-    if (engine == RealRunEngine::kVectorized) {
-      // Under kAuto the grouped-dense collector beats either scalar-shaped
-      // plan whenever the finest grouping is selective: every per-row hash
-      // is replaced by an array gather, and per-cuboid hash work shrinks
-      // from |rows| to |distinct finest keys|. Explicit path policies (and
-      // cuboids too wide for counting-sort arrays) keep the vectorized
-      // join/group-by collectors, which mirror the reference plans.
-      if (path_policy == RealRunPathPolicy::kAuto &&
-          finest_groups.group_key.size() <= kDenseCellLimit) {
-        cell_rows = CollectGroupedVec(finest_groups, packer, info.mask,
-                                      iceberg);
-      } else {
-        cell_rows =
-            join_path
-                ? CollectJoinPathVec(row_keys, packer, info.mask,
-                                     info.iceberg_keys)
-                : CollectGroupByPathVec(row_keys, packer, info.mask, iceberg,
-                                        info.total_cells);
-      }
+    if (path_policy == RealRunPathPolicy::kAuto &&
+        finest_groups.group_key.size() <= kDenseCellLimit) {
+      cell_rows = CollectGroupedVec(finest_groups, packer, info.mask, iceberg);
     } else {
       cell_rows =
-          join_path
-              ? CollectJoinPath(rows, encoder, packer, info.mask, iceberg)
-              : CollectGroupByPath(rows, encoder, packer, info.mask, iceberg,
-                                   info.total_cells);
+          join_path ? CollectJoinPathVec(row_keys, packer, info.mask,
+                                         info.iceberg_keys)
+                    : CollectGroupByPathVec(row_keys, packer, info.mask,
+                                            iceberg, info.total_cells);
     }
 
     // Draw a local sample for each iceberg cell. Cells are laid out in

@@ -15,14 +15,6 @@ namespace tabula {
 /// for the cost-model ablation bench.
 enum class RealRunPathPolicy { kAuto, kAlwaysJoin, kAlwaysGroupBy };
 
-/// Which collection engine the real run uses. kVectorized packs every
-/// row's finest-cuboid key once (batched columnar PackRows) and derives
-/// each cuboid's keys with the two-op mask transform
-/// (KeyPacker::TransformFor); kScalarReference is the per-row
-/// PackRowMasked engine, preserved for head-to-head benching and as the
-/// differential oracle — both must produce byte-identical cubes.
-enum class RealRunEngine { kVectorized, kScalarReference };
-
 /// Per-cuboid diagnostics from the real-run stage.
 struct CuboidRealRunInfo {
   CuboidMask mask = 0;
@@ -40,8 +32,8 @@ struct RealRunResult {
   size_t local_sample_tuples = 0;
   double millis = 0.0;
   /// Per-stage breakdown of `millis`: the one-time finest-key packing
-  /// pass (kVectorized only), iceberg-row collection across all cuboids,
-  /// and the greedy per-cell sampling.
+  /// pass, iceberg-row collection across all cuboids, and the greedy
+  /// per-cell sampling.
   double pack_millis = 0.0;
   double collect_millis = 0.0;
   double sample_millis = 0.0;
@@ -54,6 +46,10 @@ struct RealRunResult {
 /// the iceberg-cell semi-join, whichever the cost model picks — then runs
 /// the greedy SAMPLING() aggregate (Algorithm 1) per iceberg cell.
 ///
+/// Every row's finest-cuboid key is packed once (batched columnar
+/// PackRows); each cuboid's keys derive from it with the two-op mask
+/// transform (KeyPacker::TransformFor).
+///
 /// `rows` are the rows the dry run scanned. Collection runs over view
 /// positions; a view with explicit (ascending) row ids translates each
 /// cell's positions to row ids once per cell, so an all-rows build pays
@@ -63,8 +59,7 @@ Result<RealRunResult> RunRealRun(
     const KeyPacker& packer, const Lattice& lattice,
     const DryRunResult& dry_run, const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
-    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto,
-    RealRunEngine engine = RealRunEngine::kVectorized);
+    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto);
 
 /// RunRealRun over every row of `table`.
 inline Result<RealRunResult> RunRealRun(
@@ -72,10 +67,9 @@ inline Result<RealRunResult> RunRealRun(
     const Lattice& lattice, const DryRunResult& dry_run,
     const LossFunction& loss, double theta,
     const GreedySamplerOptions& sampler_options,
-    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto,
-    RealRunEngine engine = RealRunEngine::kVectorized) {
+    RealRunPathPolicy path_policy = RealRunPathPolicy::kAuto) {
   return RunRealRun(DatasetView(&table), encoder, packer, lattice, dry_run,
-                    loss, theta, sampler_options, path_policy, engine);
+                    loss, theta, sampler_options, path_policy);
 }
 
 }  // namespace tabula

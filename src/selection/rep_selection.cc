@@ -85,8 +85,7 @@ Result<SelectionResult> SelectRepresentativeSamples(
 }
 
 Result<SelectionResult> PersistAllSamples(CubeTable* cube,
-                                          SampleTable* sample_table,
-                                          bool keep_raw_rows) {
+                                          SampleTable* sample_table) {
   Stopwatch timer;
   SelectionResult result;
   for (auto& cell : cube->mutable_cells()) {
@@ -94,7 +93,7 @@ Result<SelectionResult> PersistAllSamples(CubeTable* cube,
     cell.local_sample = std::vector<RowId>();
   }
   result.representatives = sample_table->size();
-  if (!keep_raw_rows) cube->DropRawData();
+  cube->DropRawData();
   result.millis = timer.ElapsedMillis();
   return result;
 }

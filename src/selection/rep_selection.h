@@ -40,12 +40,9 @@ Result<SelectionResult> SelectRepresentativeSamples(
     SampleTable* sample_table);
 
 /// \brief The no-selection variant (the paper's Tabula*): persists every
-/// local sample individually. Same linking/normalization contract, except
-/// that `keep_raw_rows` leaves each cell's raw rows in place (a shard
-/// unit keeps them for the sharded coordinator's merge).
+/// local sample individually. Same linking/normalization contract.
 Result<SelectionResult> PersistAllSamples(CubeTable* cube,
-                                          SampleTable* sample_table,
-                                          bool keep_raw_rows = false);
+                                          SampleTable* sample_table);
 
 }  // namespace tabula
 

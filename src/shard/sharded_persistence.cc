@@ -262,10 +262,9 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
     sharded->stats_.shard_iceberg_cells.push_back(
         shard.unit->cube_table().size());
   }
-  // Units' finest states are NOT persisted; the first Refresh rebuilds
-  // them via EnsureFinestStates(). Replica liveness is runtime state, so
-  // a load always starts with every replica up. The override store
-  // enforces its (possibly smaller) budget over the adopted tiers.
+  // Replica liveness is runtime state, so a load always starts with
+  // every replica up. The override store enforces its (possibly smaller)
+  // budget over the adopted tiers.
   sharded->TrackOverridesLocked();
   sharded->InitReplicas();
   return sharded;

@@ -93,12 +93,6 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> ShardedTabula::PlanIngest() {
     }
   }
 
-  // The merge pass needs every shard's finest states; rebuild any that
-  // are missing (e.g. after Load, which does not persist them). This
-  // mutates maintenance-only members no Query() path reads, so it is
-  // safe under the shared lock; the states describe rows [0, n0) only.
-  TABULA_RETURN_NOT_OK(EnsureFinestStates());
-
   // Redraw the global sample over the grown table exactly as a
   // from-scratch build would (see the plain engine's PlanIngest for
   // the full argument): with a reference-independent loss state the
@@ -185,7 +179,7 @@ Status ShardedTabula::ExecuteIngest(IngestPlan* plan) {
   }
 
   // Rebuild ONLY the touched shards' units, into the staged shards
-  // (parallel, one task per shard, like Initialize). The staged encoder
+  // (parallel, one unit per grain, like Initialize). The staged encoder
   // codes the appended rows; identical layout means identical keys for
   // rows the member encoder also covers.
   const DatasetView& ref =

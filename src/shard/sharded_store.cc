@@ -66,15 +66,13 @@ Status ShardedTabula::PromoteOverrideLocked(uint64_t key,
                                             const MergedCell& cell,
                                             std::vector<RowId>* out) const {
   TABULA_FAULT_POINT("store.promote");
-  // The merge drew this override from the union of the cell's shard
-  // slices, sorted ascending (slices are disjoint row sets, so the sort
-  // restores the exact full-table gather). Reproduce it from the units'
-  // finest-row indexes.
-  std::vector<RowId> rows;
-  for (const Shard& shard : shards_) {
-    shard.unit->AppendCellRows(key, cell.cuboid, &rows);
-  }
-  std::sort(rows.begin(), rows.end());
+  // The merge drew this override from the ascending union of the cell's
+  // shard slices; the same gather over the units' finest-cell indexes
+  // reproduces it.
+  std::vector<const FinestIndex*> indexes;
+  for (const Shard& shard : shards_) indexes.push_back(&shard.unit->finest_);
+  std::vector<RowId> rows = std::move(GatherCellRows(
+      indexes, packer_, {key}, static_cast<RowId>(refreshed_rows_))[0]);
   if (rows.empty()) {
     return Status::Internal("override cell has no rows in any shard");
   }

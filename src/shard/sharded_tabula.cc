@@ -1,7 +1,6 @@
 #include "shard/sharded_tabula.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <utility>
 
@@ -239,7 +238,6 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
 TabulaOptions ShardedTabula::UnitOptions() const {
   TabulaOptions unit = options_.base;
   unit.enable_sample_selection = false;
-  unit.keep_maintenance_state = false;
   unit.store.budget_bytes =
       options_.base.store.budget_bytes / (options_.num_shards + 1);
   unit.store.hot_promote_hits = std::numeric_limits<uint64_t>::max();
@@ -252,62 +250,52 @@ Status ShardedTabula::BuildUnits(const std::vector<Shard*>& shards,
                                  const std::vector<RowId>& ref_rows,
                                  Tracer* tracer, uint64_t parent_span,
                                  std::vector<double>* millis) const {
-  // One coarse task per shard. Nested ParallelFor calls inside a worker
-  // run inline, so each task is a self-contained sequential build — no
-  // cross-shard synchronization until the merge barrier, and each unit
-  // is a pure function of its rows regardless of worker count.
+  // One unit per grain, claimed by pool workers and the calling thread
+  // alike. Nested ParallelFor calls inside a worker run inline, so a
+  // worker's unit is a self-contained sequential build — no cross-shard
+  // synchronization until the merge barrier, and each unit is a pure
+  // function of its rows regardless of worker count.
   const TabulaOptions unit_options = UnitOptions();
   millis->assign(shards.size(), 0.0);
   std::vector<Status> statuses(shards.size(), Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    futures.push_back(ThreadPool::Global().Submit([&, i] {
-      statuses[i] = [&]() -> Status {
-        Span span;
-        if (tracer != nullptr) {
-          span = tracer->StartSpan("shard.build", parent_span,
-                                   /*opt_in=*/true);
-        }
-        Stopwatch timer;
-        TABULA_FAULT_POINT("shard.build");
-        Shard* shard = shards[i];
-        Tabula::UnitInput input{&enc, &ref_rows, &shard->rows};
-        // The unit times its stages on a private tracer: its init_stats()
-        // stay span-derived without copying the caller's whole span ring
-        // once per unit.
-        TABULA_ASSIGN_OR_RETURN(
-            shard->unit,
-            Tabula::Build(*table_, unit_options, &input, /*tracer=*/nullptr));
-        if (span.recording()) {
-          span.SetAttribute("rows", shard->rows.size());
-          span.SetAttribute("iceberg_cells",
-                            shard->unit->cube_table().size());
-          span.SetAttribute("spatial_cells",
-                            shard->unit->init_stats().spatial_cells);
-          (*millis)[i] = span.End();
-        } else {
-          (*millis)[i] = timer.ElapsedMillis();
-        }
-        return Status::OK();
-      }();
-    }));
-  }
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < shards.size(); ++i) {
-    try {
-      futures[i].get();
-    } catch (const std::exception& e) {
-      // A thrown injected fault (or any escaped exception) fails the
-      // build like a Status would — atomically, nothing published.
-      if (first_error.ok()) {
-        first_error = Status::Internal(std::string("shard build threw: ") +
-                                       e.what());
-      }
+  auto build = [&](size_t i) -> Status {
+    Span span;
+    if (tracer != nullptr) {
+      span = tracer->StartSpan("shard.build", parent_span, /*opt_in=*/true);
     }
-    if (first_error.ok() && !statuses[i].ok()) first_error = statuses[i];
+    Stopwatch timer;
+    TABULA_FAULT_POINT("shard.build");
+    Shard* shard = shards[i];
+    Tabula::UnitInput input{&enc, &ref_rows, &shard->rows};
+    // The unit times its stages on a private tracer: its init_stats()
+    // stay span-derived without copying the caller's whole span ring
+    // once per unit.
+    TABULA_ASSIGN_OR_RETURN(
+        shard->unit,
+        Tabula::Build(*table_, unit_options, &input, /*tracer=*/nullptr));
+    if (span.recording()) {
+      span.SetAttribute("rows", shard->rows.size());
+      span.SetAttribute("iceberg_cells", shard->unit->cube_table().size());
+      span.SetAttribute("spatial_cells",
+                        shard->unit->init_stats().spatial_cells);
+      (*millis)[i] = span.End();
+    } else {
+      (*millis)[i] = timer.ElapsedMillis();
+    }
+    return Status::OK();
+  };
+  try {
+    ThreadPool::Global().ParallelForGrains(
+        shards.size(),
+        [&](size_t i, size_t, size_t) { statuses[i] = build(i); },
+        /*grain_rows=*/1);
+  } catch (const std::exception& e) {
+    // A thrown injected fault (or any escaped exception) fails the build
+    // like a Status would — atomically, nothing published.
+    return Status::Internal(std::string("shard build threw: ") + e.what());
   }
-  return first_error;
+  for (const Status& status : statuses) TABULA_RETURN_NOT_OK(status);
+  return Status::OK();
 }
 
 Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
@@ -333,7 +321,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
     }
   }
 
-  // 1. Exact cross-shard state merge: the units' finest states are
+  // 1. Exact cross-shard state merge: the units' finest-cell indexes are
   //    ascending by key, so one k-way pass folds each key's states in
   //    ascending shard order — equal to the single-instance
   //    accumulation up to floating-point fold order — and tags it with
@@ -344,7 +332,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
     bool any = false;
     uint64_t key = 0;
     for (size_t s = 0; s < shards.size(); ++s) {
-      const GroupedStates<LossState>& f = shards[s]->unit->unit_finest_;
+      const FinestIndex& f = shards[s]->unit->finest_;
       if (pos[s] < f.keys.size() && (!any || f.keys[pos[s]] < key)) {
         key = f.keys[pos[s]];
         any = true;
@@ -353,7 +341,7 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
     if (!any) break;
     ShardState cell;
     for (size_t s = 0; s < shards.size(); ++s) {
-      const GroupedStates<LossState>& f = shards[s]->unit->unit_finest_;
+      const FinestIndex& f = shards[s]->unit->finest_;
       if (pos[s] >= f.keys.size() || f.keys[pos[s]] != key) continue;
       if (cell.shards == 0) {
         cell.state = f.states[pos[s]];
@@ -382,7 +370,6 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   MergeOutput out;
   struct PendingCell {
     CuboidMask cuboid = 0;
-    uint64_t shards = 0;        ///< shards holding rows of the cell
     bool verify_first = false;  ///< direct-loss check before resampling
     bool augmented = false;     ///< candidate includes the global sample
     std::vector<RowId> candidate;
@@ -433,11 +420,9 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
         }
         // A demoted slice: restore the build bytes — build seed over the
         // slice's ascending rows, exactly what the unit's promote draws.
-        std::vector<RowId> slice = cell->raw_rows;
-        if (slice.empty()) unit.AppendCellRows(key, mask, &slice);
         TABULA_ASSIGN_OR_RETURN(
             std::vector<RowId> redrawn,
-            Redraw(ctx, DatasetView(table_, std::move(slice))));
+            Redraw(ctx, DatasetView(table_, unit.CellRows(key))));
         candidate.insert(candidate.end(), redrawn.begin(), redrawn.end());
       }
       if (conflict) {
@@ -467,67 +452,31 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
       }
       // A reference-free cell failed its check and is re-drawn; any
       // other is checked against its raw rows first.
-      needs_raw[key] = PendingCell{mask, merged.shards,
-                                   /*verify_first=*/!ref_free,
+      needs_raw[key] = PendingCell{mask, /*verify_first=*/!ref_free,
                                    /*augmented=*/!ref_free && conflict,
                                    std::move(candidate)};
     }
   }
 
-  // 4. Collect full raw rows for the cells still pending (conflicted
-  //    reference-bound cells and union-violating reference-free ones).
-  //    Units keep each local iceberg cell's slice rows, so most of a
-  //    cell assembles by concatenation; only slices held by shards
-  //    *without* a local cube entry (conflict slices, or units restored
-  //    from disk, where slice rows are not persisted) fall back to a
-  //    scan — and that scan walks just the owning shard's rows, not the
-  //    whole table.
+  // 4. Gather the full raw rows of the cells still pending (conflicted
+  //    reference-bound cells and union-violating reference-free ones)
+  //    from every unit's finest-cell index. Shard slices are disjoint
+  //    row sets, so the ascending gather is exactly the vector a single
+  //    full-table scan would produce — the re-drawn samples are
+  //    independent of shard count and scheme. Then verify / re-sample in
+  //    ascending key order so override sample ids assign
+  //    deterministically.
   if (!needs_raw.empty()) {
-    FlatHashMap<std::vector<RowId>> raw_rows(needs_raw.size());
-    std::vector<FlatHashMap<CuboidMask>> scan_keys(shards.size());
-    needs_raw.ForEach([&](uint64_t key, const PendingCell& cell) {
-      std::vector<RowId>& rows = raw_rows[key];
-      for (size_t s = 0; s < shards.size(); ++s) {
-        if (((cell.shards >> s) & 1) == 0) continue;
-        const IcebergCell* local = shards[s]->unit->cube_.Find(key);
-        if (local != nullptr && !local->raw_rows.empty()) {
-          rows.insert(rows.end(), local->raw_rows.begin(),
-                      local->raw_rows.end());
-        } else {
-          scan_keys[s][key] = cell.cuboid;
-        }
-      }
-    });
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (scan_keys[s].empty()) continue;
-      std::vector<CuboidMask> affected;
-      scan_keys[s].ForEach([&](uint64_t, const CuboidMask& mask) {
-        affected.push_back(mask);
-      });
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()),
-                     affected.end());
-      for (CuboidMask mask : affected) {
-        for (RowId r : shards[s]->rows) {
-          uint64_t key = packer_.PackRowMasked(enc, r, mask);
-          const CuboidMask* cm = scan_keys[s].Find(key);
-          if (cm != nullptr && *cm == mask) raw_rows[key].push_back(r);
-        }
-      }
-    }
-    // Shard slices are disjoint row sets; ascending order restores the
-    // exact vector a single full-table scan would have produced, so
-    // the re-drawn samples are independent of shard count and scheme.
-    raw_rows.ForEach([&](uint64_t, std::vector<RowId>& rows) {
-      std::sort(rows.begin(), rows.end());
-    });
-
-    // 5. Verify / re-sample in ascending key order so override sample
-    //    ids assign deterministically.
-    for (auto& [key, rows] : raw_rows.ExtractSorted()) {
+    std::vector<const FinestIndex*> indexes;
+    for (const Shard* shard : shards) indexes.push_back(&shard->unit->finest_);
+    const std::vector<uint64_t> keys = needs_raw.SortedKeys();
+    std::vector<std::vector<RowId>> rows =
+        GatherCellRows(indexes, packer_, keys,
+                       std::numeric_limits<RowId>::max());
+    for (size_t c = 0; c < keys.size(); ++c) {
+      const uint64_t key = keys[c];
       PendingCell* cell = needs_raw.Find(key);
-      TABULA_CHECK(cell != nullptr);
-      DatasetView raw(table_, std::move(rows));
+      DatasetView raw(table_, std::move(rows[c]));
       if (cell->verify_first) {
         ++out.verified_cells;
         TABULA_ASSIGN_OR_RETURN(
@@ -553,13 +502,6 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
     out.millis = timer.ElapsedMillis();
   }
   return out;
-}
-
-Status ShardedTabula::EnsureFinestStates() {
-  for (Shard& shard : shards_) {
-    TABULA_RETURN_NOT_OK(shard.unit->EnsureUnitFinest(shard.rows));
-  }
-  return Status::OK();
 }
 
 const ShardedInitStats& ShardedTabula::init_stats() const { return stats_; }

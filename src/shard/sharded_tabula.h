@@ -82,10 +82,11 @@ struct ShardedInitStats {
   double total_millis = 0.0;
   /// Modeled K-worker wall clock: the coordinator's serial work
   /// (partition, state merge, re-verification) plus the *slowest*
-  /// single shard build. Shard builds are independent pool tasks, so
-  /// measured wall clock converges to this once the pool has >= K
-  /// workers; on smaller pools the tasks time-share and total_millis
-  /// approaches the sum instead. bench_shard_scaling reports both.
+  /// single shard build. Shard builds are independent units that pool
+  /// workers and the calling thread claim one at a time, so measured
+  /// wall clock converges to this once K threads build at once; with
+  /// fewer threads the builds time-share and total_millis approaches
+  /// the sum instead. bench_shard_scaling reports both.
   double critical_path_millis = 0.0;
   std::vector<double> shard_build_millis;   ///< per shard
   std::vector<size_t> shard_iceberg_cells;  ///< per shard (local cubes)
@@ -98,8 +99,8 @@ struct ShardedInitStats {
 /// Initialize() partitions the base table's rows into K shards and builds
 /// each shard's cube as a shard unit — a `Tabula` built by the same
 /// pipeline as a plain engine, over the shard's rows, with the
-/// coordinator's key encoder and global sample — in parallel (one coarse
-/// task per shard on the global pool; everything inside runs inline).
+/// coordinator's key encoder and global sample — in parallel (one unit
+/// per grain on the global pool; inside a worker everything runs inline).
 /// It then merges: per-cell loss states merge *exactly* (they are
 /// algebraic), so the merged iceberg-cell set equals the
 /// single-instance cube's, and each merged iceberg cell's answer is the
@@ -133,10 +134,9 @@ class ShardedTabula : public QueryEngine {
   /// touched shards into staged copies and re-runs the merge + θ
   /// re-verification over the mix of staged and untouched shards;
   /// CommitIngest adopts the staged shards and the merged directory.
-  /// Plan/Execute mutate only plan-staged state plus maintenance-only
-  /// members Query() never reads (shard finest states / present sets via
-  /// EnsureFinestStates), so they may run under a shared lock while
-  /// queries serve. K = 1 delegates every phase to the plain engine.
+  /// Plan/Execute mutate only plan-staged state, so they may run under a
+  /// shared lock while queries serve. K = 1 delegates every phase to the
+  /// plain engine.
   Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
   void BeginIngest(IngestPlan* plan) override;
   Status ExecuteIngest(IngestPlan* plan) override;
@@ -327,14 +327,15 @@ class ShardedTabula : public QueryEngine {
 
   /// The settings the coordinator fixes for every unit: no
   /// representative-sample sharing (an answer is a union of per-shard
-  /// samples), no maintenance state (a touched unit is rebuilt, never
-  /// refreshed), warm re-draws only — a unit's promote restores exactly
+  /// samples), warm re-draws only — a unit's promote restores exactly
   /// the bytes the merge verified, never a tighter hot sample or a spill
-  /// record — and a 1/(K+1) slice of the store budget.
+  /// record — and a 1/(K+1) slice of the store budget. A touched unit is
+  /// rebuilt, never refreshed, so keep_maintenance_state does not apply.
   TabulaOptions UnitOptions() const;
 
-  /// Builds the units of `shards` over their rows in parallel, one pool
-  /// task per shard, each a `shard.build` span under `parent_span`;
+  /// Builds the units of `shards` over their rows in parallel, one unit
+  /// per grain of ParallelForGrains (the calling thread builds units
+  /// too), each a `shard.build` span under `parent_span`;
   /// per-unit build times land in `millis`. `enc` and `ref_rows` are
   /// explicit because an in-flight ingest plan builds with its staged
   /// encoder and global sample (the members stay untouched until
@@ -351,10 +352,6 @@ class ShardedTabula : public QueryEngine {
       const std::vector<const Shard*>& shards, const KeyEncoder& enc,
       const DatasetView& ref, const std::vector<RowId>& ref_rows,
       Tracer* tracer, uint64_t parent_span) const;
-
-  /// Asks every unit to rebuild the finest states the merge reads (a
-  /// Load does not persist them).
-  Status EnsureFinestStates();
 
   /// Shard owning an appended row id under the configured partition.
   size_t ShardForNewRow(RowId row, const std::vector<size_t>& sizes) const;

@@ -46,7 +46,7 @@ struct SpatialGridOptions {
 /// Materialized alongside the cube: every cell of every level carries a
 /// θ-valid local sample and the algebraic LossState of its raw rows;
 /// finest cells additionally keep their ascending row-id lists (the
-/// spatial analogue of the cube's `finest_rows_` index). A bbox query
+/// spatial analogue of the cube's finest-cell index). A bbox query
 /// decomposes into interior cells (answered from materialized samples /
 /// merged states) and boundary finest cells (answered by targeted
 /// re-filter scans), and every composed sample — a coarse cell, a grown

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -163,6 +165,34 @@ TEST(ThreadPoolTest, ParallelForSurvivesThrowingChunk) {
     total += end - begin;
   });
   EXPECT_EQ(total.load(), 1000u);
+}
+
+TEST(ThreadPoolTest, ParallelForGrainsReturnsWhileEveryWorkerIsBlocked) {
+  // Both workers block behind a gate, so the helpers a dispatch queues
+  // cannot start; the caller drains every grain itself and must return
+  // without waiting for them (a caller holding a lock the workers wait
+  // on would otherwise deadlock).
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  for (size_t i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([opened] { opened.wait(); });
+  }
+  std::atomic<size_t> covered{0};
+  auto dispatch = std::async(std::launch::async, [&] {
+    pool.ParallelForGrains(70000, [&](size_t, size_t begin, size_t end) {
+      covered += end - begin;
+    });
+  });
+  const bool returned = dispatch.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  // Open the gate after the check, so a pool that does wait for its
+  // helpers fails this test instead of hanging it.
+  gate.set_value();
+  dispatch.get();
+  EXPECT_TRUE(returned)
+      << "ParallelForGrains waited for helpers no worker could start";
+  EXPECT_EQ(covered.load(), 70000u);
 }
 
 // ---------- string_util ----------

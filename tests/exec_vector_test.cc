@@ -35,6 +35,7 @@
 #include "sampling/random_sampler.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
+#include "testing/reference_engines.h"
 
 namespace tabula {
 namespace {
@@ -452,7 +453,7 @@ struct CubeBytes {
   }
 };
 
-CubeBytes BuildCube(const Table& table, RealRunEngine engine,
+CubeBytes BuildCube(const Table& table, bool scalar_reference,
                     uint64_t sample_seed) {
   CubeBytes out;
   auto enc = KeyEncoder::Make(table, {"g1", "g2"});
@@ -472,8 +473,11 @@ CubeBytes BuildCube(const Table& table, RealRunEngine engine,
   for (const auto& info : dry->cuboids) out.iceberg_keys.push_back(info.iceberg_keys);
 
   GreedySamplerOptions opts;
-  auto real = RunRealRun(table, *enc, *packer, lattice, *dry, loss, 0.05,
-                         opts, RealRunPathPolicy::kAuto, engine);
+  auto real = scalar_reference
+                  ? RunRealRunScalarReference(table, *enc, *packer, *dry,
+                                              loss, 0.05, opts)
+                  : RunRealRun(table, *enc, *packer, lattice, *dry, loss,
+                               0.05, opts);
   EXPECT_TRUE(real.ok()) << real.status().ToString();
   for (const auto& cell : real->cube.cells()) {
     out.cell_keys.push_back(cell.key);
@@ -495,17 +499,15 @@ TEST(CubeDeterminismTest, ByteIdenticalAcrossPoolWidthsAndEnginesAtEdgeSizes) {
     CubeBytes reference;
     {
       PoolOverride o(1);
-      reference = BuildCube(*table, RealRunEngine::kVectorized, 9);
+      reference = BuildCube(*table, /*scalar_reference=*/false, 9);
     }
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (RealRunEngine engine :
-           {RealRunEngine::kVectorized, RealRunEngine::kScalarReference}) {
+      for (bool scalar_reference : {false, true}) {
         PoolOverride o(threads);
-        CubeBytes got = BuildCube(*table, engine, 9);
+        CubeBytes got = BuildCube(*table, scalar_reference, 9);
         EXPECT_TRUE(got == reference)
             << "n=" << n << " threads=" << threads << " engine="
-            << (engine == RealRunEngine::kVectorized ? "vectorized"
-                                                     : "scalar");
+            << (scalar_reference ? "scalar" : "vectorized");
       }
     }
   }

@@ -5,6 +5,7 @@
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
 #include "data/workload.h"
+#include "exec/key_encoder.h"
 #include "loss/mean_loss.h"
 
 namespace tabula {
@@ -15,6 +16,28 @@ void AppendRows(Table* target, const Table& source, size_t n) {
   for (RowId r = 0; r < n; ++r) {
     ASSERT_TRUE(target->AppendRowFrom(source, r).ok());
   }
+}
+
+/// WHERE clauses of every cell of every cuboid over `attrs`: each
+/// attribute either rolled up or equal to one of its values.
+std::vector<std::vector<PredicateTerm>> EveryCell(
+    const Table& table, const std::vector<std::string>& attrs) {
+  auto encoder = KeyEncoder::Make(table, attrs);
+  EXPECT_TRUE(encoder.ok()) << encoder.status().ToString();
+  std::vector<std::vector<PredicateTerm>> cells = {{}};
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    std::vector<std::vector<PredicateTerm>> grown;
+    for (const auto& cell : cells) {
+      grown.push_back(cell);
+      for (uint32_t code = 0; code < encoder->Cardinality(k); ++code) {
+        grown.push_back(cell);
+        grown.back().push_back(
+            {attrs[k], CompareOp::kEq, encoder->Decode(k, code)});
+      }
+    }
+    cells = std::move(grown);
+  }
+  return cells;
 }
 
 class RefreshTest : public ::testing::Test {
@@ -151,14 +174,55 @@ TEST_F(RefreshTest, NewAttributeValueTriggersFullRebuild) {
 }
 
 TEST_F(RefreshTest, WorksWithoutKeptMaintenanceState) {
-  options_.keep_maintenance_state = false;
-  auto tabula = Tabula::Initialize(*table_, options_);
-  ASSERT_TRUE(tabula.ok());
-  AppendRows(table_.get(), *extra_, 3000);
-  Tabula::RefreshStats stats;
-  ASSERT_TRUE(tabula.value()->Refresh(&stats).ok());
-  EXPECT_EQ(stats.new_rows, 3000u);
-  VerifyGuarantee(*tabula.value());
+  // An engine that does not keep its finest-cell index rebuilds it each
+  // cycle (with the store off) — it must refresh exactly like a twin
+  // that keeps it, store off and on.
+  for (bool store : {false, true}) {
+    TaxiGeneratorOptions gen;
+    gen.num_rows = 20000;
+    gen.seed = 51;
+    table_ = TaxiGenerator(gen).Generate();
+    TabulaOptions lean = options_;
+    lean.keep_maintenance_state = false;
+    if (store) {
+      TabulaOptions probe_options = lean;
+      probe_options.store.budget_bytes = uint64_t{1} << 40;
+      auto probe = Tabula::Initialize(*table_, probe_options);
+      ASSERT_TRUE(probe.ok());
+      lean.store.budget_bytes = probe.value()->sample_store().bytes() / 2;
+    }
+    TabulaOptions kept = lean;
+    kept.keep_maintenance_state = true;
+    auto lean_engine = Tabula::Initialize(*table_, lean);
+    auto kept_engine = Tabula::Initialize(*table_, kept);
+    ASSERT_TRUE(lean_engine.ok() && kept_engine.ok());
+    for (RowId cycle = 0; cycle < 3; ++cycle) {
+      for (RowId r = cycle * 1000; r < (cycle + 1) * 1000; ++r) {
+        ASSERT_TRUE(table_->AppendRowFrom(*extra_, r).ok());
+      }
+      Tabula::RefreshStats got;
+      Tabula::RefreshStats want;
+      ASSERT_TRUE(lean_engine.value()->Refresh(&got).ok());
+      ASSERT_TRUE(kept_engine.value()->Refresh(&want).ok());
+      EXPECT_EQ(got.new_rows, 1000u);
+      EXPECT_EQ(got.new_rows, want.new_rows);
+      EXPECT_EQ(got.new_iceberg_cells, want.new_iceberg_cells);
+      EXPECT_EQ(got.dropped_iceberg_cells, want.dropped_iceberg_cells);
+      EXPECT_EQ(got.rechecked_cells, want.rechecked_cells);
+      EXPECT_EQ(got.resampled_cells, want.resampled_cells);
+      EXPECT_EQ(got.full_rebuild, want.full_rebuild);
+      for (const auto& where : EveryCell(*table_, options_.cubed_attributes)) {
+        auto a = lean_engine.value()->Query(QueryRequest(where));
+        auto b = kept_engine.value()->Query(QueryRequest(where));
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->result.sample.ToRowIds(), b->result.sample.ToRowIds())
+            << "store=" << store << " cycle=" << cycle;
+        EXPECT_EQ(a->result.from_local_sample, b->result.from_local_sample);
+        EXPECT_FALSE(a->result.store_degraded || b->result.store_degraded);
+      }
+    }
+    VerifyGuarantee(*lean_engine.value());
+  }
 }
 
 TEST_F(RefreshTest, RepeatedRefreshes) {

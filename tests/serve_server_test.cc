@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
 #include "data/workload.h"
@@ -765,6 +770,79 @@ TEST(LatencyHistogramTest, OverflowPercentileIsFlaggedLowerBound) {
   EXPECT_LE(p50.micros, 16.0);
   PercentileEstimate p99 = snap.PercentileWithOverflow(0.995);
   EXPECT_TRUE(p99.overflow);
+}
+
+TEST(QueryServerDeadlockTest, RefreshReturnsBesideBatchQuery) {
+  // A refresh fans its fold out onto the pool while holding the engine
+  // lock exclusively. Batch items occupying every worker block on that
+  // lock, so the refresh must finish its grains itself instead of
+  // waiting for pool helpers that cannot start.
+  TaxiGeneratorOptions gen;
+  gen.num_rows = 70000;
+  gen.seed = 63;
+  std::unique_ptr<Table> table = TaxiGenerator(gen).Generate();
+  gen.num_rows = 100;
+  gen.seed = 64;
+  std::unique_ptr<Table> extra = TaxiGenerator(gen).Generate();
+  MeanLoss loss("fare_amount");
+  TabulaOptions options;
+  options.cubed_attributes = {"payment_type", "rate_code"};
+  options.loss = &loss;
+  options.threshold = 0.05;
+  options.keep_maintenance_state = false;  // the refresh folds every row
+  auto tabula = Tabula::Initialize(*table, options);
+  ASSERT_TRUE(tabula.ok()) << tabula.status().ToString();
+  for (RowId r = 0; r < extra->num_rows(); ++r) {
+    ASSERT_TRUE(table->AppendRowFrom(*extra, r).ok());
+  }
+
+  ThreadPool pool(2);
+  struct GlobalPoolGuard {
+    explicit GlobalPoolGuard(ThreadPool* p) { ThreadPool::SetGlobalForTest(p); }
+    ~GlobalPoolGuard() { ThreadPool::SetGlobalForTest(nullptr); }
+  } guard(&pool);
+  ScopedFaultClear clear;
+  QueryServerOptions sopts;
+  sopts.enable_cache = false;
+  QueryServer server(tabula.value().get(), sopts);
+  FaultSpec slow;
+  slow.fail = false;
+  slow.delay_ms = 300.0;
+  slow.max_triggers = 1;
+  FaultInjector::Global().Arm("serve.refresh", slow);
+
+  std::promise<Status> refreshed;
+  std::future<Status> refresh_done = refreshed.get_future();
+  std::thread refresher([&] { refreshed.set_value(server.Refresh()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Two batches: however the callers race their helpers for chunks, at
+  // least one chunk per worker goes to a pool worker.
+  std::vector<std::vector<PredicateTerm>> cells(
+      64, {{"payment_type", CompareOp::kEq, Value("Cash")}});
+  std::vector<Result<std::vector<BatchItem>>> batches(
+      2, Status::Internal("not run"));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < batches.size(); ++c) {
+    clients.emplace_back(
+        [&, c] { batches[c] = server.BatchQuery(Requests(cells)); });
+  }
+  if (refresh_done.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // Nothing can release a deadlocked refresh: end the process instead
+    // of hanging the suite.
+    ADD_FAILURE() << "QueryServer::Refresh deadlocked beside a BatchQuery";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  refresher.join();
+  for (std::thread& client : clients) client.join();
+  Status st = refresh_done.get();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (const BatchItem& item : *batch) EXPECT_TRUE(item.status.ok());
+  }
+  EXPECT_EQ(tabula.value()->PendingIngestRows(), 0u);
 }
 
 TEST(MetricsRegistryTest, CountersAndGaugesAreStable) {

@@ -234,11 +234,20 @@ TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
     }
     std::unique_ptr<Table> donor = SyntheticGenerator(donor_gen).Generate();
 
+    // Units keep no raw rows: the merge gathers them from the units'
+    // finest-cell indexes.
+    auto expect_no_raw_rows = [](const ShardedTabula& e) {
+      for (size_t i = 0; e.num_shards() > 1 && i < e.num_shards(); ++i) {
+        EXPECT_EQ(e.shard_cube(i).RawDataBytes(), 0u)
+            << "k=" << e.num_shards() << " shard=" << i;
+      }
+    };
     std::vector<std::unique_ptr<ShardedTabula>> engines;
     for (size_t k : kShardCounts) {
       auto e = ShardedTabula::Initialize(
           *f.table, MakeShardOptions(f, seed, k, loss, theta));
       ASSERT_TRUE(e.ok()) << e.status().ToString();
+      expect_no_raw_rows(*e.value());
       engines.push_back(std::move(e).value());
     }
 
@@ -250,6 +259,7 @@ TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
       Status st = e->Refresh();
       ASSERT_TRUE(st.ok()) << st.ToString();
       EXPECT_EQ(e->generation(), 1u);
+      expect_no_raw_rows(*e);
     }
     // All shard counts agree with each other (k=1 is the plain engine).
     const std::vector<uint64_t> want = engines[0]->MergedIcebergKeys();

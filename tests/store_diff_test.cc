@@ -17,8 +17,9 @@
 ///    per-cell (see PromoteLocked), so each answer must be byte-equal
 ///    to either the original shared bytes or the cell's deterministic
 ///    private re-draw — never a third sample;
-///  - Save/Load round-trips tier state, and files saved with the store
-///    off (all-kWarm tier records) load into a store-enabled engine;
+///  - Save/Load round-trips tier state, files saved with the store off
+///    (all-kWarm tier records) load into a store-enabled engine, and a
+///    loaded engine refreshes exactly like the live one;
 ///  - shard units never hot-promote: a sharded promote restores exactly
 ///    the bytes the merge verified.
 
@@ -34,6 +35,7 @@
 #include "core/tabula.h"
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
+#include "exec/key_encoder.h"
 #include "loss/loss_registry.h"
 #include "shard/sharded_tabula.h"
 #include "storage/predicate.h"
@@ -60,9 +62,11 @@ struct DiffFixture {
   std::vector<std::string> attrs;
 };
 
-DiffFixture MakeFixture(uint64_t seed, size_t rows) {
+/// A table whose columns depend on `seed` only; `draw` picks the rows, so
+/// another draw yields rows of the same value domains to append.
+DiffFixture MakeFixture(uint64_t seed, size_t rows, uint64_t draw = 11) {
   SyntheticGeneratorOptions gen;
-  gen.seed = seed * 7919 + 11;
+  gen.seed = seed * 7919 + draw;
   gen.num_rows = rows;
   gen.cell_spread = 1.1;
   gen.noise = 0.1;
@@ -687,6 +691,95 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
             << "seed=" << seed << " k=" << k << " query=" << q.ToString();
       }
       std::remove(path.c_str());
+    }
+  }
+}
+
+/// WHERE clauses of every cell of every cuboid over `attrs`: each
+/// attribute either rolled up or equal to one of its values.
+std::vector<std::vector<PredicateTerm>> EveryCell(
+    const Table& table, const std::vector<std::string>& attrs) {
+  auto encoder = KeyEncoder::Make(table, attrs);
+  EXPECT_TRUE(encoder.ok()) << encoder.status().ToString();
+  std::vector<std::vector<PredicateTerm>> cells = {{}};
+  for (size_t k = 0; k < attrs.size(); ++k) {
+    std::vector<std::vector<PredicateTerm>> grown;
+    for (const auto& cell : cells) {
+      grown.push_back(cell);
+      for (uint32_t code = 0; code < encoder->Cardinality(k); ++code) {
+        grown.push_back(cell);
+        grown.back().push_back(
+            {attrs[k], CompareOp::kEq, encoder->Decode(k, code)});
+      }
+    }
+    cells = std::move(grown);
+  }
+  return cells;
+}
+
+/// A loaded engine refreshes exactly like the live engine it was saved
+/// from: the load rebuilds the finest-cell index (each unit's at K > 1)
+/// that the refresh and the shard merge read. Store off, and a budget
+/// that leaves cold samples.
+TEST(StoreDiff, LoadedEngineRefreshesLikeTheLiveOne) {
+  const uint64_t seed = 6;
+  const double theta = MakeTheta(seed);
+  std::shared_ptr<const LossFunction> loss = MakeLoss();
+  for (size_t k : kShardCounts) {
+    for (bool budgeted : {false, true}) {
+      DiffFixture f = MakeFixture(seed, 360);
+      uint64_t budget = 0;
+      if (budgeted) {
+        auto probe = ShardedTabula::Initialize(
+            *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded, false));
+        ASSERT_TRUE(probe.ok());
+        budget = std::max<uint64_t>(probe.value()->StoreBytes() / 3,
+                                    static_cast<uint64_t>(k) + 2);
+      }
+      const ShardedTabulaOptions options =
+          MakeOptions(f, seed, k, loss, theta, budget, false);
+      auto live = ShardedTabula::Initialize(*f.table, options);
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+      if (budgeted) {
+        ASSERT_GT(live.value()->StoreStats().cold_samples, 0u);
+      }
+      const std::string path =
+          TempPath("store_diff_refresh_" + std::to_string(k) + "_" +
+                   std::to_string(budgeted) + ".bin");
+      ASSERT_TRUE(live.value()->Save(path).ok());
+      auto loaded = ShardedTabula::Load(*f.table, options, path);
+      std::remove(path.c_str());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+      std::unique_ptr<Table> donor =
+          MakeFixture(seed, 150, /*draw=*/12).table;
+      for (RowId r = 0; r < donor->num_rows(); ++r) {
+        ASSERT_TRUE(f.table->AppendRowFrom(*donor, r).ok());
+      }
+      QueryEngine::RefreshStats want;
+      QueryEngine::RefreshStats got;
+      ASSERT_TRUE(live.value()->Refresh(&want).ok());
+      ASSERT_TRUE(loaded.value()->Refresh(&got).ok());
+      const std::string where =
+          "k=" + std::to_string(k) + " budgeted=" + std::to_string(budgeted);
+      EXPECT_EQ(got.new_rows, want.new_rows) << where;
+      EXPECT_EQ(got.new_iceberg_cells, want.new_iceberg_cells) << where;
+      EXPECT_EQ(got.dropped_iceberg_cells, want.dropped_iceberg_cells)
+          << where;
+      EXPECT_EQ(got.rechecked_cells, want.rechecked_cells) << where;
+      EXPECT_EQ(got.resampled_cells, want.resampled_cells) << where;
+      EXPECT_EQ(got.full_rebuild, want.full_rebuild) << where;
+      EXPECT_EQ(loaded.value()->MergedIcebergKeys(),
+                live.value()->MergedIcebergKeys())
+          << where;
+      for (const auto& cell : EveryCell(*f.table, f.attrs)) {
+        auto a = live.value()->Query(QueryRequest(cell));
+        auto b = loaded.value()->Query(QueryRequest(cell));
+        ASSERT_TRUE(a.ok() && b.ok()) << where;
+        EXPECT_FALSE(a->result.store_degraded || b->result.store_degraded);
+        EXPECT_EQ(b->result.sample.ToRowIds(), a->result.sample.ToRowIds())
+            << where;
+      }
     }
   }
 }
