@@ -162,7 +162,9 @@ class BufferReader {
   Result<std::vector<T>> ReadVector() {
     static_assert(std::is_trivially_copyable_v<T>);
     TABULA_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    if (n * sizeof(T) > remaining()) {
+    // Divide rather than multiply: n * sizeof(T) wraps for a corrupt
+    // count near 2^64 and would pass the check.
+    if (n > remaining() / sizeof(T)) {
       return Status::DataLoss("vector too long");
     }
     std::vector<T> v(n);

@@ -75,7 +75,8 @@ struct QueryRequest {
 
   /// Per-request deadline in milliseconds. < 0 → the server default;
   /// 0 → none. A request that cannot run before the deadline degrades
-  /// to the global sample instead of queueing further. Ignored by
+  /// to the global sample instead of queueing further. NaN and ±inf
+  /// are refused by the serving layer (kInvalidArgument). Ignored by
   /// Tabula::Query (no queue below the serving layer).
   double deadline_ms = -1.0;
 

@@ -1,7 +1,9 @@
 #include "exec/vector_ops.h"
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TABULA_VEC_X86 1
@@ -43,6 +45,34 @@ double MinDistGainScalar(const double* xs, const double* ys,
     if (d < cur_min[i]) gain += cur_min[i] - d;
   }
   return gain;
+}
+
+namespace {
+
+/// Byte-at-a-time lookup table of the reflected CRC32C polynomial.
+constexpr std::array<uint32_t, 256> MakeCrc32cTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+}  // namespace
+
+uint32_t Crc32cScalar(const char* data, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = kCrc32cTable[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
+          (crc >> 8);
+  }
+  return ~crc;
 }
 
 #if defined(TABULA_VEC_X86)
@@ -155,6 +185,25 @@ __attribute__((target("avx2"))) double MinDistGainAvx2(
                            manhattan, gain);
 }
 
+/// One dependent `crc32` per 8 bytes (unaligned loads through memcpy),
+/// then byte steps for the tail. The instruction computes exactly the
+/// table's reflected CRC32C step, so the result equals Crc32cScalar.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const char* data,
+                                                      size_t n) {
+  uint64_t crc = 0xFFFFFFFFu;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; i < n; ++i) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(data[i]));
+  }
+  return ~crc32;
+}
+
 }  // namespace
 
 bool SimdEnabled() {
@@ -202,6 +251,14 @@ double MinDistGain(const double* xs, const double* ys, const double* cur_min,
   return MinDistGainScalar(xs, ys, cur_min, n, cx, cy, manhattan, gain);
 }
 
+uint32_t Crc32c(const char* data, size_t n) {
+  // Every AVX2 CPU has SSE4.2; the second check costs nothing after the
+  // first call and keeps the guard honest on masked virtual CPUs.
+  static const bool sse42 =
+      SimdEnabled() && __builtin_cpu_supports("sse4.2") != 0;
+  return sse42 ? Crc32cSse42(data, n) : Crc32cScalar(data, n);
+}
+
 #else  // !TABULA_VEC_X86: scalar-only build (other ISAs / compilers).
 
 bool SimdEnabled() { return false; }
@@ -226,6 +283,8 @@ double MinDistGain(const double* xs, const double* ys, const double* cur_min,
                    double gain) {
   return MinDistGainScalar(xs, ys, cur_min, n, cx, cy, manhattan, gain);
 }
+
+uint32_t Crc32c(const char* data, size_t n) { return Crc32cScalar(data, n); }
 
 #endif  // TABULA_VEC_X86
 

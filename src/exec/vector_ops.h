@@ -55,8 +55,15 @@ double MinDistGain(const double* xs, const double* ys, const double* cur_min,
                    size_t n, double cx, double cy, bool manhattan,
                    double gain);
 
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78, initial and final
+/// XOR 0xFFFFFFFF) of `n` bytes — the wire frame checksum. The SIMD body
+/// feeds the SSE4.2 `crc32` instruction 8 bytes at a time; the scalar
+/// reference is table-driven. Both return the same value for any input.
+uint32_t Crc32c(const char* data, size_t n);
+
 /// Scalar reference implementations (always used when SimdEnabled() is
-/// false; exercised head-to-head by exec_vector_test).
+/// false; exercised head-to-head by exec_vector_test, Crc32cScalar by
+/// net_test).
 void OrShiftU32Scalar(const uint32_t* codes, size_t n, uint32_t shift,
                       uint64_t* out);
 void OrShiftGatherU32Scalar(const uint32_t* codes, const RowId* rows,
@@ -66,6 +73,7 @@ void MaskRollKeysScalar(const uint64_t* keys, size_t n, uint64_t keep,
 double MinDistGainScalar(const double* xs, const double* ys,
                          const double* cur_min, size_t n, double cx,
                          double cy, bool manhattan, double gain);
+uint32_t Crc32cScalar(const char* data, size_t n);
 
 }  // namespace vec
 

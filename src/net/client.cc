@@ -26,6 +26,14 @@ bool IsTransportFailure(const Status& status) {
 }
 }  // namespace
 
+TabulaClient::Meters::Meters(MetricsRegistry& registry)
+    : requests(registry.counter(kRequests)),
+      reconnects(registry.counter(kReconnects)),
+      hedges(registry.counter(kHedges)),
+      hedge_wins(registry.counter(kHedgeWins)),
+      errors(registry.counter(kErrors)),
+      latency(registry.histogram(kLatency)) {}
+
 TabulaClient::TabulaClient(NetClientOptions options)
     : options_(std::move(options)) {
   if (options_.pool_size == 0) options_.pool_size = 1;
@@ -109,7 +117,7 @@ void TabulaClient::CheckIn(Endpoint* ep, OwnedFd fd) {
 }
 
 void TabulaClient::RecordLatency(Endpoint* ep, double millis) {
-  metrics_.histogram(kLatency).RecordMillis(millis);
+  meters_.latency.RecordMillis(millis);
   int64_t sample = static_cast<int64_t>(millis * 1000.0);
   int64_t old = ep->ewma_micros.load(std::memory_order_relaxed);
   int64_t next = old == 0 ? sample : (old * 4 + sample) / 5;
@@ -118,7 +126,7 @@ void TabulaClient::RecordLatency(Endpoint* ep, double millis) {
 }
 
 double TabulaClient::CurrentHedgeDelayMs() const {
-  HistogramSnapshot snapshot = metrics_.histogram(kLatency).Snapshot();
+  HistogramSnapshot snapshot = meters_.latency.Snapshot();
   if (snapshot.count < options_.hedge_min_samples) {
     return options_.hedge_floor_ms;
   }
@@ -148,7 +156,7 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
   if (endpoints_.empty()) {
     return Status::InvalidArgument("client has no endpoints");
   }
-  metrics_.counter(kRequests).Increment();
+  meters_.requests.Increment();
   BufferWriter w;
   EncodeQueryRequest(request, &w);
   const std::string payload(w.data(), w.size());
@@ -156,7 +164,7 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
 
   Status last_failure = Status::Unavailable("request not attempted");
   for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) metrics_.counter(kReconnects).Increment();
+    if (attempt > 0) meters_.reconnects.Increment();
     const size_t primary_idx = PickEndpoint(SIZE_MAX);
     Endpoint* primary = endpoints_[primary_idx].get();
     Stopwatch timer;
@@ -185,10 +193,11 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
       Status status;
       ServeAnswer answer;
     };
-    auto read_answer = [&](int raw_fd, uint64_t want_id,
-                           double budget) -> Outcome {
+    // `readable`: a poll just found the reply arriving.
+    auto read_answer = [&](int raw_fd, uint64_t want_id, double budget,
+                           bool readable) -> Outcome {
       Outcome out;
-      Result<Frame> reply = ReadFrame(raw_fd, budget);
+      Result<Frame> reply = ReadFrame(raw_fd, budget, readable);
       if (!reply.ok()) {
         out.transport_failed = true;
         out.status = reply.status();
@@ -236,10 +245,11 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
     Outcome outcome;
     bool secondary_won = false;
     if (primary_ready) {
-      outcome = read_answer(fd.get(), id,
-                            deadline - timer.ElapsedMillis());
+      // With hedging on, the hedge poll already saw the reply arrive.
+      outcome = read_answer(fd.get(), id, deadline - timer.ElapsedMillis(),
+                            /*readable=*/options_.hedge);
     } else {
-      metrics_.counter(kHedges).Increment();
+      meters_.hedges.Increment();
       hedged = true;
       const size_t secondary_idx =
           endpoints_.size() > 1 ? PickEndpoint(primary_idx) : primary_idx;
@@ -258,8 +268,8 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
       if (!racing) {
         // Could not launch the hedge; fall back to waiting out the
         // primary alone.
-        outcome = read_answer(fd.get(), id,
-                              deadline - timer.ElapsedMillis());
+        outcome = read_answer(fd.get(), id, deadline - timer.ElapsedMillis(),
+                              /*readable=*/false);
       } else {
         int winner = PollFirstReadable(fd.get(), fd2.get(),
                                        deadline - timer.ElapsedMillis());
@@ -268,16 +278,18 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
           outcome.status = Status::Unavailable("request deadline exceeded");
         } else if (winner == 0) {
           outcome = read_answer(fd.get(), id,
-                                deadline - timer.ElapsedMillis());
+                                deadline - timer.ElapsedMillis(),
+                                /*readable=*/true);
           // Cancellation = closing the loser's connection (fd2 falls
           // out of scope): its late response dies with the socket
           // instead of desynchronizing a pooled stream.
         } else {
           secondary_won = true;
           outcome = read_answer(fd2.get(), id2,
-                                deadline - timer.ElapsedMillis());
+                                deadline - timer.ElapsedMillis(),
+                                /*readable=*/true);
           if (!outcome.transport_failed && outcome.status.ok()) {
-            metrics_.counter(kHedgeWins).Increment();
+            meters_.hedge_wins.Increment();
             RecordLatency(secondary, timer.ElapsedMillis());
             CheckIn(secondary, std::move(fd2));
             // The abandoned primary closes with fd.
@@ -289,7 +301,7 @@ Result<ServeAnswer> TabulaClient::Query(const QueryRequest& request) {
 
     if (outcome.transport_failed) {
       primary->failures.fetch_add(1, std::memory_order_relaxed);
-      metrics_.counter(kErrors).Increment();
+      meters_.errors.Increment();
       last_failure = outcome.status;
       if (!IsTransportFailure(outcome.status)) return outcome.status;
       continue;  // both connections (if any) close; retry fresh
@@ -320,11 +332,11 @@ Result<std::vector<BatchItem>> TabulaClient::BatchQuery(
   if (endpoints_.empty()) {
     return Status::InvalidArgument("client has no endpoints");
   }
-  metrics_.counter(kRequests).Increment();
+  meters_.requests.Increment();
   const std::string payload = EncodeBatchQueryPayload(requests);
   Status last_failure = Status::Unavailable("request not attempted");
   for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) metrics_.counter(kReconnects).Increment();
+    if (attempt > 0) meters_.reconnects.Increment();
     const size_t idx = PickEndpoint(SIZE_MAX);
     Endpoint* ep = endpoints_[idx].get();
     Stopwatch timer;
@@ -332,7 +344,7 @@ Result<std::vector<BatchItem>> TabulaClient::BatchQuery(
                                    options_.request_timeout_ms);
     if (!reply.ok()) {
       ep->failures.fetch_add(1, std::memory_order_relaxed);
-      metrics_.counter(kErrors).Increment();
+      meters_.errors.Increment();
       last_failure = reply.status();
       if (!IsTransportFailure(last_failure)) return last_failure;
       continue;

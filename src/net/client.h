@@ -59,7 +59,10 @@ struct NetClientOptions {
 /// every fresh connection) and returns it when the exchange completes
 /// cleanly. A connection that failed or was abandoned by a hedge race
 /// is closed, never reused — the response still in flight on it would
-/// desynchronize the next request.
+/// desynchronize the next request. Each reply is read with a
+/// FrameReader scoped to its exchange; bytes that follow the reply
+/// break request/response, fail the read with kDataLoss, and close the
+/// connection.
 ///
 /// Metrics (`metrics()`): `net_client_requests`, `net_client_reconnects`,
 /// `net_client_hedges`, `net_client_hedge_wins` (secondary beat the
@@ -136,6 +139,19 @@ class TabulaClient {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::atomic<uint64_t> next_request_id_{1};
   mutable MetricsRegistry metrics_;
+
+  /// The per-request metrics, looked up in `metrics_` once (its
+  /// references are stable), so no request takes the registry lock.
+  struct Meters {
+    explicit Meters(MetricsRegistry& registry);
+    Counter& requests;
+    Counter& reconnects;
+    Counter& hedges;
+    Counter& hedge_wins;
+    Counter& errors;
+    LatencyHistogram& latency;
+  };
+  Meters meters_{metrics_};
 };
 
 }  // namespace tabula

@@ -28,6 +28,22 @@ constexpr double kPollTickMs = 25.0;
 constexpr double kFrameReadDeadlineMs = 10000.0;
 }  // namespace
 
+TabulaNetServer::Meters::Meters(MetricsRegistry& registry)
+    : connections_total(registry.counter(kConnectionsTotal)),
+      connections_rejected(registry.counter(kConnectionsRejected)),
+      requests_total(registry.counter(kRequestsTotal)),
+      read_errors(registry.counter(kReadErrors)),
+      write_errors(registry.counter(kWriteErrors)),
+      frame_errors(registry.counter(kFrameErrors)),
+      latency(registry.histogram(kServerLatency)) {
+  for (size_t t = static_cast<size_t>(FrameType::kHello); t < frames.size();
+       ++t) {
+    frames[t] = &registry.counter(
+        std::string("net_frames_") +
+        FrameTypeName(static_cast<FrameType>(t)));
+  }
+}
+
 TabulaNetServer::TabulaNetServer(QueryServer* server,
                                  NetServerOptions options)
     : server_(server), options_(std::move(options)) {
@@ -76,21 +92,21 @@ void TabulaNetServer::AcceptLoop() {
     int conn = ::accept(listen_fd_.get(), nullptr, nullptr);
     if (conn < 0) continue;
     OwnedFd owned(conn);
-    metrics_.counter(kConnectionsTotal).Increment();
+    meters_.connections_total.Increment();
     if (FaultInjector::AnyArmed()) {
       // A triggered accept fault models a listener that lost the
       // connection before serving it (SYN backlog drop, FD pressure):
       // the socket closes and the client sees a reset/EOF and retries.
       Status injected = FaultInjector::Global().Hit("net.accept");
       if (!injected.ok()) {
-        metrics_.counter(kConnectionsRejected).Increment();
+        meters_.connections_rejected.Increment();
         continue;  // OwnedFd closes the connection
       }
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (pending_.size() >= options_.max_pending_connections) {
-        metrics_.counter(kConnectionsRejected).Increment();
+        meters_.connections_rejected.Increment();
         continue;  // shed load: close instead of queueing unboundedly
       }
       pending_.push_back(std::move(owned));
@@ -117,25 +133,32 @@ void TabulaNetServer::WorkerLoop() {
 }
 
 void TabulaNetServer::ServeConnection(OwnedFd conn) {
+  FrameReader reader(conn.get());
   while (running_.load(std::memory_order_acquire)) {
-    if (!PollReadable(conn.get(), kPollTickMs)) continue;
+    // Bytes buffered past the last frame are the next frame's start;
+    // only an empty buffer waits on the socket. The tick poll is the
+    // one poll of a frame: the reader's first receive trusts it.
+    if (reader.buffered() == 0 && !PollReadable(conn.get(), kPollTickMs)) {
+      continue;
+    }
     if (FaultInjector::AnyArmed()) {
       Status injected = FaultInjector::Global().Hit("net.read");
       if (!injected.ok()) {
-        metrics_.counter(kReadErrors).Increment();
+        meters_.read_errors.Increment();
         return;  // connection closes; the client reconnects/retries
       }
     }
-    Result<Frame> frame = ReadFrame(conn.get(), kFrameReadDeadlineMs);
+    Result<Frame> frame =
+        reader.Read(kFrameReadDeadlineMs, /*readable=*/true);
     if (!frame.ok()) {
       if (frame.status().code() == StatusCode::kDataLoss) {
         // Unframeable stream: tell the peer why (best effort) and hang
         // up — recovery is the client's reconnect, never a resync scan.
-        metrics_.counter(kFrameErrors).Increment();
+        meters_.frame_errors.Increment();
         WriteFrame(conn.get(), FrameType::kError, 0,
                    EncodeErrorPayload(frame.status()), kFrameReadDeadlineMs);
       } else if (frame.status().code() != StatusCode::kIOError) {
-        metrics_.counter(kReadErrors).Increment();
+        meters_.read_errors.Increment();
       }
       return;
     }
@@ -144,9 +167,8 @@ void TabulaNetServer::ServeConnection(OwnedFd conn) {
 }
 
 bool TabulaNetServer::HandleFrame(int fd, const Frame& frame) {
-  metrics_.counter(kRequestsTotal).Increment();
-  metrics_.counter(std::string("net_frames_") + FrameTypeName(frame.type))
-      .Increment();
+  meters_.requests_total.Increment();
+  meters_.frames[static_cast<size_t>(frame.type)]->Increment();
   Stopwatch timer;
   Tracer* tracer = server_->tracer();
   Span span;
@@ -254,16 +276,16 @@ bool TabulaNetServer::HandleFrame(int fd, const Frame& frame) {
   if (FaultInjector::AnyArmed()) {
     Status injected = FaultInjector::Global().Hit("net.write");
     if (!injected.ok()) {
-      metrics_.counter(kWriteErrors).Increment();
+      meters_.write_errors.Increment();
       return false;  // reply lost; client deadline/hedge covers it
     }
   }
   Status written = WriteFrame(fd, reply_type, frame.request_id, reply,
                               kFrameReadDeadlineMs);
   double elapsed = span.recording() ? span.End() : timer.ElapsedMillis();
-  metrics_.histogram(kServerLatency).RecordMillis(elapsed);
+  meters_.latency.RecordMillis(elapsed);
   if (!written.ok()) {
-    metrics_.counter(kWriteErrors).Increment();
+    meters_.write_errors.Increment();
     return false;
   }
   return true;

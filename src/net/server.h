@@ -1,6 +1,7 @@
 #ifndef TABULA_NET_SERVER_H_
 #define TABULA_NET_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -118,6 +119,23 @@ class TabulaNetServer {
 
   std::function<Result<std::string>(const std::string&)> admin_handler_;
   mutable MetricsRegistry metrics_;
+
+  /// The metrics the loops record into, looked up in `metrics_` once
+  /// (its references are stable), so no frame takes the registry lock.
+  struct Meters {
+    explicit Meters(MetricsRegistry& registry);
+    Counter& connections_total;
+    Counter& connections_rejected;
+    Counter& requests_total;
+    Counter& read_errors;
+    Counter& write_errors;
+    Counter& frame_errors;
+    LatencyHistogram& latency;
+    /// `net_frames_<type>`, indexed by the FrameType value.
+    std::array<Counter*, static_cast<size_t>(FrameType::kAdminAck) + 1>
+        frames{};
+  };
+  Meters meters_{metrics_};
 };
 
 }  // namespace tabula

@@ -9,6 +9,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 
 #include "common/stopwatch.h"
@@ -28,14 +30,21 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
-/// Remaining budget for a poll() call: whole deadline left, clamped to
-/// int milliseconds; <= 0 deadline → infinite (-1).
+/// A positive wait in whole poll() milliseconds, rounded up so a 0.4 ms
+/// budget polls 1 ms instead of busy-spinning, and clamped to INT_MAX
+/// (a NaN wait clamps too) so the cast stays defined.
+int CeilPollMs(double wait_ms) {
+  if (!(wait_ms < static_cast<double>(INT_MAX))) return INT_MAX;
+  return static_cast<int>(wait_ms) + 1;
+}
+
+/// Remaining budget for a poll() call: whole deadline left; <= 0
+/// deadline → infinite (-1).
 int PollBudgetMs(double deadline_ms, const Stopwatch& timer) {
   if (deadline_ms <= 0.0) return -1;
   double remaining = deadline_ms - timer.ElapsedMillis();
   if (remaining <= 0.0) return 0;
-  // Round up so a 0.4 ms budget polls 1 ms instead of busy-spinning.
-  return static_cast<int>(remaining) + 1;
+  return CeilPollMs(remaining);
 }
 
 }  // namespace
@@ -132,60 +141,99 @@ Status WriteFull(int fd, const char* data, size_t size, double deadline_ms) {
   return Status::OK();
 }
 
-Status ReadFull(int fd, char* data, size_t size, double deadline_ms) {
+void FrameReader::MakeRoom(size_t frame_bytes) {
+  if (begin_ > 0) {
+    // The frame being read starts mid-buffer: move it to the front.
+    std::memmove(buf_.get(), buf_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ < capacity_) return;
+  }
+  // The frame's received bytes fill the buffer: double it, but never
+  // past the frame's own size (known here: the floor holds a header).
+  size_t grown = std::max(kFloorBytes, 2 * capacity_);
+  if (frame_bytes > capacity_) grown = std::min(grown, frame_bytes);
+  auto bigger = std::make_unique_for_overwrite<char[]>(grown);
+  if (end_ > 0) std::memcpy(bigger.get(), buf_.get(), end_);
+  buf_ = std::move(bigger);
+  capacity_ = grown;
+}
+
+Result<Frame> FrameReader::Read(double deadline_ms, bool readable) {
   Stopwatch timer;
-  size_t got = 0;
-  while (got < size) {
-    pollfd pfd{fd, POLLIN, 0};
-    int budget = PollBudgetMs(deadline_ms, timer);
-    if (budget == 0) return Status::Unavailable("read deadline exceeded");
-    int ready = ::poll(&pfd, 1, budget);
-    if (ready == 0) return Status::Unavailable("read deadline exceeded");
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Errno("poll");
+  bool poll_first = !readable;
+  while (true) {
+    const size_t have = end_ - begin_;
+    size_t frame_bytes = 0;
+    if (have >= kFrameHeaderBytes) {
+      TABULA_ASSIGN_OR_RETURN(
+          FrameHeader h,
+          DecodeFrameHeader(buf_.get() + begin_, kFrameHeaderBytes));
+      frame_bytes = kFrameHeaderBytes + h.payload_len;
+      if (have >= frame_bytes) {
+        Frame frame;
+        frame.type = h.type;
+        frame.request_id = h.request_id;
+        frame.payload.assign(buf_.get() + begin_ + kFrameHeaderBytes,
+                             h.payload_len);
+        begin_ += frame_bytes;
+        if (begin_ == end_) {
+          begin_ = end_ = 0;
+          if (capacity_ > kFloorBytes) {
+            buf_.reset();
+            capacity_ = 0;
+          }
+        }
+        TABULA_RETURN_NOT_OK(CheckFramePayload(h, frame.payload));
+        return frame;
+      }
     }
-    ssize_t n = ::recv(fd, data + got, size - got, 0);
+    if (end_ == capacity_) MakeRoom(frame_bytes);
+    if (poll_first) {
+      pollfd pfd{fd_, POLLIN, 0};
+      int budget = PollBudgetMs(deadline_ms, timer);
+      if (budget == 0) return Status::Unavailable("read deadline exceeded");
+      int ready = ::poll(&pfd, 1, budget);
+      if (ready == 0) return Status::Unavailable("read deadline exceeded");
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return Errno("poll");
+      }
+    }
+    poll_first = true;
+    ssize_t n = ::recv(fd_, buf_.get() + end_, capacity_ - end_,
+                       MSG_DONTWAIT);
     if (n > 0) {
-      got += static_cast<size_t>(n);
+      end_ += static_cast<size_t>(n);
       continue;
     }
     if (n == 0) {
       // Clean EOF: between frames it is an orderly hang-up; inside a
       // frame the stream tore mid-record.
-      if (got == 0) return Status::IOError("connection closed");
+      if (have == 0) return Status::IOError("connection closed");
       return Status::DataLoss("connection closed mid-frame (torn frame, " +
-                              std::to_string(got) + " of " +
-                              std::to_string(size) + " bytes)");
+                              std::to_string(have) + " bytes received)");
     }
-    if (errno == EINTR) continue;
-    return Errno("recv");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) {
+      poll_first = false;
+      continue;
+    }
+    if (have == 0) return Errno("recv");
+    // A frame that cannot be completed is torn regardless of why the
+    // bytes stopped: the stream is unframeable now.
+    return Status::DataLoss("torn frame: " + Errno("recv").message());
   }
-  return Status::OK();
 }
 
-Result<Frame> ReadFrame(int fd, double deadline_ms) {
-  char header[kFrameHeaderBytes];
-  TABULA_RETURN_NOT_OK(ReadFull(fd, header, sizeof(header), deadline_ms));
-  TABULA_ASSIGN_OR_RETURN(FrameHeader h,
-                          DecodeFrameHeader(header, sizeof(header)));
-  Frame frame;
-  frame.type = h.type;
-  frame.request_id = h.request_id;
-  frame.payload.resize(h.payload_len);
-  if (h.payload_len > 0) {
-    Status st = ReadFull(fd, frame.payload.data(), h.payload_len,
-                         deadline_ms);
-    if (!st.ok()) {
-      // A payload that cannot be completed is a torn frame regardless
-      // of why the bytes stopped — the stream is unframeable now.
-      if (st.code() == StatusCode::kIOError) {
-        return Status::DataLoss("torn frame: " + st.message());
-      }
-      return st;
-    }
+Result<Frame> ReadFrame(int fd, double deadline_ms, bool readable) {
+  FrameReader reader(fd);
+  TABULA_ASSIGN_OR_RETURN(Frame frame, reader.Read(deadline_ms, readable));
+  if (reader.buffered() != 0) {
+    return Status::DataLoss(std::to_string(reader.buffered()) +
+                            " stray bytes after a " +
+                            FrameTypeName(frame.type) + " reply");
   }
-  TABULA_RETURN_NOT_OK(CheckFramePayload(h, frame.payload));
   return frame;
 }
 
@@ -197,13 +245,13 @@ Status WriteFrame(int fd, FrameType type, uint64_t request_id,
 
 bool PollReadable(int fd, double wait_ms) {
   pollfd pfd{fd, POLLIN, 0};
-  int budget = wait_ms <= 0.0 ? 0 : static_cast<int>(wait_ms) + 1;
+  int budget = wait_ms <= 0.0 ? 0 : CeilPollMs(wait_ms);
   return ::poll(&pfd, 1, budget) > 0;
 }
 
 int PollFirstReadable(int fd_a, int fd_b, double wait_ms) {
   pollfd pfds[2] = {{fd_a, POLLIN, 0}, {fd_b, POLLIN, 0}};
-  int budget = wait_ms <= 0.0 ? 0 : static_cast<int>(wait_ms) + 1;
+  int budget = wait_ms <= 0.0 ? 0 : CeilPollMs(wait_ms);
   int ready = ::poll(pfds, 2, budget);
   if (ready <= 0) return -1;
   if (pfds[0].revents != 0) return 0;

@@ -1,7 +1,9 @@
 #ifndef TABULA_NET_SOCKET_H_
 #define TABULA_NET_SOCKET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -69,14 +71,57 @@ Result<int> ConnectTo(const std::string& host, uint16_t port,
 Status WriteFull(int fd, const char* data, size_t size,
                  double deadline_ms = 0.0);
 
-/// Reads exactly `size` bytes. `eof_ok_at_start`: a clean EOF before
-/// the first byte returns kIOError "connection closed" (the peer hung
-/// up between frames — normal); EOF after at least one byte is always
-/// kDataLoss (torn frame).
-Status ReadFull(int fd, char* data, size_t size, double deadline_ms = 0.0);
+/// \brief Reads the frames of one connection through a receive buffer.
+///
+/// A receive takes whatever the socket holds, up to the buffer's free
+/// space, so a frame the peer wrote whole costs one `recv`. Bytes past a
+/// frame stay buffered and are the start of the next Read(), so frames
+/// that arrive back to back are returned one by one, in order.
+///
+/// The buffer starts at kFloorBytes and doubles only when the bytes of
+/// the frame being read fill it, never beyond that frame's size: its
+/// capacity is at most max(kFloorBytes, 2 × bytes received), however
+/// large a `payload_len` the header declares. Once every received byte
+/// has been returned in a frame, a buffer that grew drops back to the
+/// floor.
+class FrameReader {
+ public:
+  /// The buffer a reader starts with; a constant, not an option.
+  static constexpr size_t kFloorBytes = 16u << 10;
 
-/// Reads one complete frame (header + payload, checksum verified).
-Result<Frame> ReadFrame(int fd, double deadline_ms = 0.0);
+  /// `fd` must outlive the reader.
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  /// Returns the next frame, checksum verified, receiving until the
+  /// buffer holds one. `readable`: the caller's own poll just reported
+  /// the socket readable, so the first receive does not poll again.
+  /// A clean EOF before any byte of the frame is kIOError "connection
+  /// closed"; an EOF or a receive error inside a frame is kDataLoss; the
+  /// deadline passing is kUnavailable.
+  Result<Frame> Read(double deadline_ms = 0.0, bool readable = false);
+
+  /// Bytes received past the frames returned so far.
+  size_t buffered() const { return end_ - begin_; }
+  /// Bytes allocated for the buffer.
+  size_t capacity() const { return capacity_; }
+
+ private:
+  /// Makes room at the end of the buffer for `frame_bytes` (the size of
+  /// the frame at begin_, 0 while its header is incomplete).
+  void MakeRoom(size_t frame_bytes);
+
+  int fd_;
+  std::unique_ptr<char[]> buf_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;  ///< first byte not yet returned in a frame
+  size_t end_ = 0;    ///< one past the last byte received
+};
+
+/// Reads the one reply of a request/response exchange through a reader
+/// scoped to this call. Bytes after that frame mean the peer broke
+/// request/response: kDataLoss, and the caller closes the connection.
+Result<Frame> ReadFrame(int fd, double deadline_ms = 0.0,
+                        bool readable = false);
 
 /// Writes one complete frame as a single buffer.
 Status WriteFrame(int fd, FrameType type, uint64_t request_id,

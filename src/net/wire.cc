@@ -5,6 +5,7 @@
 
 #include "common/binary_io.h"
 #include "core/query_request.h"
+#include "exec/vector_ops.h"
 #include "serve/query_server.h"
 
 namespace tabula {
@@ -27,12 +28,7 @@ const char* FrameTypeName(FrameType type) {
 }
 
 uint64_t WireChecksum(const char* data, size_t size) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return vec::Crc32c(data, size);
 }
 
 namespace {

@@ -25,15 +25,28 @@ class Table;          // storage/table.h
 //   6       2     type       FrameType
 //   8       8     request_id client-chosen correlation id, echoed back
 //   16      4     payload_len
-//   20      8     checksum   FNV-1a 64 over the payload bytes
+//   20      8     checksum   CRC32C of the payload, zero-extended to 64 bits
 //   28      n     payload    type-specific (see codecs in binary_io.h)
 //
-// The fixed 28-byte header is read first; a bad magic, a version other
-// than kWireVersion, an implausible length, or a checksum mismatch is
-// kDataLoss — the stream is unframeable from that point on and the
+// The fixed 28-byte header is checked first; a bad magic, a version
+// other than kWireVersion, an unknown type or an implausible length is
+// kDataLoss before any payload byte is looked at, and so is a checksum
+// mismatch after it (a non-zero upper half of the checksum field never
+// matches). The stream is unframeable from that point on and the
 // connection must be closed (there is no resync marker; TCP guarantees
 // ordering, so a torn frame means the peer died or the bytes are
 // corrupt).
+//
+// CRC32C catches every error of 1-3 bits and every burst of up to 32
+// bits in a frame of up to kMaxPayloadBytes; a random corruption goes
+// unseen with probability 2^-32 (DESIGN.md §9 weighs this against the
+// FNV-1a-64 checksum of version 2).
+//
+// Frames are read through a FrameReader (socket.h): one receive takes
+// whatever the socket holds, so a frame written whole is read with one
+// recv, and bytes past a frame wait in the reader for the next read.
+// Each reply answers one request; bytes that follow a reply on the
+// client side are kDataLoss.
 //
 // The protocol has one version. A client opens with kHello carrying the
 // range of versions it speaks; the server answers kHelloAck with
@@ -46,7 +59,7 @@ class Table;          // storage/table.h
 
 inline constexpr uint32_t kWireMagic = 0x544E4254;  // "TBNT"
 /// The protocol version every frame carries.
-inline constexpr uint16_t kWireVersion = 2;
+inline constexpr uint16_t kWireVersion = 3;
 /// Refuse absurd frames before allocating (a corrupt length field must
 /// not turn into a 4 GiB allocation).
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
@@ -75,7 +88,7 @@ struct Frame {
   std::string payload;
 };
 
-/// FNV-1a 64 over a byte span (the frame checksum).
+/// CRC32C of a byte span, zero-extended (the frame checksum).
 uint64_t WireChecksum(const char* data, size_t size);
 
 /// Serializes a frame (header + payload) into one contiguous buffer so

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -23,7 +25,37 @@ constexpr char kBatches[] = "serve_batches";
 constexpr char kRefreshes[] = "serve_refreshes";
 constexpr char kInFlight[] = "serve_in_flight";
 constexpr char kLatency[] = "serve_latency";
+
+/// Waits derived from a request deadline sleep at most this long at a
+/// time: a deadline may be any finite double (1e300 included), and
+/// wait_for converts its duration to integer nanoseconds.
+constexpr double kWaitSliceMs = 1000.0;
+
+std::chrono::duration<double, std::milli> WaitSlice(double remaining_ms) {
+  return std::chrono::duration<double, std::milli>(
+      std::min(remaining_ms, kWaitSliceMs));
+}
+
+/// A deadline the serving layer can wait on: any finite value.
+Status CheckDeadline(double deadline_ms) {
+  if (std::isfinite(deadline_ms)) return Status::OK();
+  return Status::InvalidArgument("deadline_ms must be finite, got " +
+                                 std::to_string(deadline_ms));
+}
 }  // namespace
+
+QueryServer::Meters::Meters(MetricsRegistry& registry)
+    : queries_total(registry.counter(kQueriesTotal)),
+      cache_hits(registry.counter(kCacheHits)),
+      cache_misses(registry.counter(kCacheMisses)),
+      rejected(registry.counter(kRejected)),
+      degraded(registry.counter(kDegraded)),
+      degraded_results(registry.counter(kDegradedResults)),
+      errors(registry.counter(kErrors)),
+      batches(registry.counter(kBatches)),
+      refreshes(registry.counter(kRefreshes)),
+      in_flight(registry.gauge(kInFlight)),
+      latency(registry.histogram(kLatency)) {}
 
 QueryServer::QueryServer(QueryEngine* engine, QueryServerOptions options,
                          ThreadPool* pool)
@@ -59,7 +91,7 @@ void QueryServer::RebuildGlobalAnswer() {
 }
 
 ServeAnswer QueryServer::DegradedAnswer(double queue_millis) {
-  metrics_.counter(kDegraded).Increment();
+  meters_.degraded.Increment();
   ServeAnswer answer;
   {
     std::lock_guard<std::mutex> lock(global_answer_mu_);
@@ -108,8 +140,7 @@ QueryServer::Admission QueryServer::Admit(double deadline_ms,
         *waited_ms = wait.ElapsedMillis();
         return Admission::kTimedOut;
       }
-      slot_cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
-                                  remaining_ms));
+      slot_cv_.wait_for(lock, WaitSlice(remaining_ms));
     } else {
       slot_cv_.wait(lock);
     }
@@ -141,7 +172,7 @@ Result<ServeAnswer> QueryServer::Execute(std::vector<PredicateTerm> canonical,
   if (FaultInjector::AnyArmed()) {
     Status injected = FaultInjector::Global().Hit("serve.execute");
     if (!injected.ok()) {
-      metrics_.counter(kErrors).Increment();
+      meters_.errors.Increment();
       return injected;
     }
   }
@@ -154,7 +185,7 @@ Result<ServeAnswer> QueryServer::Execute(std::vector<PredicateTerm> canonical,
     return engine_->Query(inner);
   }();
   if (!raw.ok()) {
-    metrics_.counter(kErrors).Increment();
+    meters_.errors.Increment();
     return raw.status();
   }
   QueryResponse response = std::move(raw).value();
@@ -172,7 +203,7 @@ Result<ServeAnswer> QueryServer::Execute(std::vector<PredicateTerm> canonical,
   if (options_.enable_cache && !degraded_result) {
     cache_->Put(key, shared, gen, ranged);
   }
-  if (degraded_result) metrics_.counter(kDegradedResults).Increment();
+  if (degraded_result) meters_.degraded_results.Increment();
   ServeAnswer answer;
   answer.result = std::move(shared);
   return answer;
@@ -187,10 +218,14 @@ Result<ServeAnswer> QueryServer::Query(const QueryRequest& request) {
                                       request.trace);
   }
   Stopwatch total;
+  meters_.queries_total.Increment();
+  if (Status valid = CheckDeadline(request.deadline_ms); !valid.ok()) {
+    meters_.errors.Increment();
+    return valid;
+  }
   const double deadline = request.deadline_ms < 0.0
                               ? options_.default_deadline_ms
                               : request.deadline_ms;
-  metrics_.counter(kQueriesTotal).Increment();
 
   std::vector<PredicateTerm> canonical = CanonicalizeTerms(request.where);
   bool ranged = false;
@@ -212,7 +247,7 @@ Result<ServeAnswer> QueryServer::Query(const QueryRequest& request) {
     } else {
       answer->total_millis = total.ElapsedMillis();
     }
-    metrics_.histogram(kLatency).RecordMillis(answer->total_millis);
+    meters_.latency.RecordMillis(answer->total_millis);
     MaybeLogSlowQuery(key, *answer);
   };
 
@@ -234,20 +269,20 @@ Result<ServeAnswer> QueryServer::Query(const QueryRequest& request) {
   if (options_.enable_cache &&
       request.consistency != ConsistencyHint::kBypassCache) {
     if (auto hit = cache_->Get(key, ranged)) {
-      metrics_.counter(kCacheHits).Increment();
+      meters_.cache_hits.Increment();
       ServeAnswer answer;
       answer.result = std::move(hit);
       answer.cache_hit = true;
       finish(&answer);
       return answer;
     }
-    metrics_.counter(kCacheMisses).Increment();
+    meters_.cache_misses.Increment();
   }
 
   double waited_ms = 0.0;
   switch (Admit(admit_deadline, &waited_ms)) {
     case Admission::kRejected:
-      metrics_.counter(kRejected).Increment();
+      meters_.rejected.Increment();
       if (span.recording()) {
         span.SetAttribute("predicates", key);
         span.SetAttribute("rejected", true);
@@ -265,11 +300,11 @@ Result<ServeAnswer> QueryServer::Query(const QueryRequest& request) {
       break;
   }
 
-  metrics_.gauge(kInFlight).Increment();
+  meters_.in_flight.Increment();
   Result<ServeAnswer> executed =
       Execute(std::move(canonical), request.range, key, ranged,
               request.trace, span.id());
-  metrics_.gauge(kInFlight).Decrement();
+  meters_.in_flight.Decrement();
   ReleaseSlot();
   if (!executed.ok()) {
     // Failed requests still burn serving capacity; run them through the
@@ -302,11 +337,17 @@ BatchItem QueryServer::ServeBatchItem(const QueryRequest& request,
         request.trace);
   }
   Stopwatch total;
-  metrics_.counter(kQueriesTotal).Increment();
+  meters_.queries_total.Increment();
   // Time this item spent queued behind earlier items of the same batch
   // (pool width < batch size): batch start → this item's turn.
   const double queued_ms = batch_timer.ElapsedMillis();
   item.answer.queue_millis = queued_ms;
+  if (Status valid = CheckDeadline(request.deadline_ms); !valid.ok()) {
+    meters_.errors.Increment();
+    item.status = std::move(valid);
+    item.answer.error = true;
+    return item;
+  }
 
   std::vector<PredicateTerm> canonical = CanonicalizeTerms(request.where);
   bool ranged = false;
@@ -324,20 +365,20 @@ BatchItem QueryServer::ServeBatchItem(const QueryRequest& request,
     } else {
       item.answer.total_millis = total.ElapsedMillis();
     }
-    metrics_.histogram(kLatency).RecordMillis(item.answer.total_millis);
+    meters_.latency.RecordMillis(item.answer.total_millis);
     MaybeLogSlowQuery(key, item.answer);
   };
 
   if (options_.enable_cache &&
       request.consistency != ConsistencyHint::kBypassCache) {
     if (auto hit = cache_->Get(key, ranged)) {
-      metrics_.counter(kCacheHits).Increment();
+      meters_.cache_hits.Increment();
       item.answer.result = std::move(hit);
       item.answer.cache_hit = true;
       finish();
       return item;
     }
-    metrics_.counter(kCacheMisses).Increment();
+    meters_.cache_misses.Increment();
   }
 
   // Items whose turn comes after the batch deadline degrade instead of
@@ -348,11 +389,11 @@ BatchItem QueryServer::ServeBatchItem(const QueryRequest& request,
     return item;
   }
 
-  metrics_.gauge(kInFlight).Increment();
+  meters_.in_flight.Increment();
   Result<ServeAnswer> executed =
       Execute(std::move(canonical), request.range, key, ranged,
               request.trace, span.id());
-  metrics_.gauge(kInFlight).Decrement();
+  meters_.in_flight.Decrement();
   if (!executed.ok()) {
     // Same contract as Query(): a failed item still flows through the
     // latency epilogue so metrics and the slow-query log see it.
@@ -370,7 +411,7 @@ BatchItem QueryServer::ServeBatchItem(const QueryRequest& request,
 Result<std::vector<BatchItem>> QueryServer::BatchQuery(
     const std::vector<QueryRequest>& requests) {
   Stopwatch batch_timer;
-  metrics_.counter(kBatches).Increment();
+  meters_.batches.Increment();
   if (requests.empty()) return std::vector<BatchItem>{};
 
   // One "serve.batch" span for the fan-out; per-item spans parent under
@@ -397,7 +438,7 @@ Result<std::vector<BatchItem>> QueryServer::BatchQuery(
     std::lock_guard<std::mutex> lock(slot_mu_);
     if (requests.size() >
         options_.max_queue - std::min(admitted_, options_.max_queue)) {
-      metrics_.counter(kRejected).Increment();
+      meters_.rejected.Increment();
       if (batch_span.recording()) {
         batch_span.SetAttribute("rejected", true);
       }
@@ -441,7 +482,7 @@ Result<std::vector<BatchItem>> QueryServer::BatchQuery(
       }
     });
   } catch (const std::exception& e) {
-    metrics_.counter(kErrors).Increment();
+    meters_.errors.Increment();
     if (batch_span.recording()) batch_span.SetAttribute("error", true);
     return Status::Internal(std::string("batch fan-out threw: ") + e.what());
   }
@@ -495,13 +536,9 @@ bool QueryServer::WaitForFreshness(double timeout_ms) {
     auto epoch_changed = [&] { return fresh_epoch_ != epoch; };
     if (timeout_ms > 0.0) {
       double remaining_ms = timeout_ms - timer.ElapsedMillis();
-      if (remaining_ms <= 0.0) return false;
-      if (!fresh_cv_.wait_for(
-              lock,
-              std::chrono::duration<double, std::milli>(remaining_ms),
-              epoch_changed)) {
-        return false;  // timed out with the cube still behind
-      }
+      if (remaining_ms <= 0.0) return false;  // the cube is still behind
+      // A commit or the end of a slice: either way, check again.
+      fresh_cv_.wait_for(lock, WaitSlice(remaining_ms), epoch_changed);
     } else {
       fresh_cv_.wait(lock, epoch_changed);
     }
@@ -520,7 +557,7 @@ Status QueryServer::Refresh(QueryEngine::RefreshStats* stats) {
     // degraded-answer snapshot (a full rebuild may replace the global
     // sample).
     RebuildGlobalAnswer();
-    metrics_.counter(kRefreshes).Increment();
+    meters_.refreshes.Increment();
   }
   return st;
 }

@@ -115,7 +115,7 @@ class QueryServer {
 
   /// Answers one dashboard query — the canonical entry point. Honors
   /// every QueryRequest knob: `deadline_ms` (< 0 → server default,
-  /// 0 → none), `consistency` (kBypassCache skips the cache probe but
+  /// 0 → none, NaN or ±inf → kInvalidArgument), `consistency` (kBypassCache skips the cache probe but
   /// still caches the fresh answer), `trace`/`parent_span` (the
   /// "serve.query" span and its "tabula.query" child).
   Result<ServeAnswer> Query(const QueryRequest& request);
@@ -151,7 +151,8 @@ class QueryServer {
   /// Blocks until the engine has no pending ingest rows, or `timeout_ms`
   /// elapses (0 → wait forever). Returns true when the cube is fully
   /// caught up. The wait is wakeup-driven (ingest commits and refreshes
-  /// bump an internal epoch), not a poll.
+  /// bump an internal epoch), not a poll; a long timeout is slept in 1 s
+  /// slices, each ending in a re-check.
   bool WaitForFreshness(double timeout_ms);
 
   const ResultCache& cache() const { return *cache_; }
@@ -205,6 +206,23 @@ class QueryServer {
   ThreadPool* pool_;
   std::unique_ptr<ResultCache> cache_;
   MetricsRegistry metrics_;
+  /// The per-request metrics, looked up in `metrics_` once (its
+  /// references are stable), so no request takes the registry lock.
+  struct Meters {
+    explicit Meters(MetricsRegistry& registry);
+    Counter& queries_total;
+    Counter& cache_hits;
+    Counter& cache_misses;
+    Counter& rejected;
+    Counter& degraded;
+    Counter& degraded_results;
+    Counter& errors;
+    Counter& batches;
+    Counter& refreshes;
+    Gauge& in_flight;
+    LatencyHistogram& latency;
+  };
+  Meters meters_{metrics_};
   SlowQueryLog slow_log_;
   uint64_t refresh_listener_id_ = 0;
 

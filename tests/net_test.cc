@@ -12,18 +12,32 @@
 ///  - fault-seam matrix over net.accept / net.read / net.write: a
 ///    single injected transport failure is absorbed by the client's
 ///    reconnect-and-retry; the answer still arrives;
-///  - hedged requests do not leak server admission slots.
+///  - hedged requests do not leak server admission slots;
+///  - the CRC32C frame checksum: RFC 3720 known answers, SSE4.2 and
+///    scalar paths agree;
+///  - the frame reader: frames that arrive back to back are served in
+///    order, a frame that trickles in is read whole, `net.read` fires
+///    once per frame, a header cannot make the reader allocate what
+///    never arrived, and a reply followed by stray bytes is kDataLoss.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/socket.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "data/synthetic_gen.h"
 #include "data/workload.h"
+#include "exec/vector_ops.h"
 #include "loss/loss_registry.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -234,6 +248,157 @@ TEST(WireCodecTest, OldAndNextFrameVersionsAreDataLoss) {
               std::string::npos)
         << status.ToString();
   }
+}
+
+// ---------------------------------------------------------------------
+// CRC32C frame checksum.
+// ---------------------------------------------------------------------
+
+TEST(WireChecksumTest, Crc32cKnownAnswers) {
+  // RFC 3720 §B.4.
+  const std::string zeros(32, '\0');
+  const std::string ones(32, '\xFF');
+  const std::string digits = "123456789";
+  for (auto crc : {&vec::Crc32c, &vec::Crc32cScalar}) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(digits.data(), digits.size()), 0xE3069283u);
+    EXPECT_EQ(crc(digits.data(), 0), 0u);
+  }
+  // The header's u64 field carries the CRC zero-extended.
+  EXPECT_EQ(WireChecksum(digits.data(), digits.size()), 0xE3069283ull);
+}
+
+TEST(WireChecksumTest, SimdAndScalarAgreeAtUnalignedStarts) {
+  std::mt19937_64 rng(3720);
+  std::vector<char> bytes(4096 + 16);
+  for (char& b : bytes) b = static_cast<char>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng() % 16;
+    const size_t n = rng() % 4097;
+    ASSERT_EQ(vec::Crc32c(bytes.data() + offset, n),
+              vec::Crc32cScalar(bytes.data() + offset, n))
+        << "offset " << offset << " length " << n;
+  }
+  // Every tail length at every alignment of an 8-byte word.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 64; ++n) {
+      ASSERT_EQ(vec::Crc32c(bytes.data() + offset, n),
+                vec::Crc32cScalar(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(WireChecksumTest, NonZeroUpperChecksumHalfIsDataLoss) {
+  const std::string frame = EncodeFrame(FrameType::kQuery, 4, "payload");
+  std::string bytes = frame;
+  bytes[kFrameHeaderBytes - 1] = 0x01;  // top byte of the u64 checksum
+  auto header = DecodeFrameHeader(bytes.data(), kFrameHeaderBytes);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(CheckFramePayload(header.value(), frame.substr(kFrameHeaderBytes))
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+// ---------------------------------------------------------------------
+// FrameReader over a socket pair.
+// ---------------------------------------------------------------------
+
+/// A connected stream socket pair: `in` is read, `out` is written.
+struct SocketPair {
+  OwnedFd in;
+  OwnedFd out;
+};
+
+SocketPair MakeSocketPair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {OwnedFd(fds[0]), OwnedFd(fds[1])};
+}
+
+/// Header bytes claiming `payload_len`, checksum of nothing.
+std::string HeaderClaiming(uint32_t payload_len) {
+  std::string header = EncodeFrame(FrameType::kAnswer, 1, "");
+  std::memcpy(header.data() + 16, &payload_len, sizeof(payload_len));
+  return header;
+}
+
+TEST(FrameReaderTest, BackToBackFramesInOneReceiveComeOutInOrder) {
+  SocketPair pair = MakeSocketPair();
+  const std::string bytes = EncodeFrame(FrameType::kPing, 1, "") +
+                            EncodeFrame(FrameType::kQuery, 2, "two") +
+                            EncodeFrame(FrameType::kAdmin, 3, "three");
+  ASSERT_TRUE(WriteFull(pair.out.get(), bytes.data(), bytes.size()).ok());
+  ::shutdown(pair.out.get(), SHUT_WR);
+
+  FrameReader reader(pair.in.get());
+  const std::vector<std::pair<uint64_t, std::string>> want = {
+      {1, ""}, {2, "two"}, {3, "three"}};
+  for (const auto& [id, payload] : want) {
+    auto frame = reader.Read(2000.0);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->request_id, id);
+    EXPECT_EQ(frame->payload, payload);
+  }
+  EXPECT_EQ(reader.buffered(), 0u);
+  // A clean EOF between frames is the orderly hang-up.
+  Status eof = reader.Read(2000.0).status();
+  EXPECT_EQ(eof.code(), StatusCode::kIOError);
+  EXPECT_EQ(eof.message(), "connection closed");
+}
+
+TEST(FrameReaderTest, FrameLargerThanTheFloorIsReadWholeThenReleased) {
+  SocketPair pair = MakeSocketPair();
+  std::string payload(5 * FrameReader::kFloorBytes + 123, '\0');
+  std::mt19937_64 rng(11);
+  for (char& c : payload) c = static_cast<char>(rng());
+  const std::string frame = EncodeFrame(FrameType::kAnswer, 8, payload);
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteFull(pair.out.get(), frame.data(), frame.size()).ok());
+  });
+  FrameReader reader(pair.in.get());
+  auto got = reader.Read(5000.0);
+  writer.join();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->payload, payload);
+  EXPECT_LE(reader.capacity(), FrameReader::kFloorBytes);
+}
+
+/// Bytes the process heap holds (arena plus mmapped chunks).
+size_t HeapBytes() {
+  struct mallinfo2 info = ::mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(FrameReaderTest, HeaderClaimingMaxPayloadAllocatesOnlyWhatArrived) {
+  // A header announcing kMaxPayloadBytes, then 1 KiB, then EOF: a torn
+  // frame. While the reader waits for the rest, it may hold only what
+  // arrived — not the 64 MiB the header claims.
+  SocketPair pair = MakeSocketPair();
+  const std::string bytes =
+      HeaderClaiming(kMaxPayloadBytes) + std::string(1024, 'p');
+  const size_t heap_before = HeapBytes();
+  size_t heap_waiting = 0;
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteFull(pair.out.get(), bytes.data(), bytes.size()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    heap_waiting = HeapBytes();
+    ::shutdown(pair.out.get(), SHUT_WR);
+  });
+  auto frame = ReadFrame(pair.in.get(), 10000.0);
+  writer.join();
+  EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss)
+      << frame.status().ToString();
+  EXPECT_LT(heap_waiting, heap_before + (1u << 20))
+      << "the reader allocated for bytes that never arrived";
+
+  SocketPair again = MakeSocketPair();
+  ASSERT_TRUE(WriteFull(again.out.get(), bytes.data(), bytes.size()).ok());
+  ::shutdown(again.out.get(), SHUT_WR);
+  FrameReader reader(again.in.get());
+  EXPECT_EQ(reader.Read(10000.0).status().code(), StatusCode::kDataLoss);
+  EXPECT_LE(reader.capacity(), FrameReader::kFloorBytes);
 }
 
 // ---------------------------------------------------------------------
@@ -535,6 +700,194 @@ TEST(NetLoopbackTest, OverlappingVersionRangeNegotiatesHighestCommon) {
   auto ack = DecodeHelloAckPayload(reply->payload);
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->first, kWireVersion);  // not the client's max or min
+}
+
+// ---------------------------------------------------------------------
+// The server's frame reader: one per connection.
+// ---------------------------------------------------------------------
+
+/// A Query frame for `where`, as the client would send it.
+std::string QueryFrame(uint64_t id, const std::vector<PredicateTerm>& where) {
+  BufferWriter w;
+  EncodeQueryRequest(QueryRequest(where), &w);
+  return EncodeFrame(FrameType::kQuery, id, std::string(w.data(), w.size()));
+}
+
+TEST(NetLoopbackTest, FramesInOneSendAreAnsweredInOrderAndReadOnceEach) {
+  ScopedFaultClear clear;
+  NetFixture fx;
+  ASSERT_TRUE(fx.Start().ok());
+  QueryServer local(fx.engine.get());
+  // A seam that never fails: it counts the server's frame reads.
+  FaultSpec count;
+  count.fail = false;
+  FaultInjector::Global().Arm("net.read", count);
+
+  auto fd = ConnectTo("127.0.0.1", fx.net->port(), 2000.0);
+  ASSERT_TRUE(fd.ok());
+  OwnedFd conn(fd.value());
+  FrameReader reader(conn.get());
+  const auto queries = fx.Queries(3);
+  auto expect_answer = [&](uint64_t id, const WorkloadQuery& q) {
+    auto reply = reader.Read(5000.0);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->request_id, id);
+    ASSERT_EQ(reply->type, FrameType::kAnswer);
+    BufferReader r(reply->payload);
+    auto answer = DecodeServeAnswer(&r, fx.table.get());
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    auto in_proc = local.Query(QueryRequest(q.where));
+    ASSERT_TRUE(in_proc.ok());
+    EXPECT_EQ(answer->result->sample.ToRowIds(),
+              in_proc->result->sample.ToRowIds());
+  };
+
+  // Two Query frames in one send: both answered, in order.
+  const std::string two =
+      QueryFrame(11, queries[0].where) + QueryFrame(12, queries[1].where);
+  ASSERT_TRUE(WriteFull(conn.get(), two.data(), two.size()).ok());
+  expect_answer(11, queries[0]);
+  expect_answer(12, queries[1]);
+
+  // One frame sent a byte per send: read whole.
+  const std::string trickle = QueryFrame(13, queries[2].where);
+  for (char byte : trickle) {
+    ASSERT_TRUE(WriteFull(conn.get(), &byte, 1).ok());
+  }
+  expect_answer(13, queries[2]);
+
+  // One net.read per frame, none for the idle ticks since.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(FaultInjector::Global().StatsFor("net.read").hits, 3u);
+}
+
+TEST(NetLoopbackTest, NonFiniteDeadlineIsARequestErrorOnALiveConnection) {
+  NetFixture fx;
+  ASSERT_TRUE(fx.Start().ok());
+  NetClientOptions options = fx.ClientOptions();
+  options.hedge = false;  // a hedge would dial a second connection
+  TabulaClient client(options);
+  client.set_table(fx.table.get());
+  const auto where = fx.Queries(1)[0].where;
+  for (double deadline : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    QueryRequest request(where);
+    request.deadline_ms = deadline;
+    EXPECT_EQ(client.Query(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << deadline;
+  }
+  EXPECT_TRUE(client.Query(QueryRequest(where)).ok());
+  // Every request above went over the one pooled connection.
+  EXPECT_EQ(fx.net->metrics().counter("net_connections_total").value(), 1u);
+}
+
+TEST(NetLoopbackTest, HugeClientTimeoutsClampToPollRange) {
+  // poll() takes int milliseconds; a 1e300 ms budget clamps to INT_MAX
+  // instead of an undefined float-to-int conversion.
+  NetFixture fx;
+  ASSERT_TRUE(fx.Start().ok());
+  NetClientOptions options = fx.ClientOptions();
+  options.connect_timeout_ms = 1e300;
+  options.request_timeout_ms = 1e300;
+  TabulaClient client(options);
+  client.set_table(fx.table.get());
+  EXPECT_TRUE(client.Ping().ok());
+  auto answer = client.Query(QueryRequest(fx.Queries(1)[0].where));
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+}
+
+/// A one-thread stand-in server that answers Hello, Query and Ping, and
+/// appends stray bytes to the first non-Hello reply on each of its
+/// first `stray_connections` connections.
+class StrayBytesServer {
+ public:
+  explicit StrayBytesServer(int stray_connections)
+      : stray_connections_(stray_connections) {
+    auto fd = ListenOn(0, &port_);
+    EXPECT_TRUE(fd.ok());
+    listen_ = OwnedFd(fd.value());
+    thread_ = std::thread([this] { Loop(); });
+  }
+  ~StrayBytesServer() {
+    stop_.store(true);
+    thread_.join();
+  }
+  StrayBytesServer(const StrayBytesServer&) = delete;
+  StrayBytesServer& operator=(const StrayBytesServer&) = delete;
+
+  uint16_t port() const { return port_; }
+  int accepted() const { return accepted_.load(); }
+
+ private:
+  void Loop() {
+    while (!stop_.load()) {
+      if (!PollReadable(listen_.get(), 10.0)) continue;
+      OwnedFd conn(::accept(listen_.get(), nullptr, nullptr));
+      if (!conn.valid()) continue;
+      const bool stray = accepted_.fetch_add(1) < stray_connections_;
+      Serve(conn.get(), stray);
+    }
+  }
+
+  void Serve(int fd, bool stray) {
+    FrameReader reader(fd);
+    while (!stop_.load()) {
+      if (reader.buffered() == 0 && !PollReadable(fd, 10.0)) continue;
+      auto frame = reader.Read(2000.0, /*readable=*/true);
+      if (!frame.ok()) return;  // the client hung up
+      FrameType type = FrameType::kPong;
+      std::string payload;
+      if (frame->type == FrameType::kHello) {
+        type = FrameType::kHelloAck;
+        payload = EncodeHelloAckPayload(kWireVersion, "stray");
+      } else if (frame->type == FrameType::kQuery) {
+        ServeAnswer answer;
+        answer.result = std::make_shared<TabulaQueryResult>();
+        BufferWriter w;
+        EncodeServeAnswer(answer, &w);
+        type = FrameType::kAnswer;
+        payload.assign(w.data(), w.size());
+      }
+      std::string reply = EncodeFrame(type, frame->request_id, payload);
+      if (stray && frame->type != FrameType::kHello) {
+        reply += "stray";
+        stray = false;
+      }
+      if (!WriteFull(fd, reply.data(), reply.size(), 2000.0).ok()) return;
+    }
+  }
+
+  const int stray_connections_;
+  uint16_t port_ = 0;
+  OwnedFd listen_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> accepted_{0};
+  std::thread thread_;
+};
+
+TEST(NetLoopbackTest, StrayBytesAfterAReplyFailTheReadAndTheNextRequestRedials) {
+  StrayBytesServer server(/*stray_connections=*/2);
+  NetClientOptions options;
+  options.endpoints.push_back({"127.0.0.1", server.port()});
+  options.hedge = false;
+  options.max_attempts = 1;
+  TabulaClient client(options);
+
+  // Query path: the reply is followed by stray bytes on connection 1.
+  auto first = client.Query(QueryRequest{});
+  EXPECT_EQ(first.status().code(), StatusCode::kDataLoss)
+      << first.status().ToString();
+  // Exchange path: the next request dials connection 2 (the first was
+  // closed, never pooled), and its Pong is followed by stray bytes too.
+  Status ping = client.Ping();
+  EXPECT_EQ(ping.code(), StatusCode::kDataLoss) << ping.ToString();
+  EXPECT_EQ(server.accepted(), 2);
+  // Connection 3 is clean, and it is pooled after a clean exchange.
+  EXPECT_TRUE(client.Query(QueryRequest{}).ok());
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_EQ(server.accepted(), 3);
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -358,6 +359,56 @@ TEST_F(QueryServerTest, ExpiredDeadlineDegradesToGlobalSample) {
   }
   EXPECT_EQ(server.metrics().Snapshot().CounterValue("serve_degraded"),
             cells.size());
+}
+
+TEST_F(QueryServerTest, SaturatedServerAnswersAHugeDeadlineOnceTheSlotFrees) {
+  // Regression: the admission wait handed `deadline - elapsed` to
+  // wait_for, which converts it to integer nanoseconds; for 1e300 ms
+  // that conversion is undefined (UBSan float-cast-overflow). Waits
+  // derived from a deadline now sleep in bounded slices.
+  ScopedFaultClear clear;
+  QueryServerOptions sopts;
+  sopts.enable_cache = false;
+  sopts.max_concurrency = 1;
+  QueryServer server(tabula_.get(), sopts);
+
+  // The holder keeps the one execution slot for 200 ms.
+  FaultSpec slow;
+  slow.fail = false;
+  slow.delay_ms = 200.0;
+  slow.max_triggers = 1;
+  FaultInjector::Global().Arm("serve.execute", slow);
+  std::thread holder([&] {
+    EXPECT_TRUE(server.Query(QueryRequest(workload_[0].where)).ok());
+  });
+  while (FaultInjector::Global().StatsFor("serve.execute").hits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  QueryRequest waiter(workload_[1].where);
+  waiter.deadline_ms = 1e300;
+  auto answer = server.Query(waiter);
+  holder.join();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(answer->degraded);
+  EXPECT_GE(answer->queue_millis, 20.0) << "the request never waited";
+}
+
+TEST_F(QueryServerTest, NonFiniteDeadlinesAreInvalidArguments) {
+  QueryServer server(tabula_.get());
+  for (double deadline : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    QueryRequest request(workload_[0].where);
+    request.deadline_ms = deadline;
+    EXPECT_EQ(server.Query(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << deadline;
+    auto batch = server.BatchQuery({request});
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ((*batch)[0].status.code(), StatusCode::kInvalidArgument)
+        << deadline;
+  }
+  EXPECT_TRUE(server.Query(QueryRequest(workload_[0].where)).ok());
 }
 
 /// The ISSUE's concurrency smoke test: many client threads, mixed
@@ -726,6 +777,40 @@ TEST_F(ServeIngestTest, FreshWithinDeadlineTimesOutToHonestStaleAnswer) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh.value().result->stale);
   EXPECT_EQ(fresh.value().result->generation, gen0 + 1);
+}
+
+TEST_F(ServeIngestTest, FreshWithinAHugeDeadlineWaitsOutAPendingCommit) {
+  // Regression: WaitForFreshness handed a 1e300 ms deadline to wait_for,
+  // whose conversion to integer nanoseconds is undefined (UBSan
+  // float-cast-overflow); the wait returned at once and the request was
+  // served stale.
+  ScopedFaultClear clear;
+  QueryServer server(tabula_.get());
+  IngestorOptions iopts;
+  iopts.server = &server;
+  auto ingestor = Ingestor::Make(tabula_.get(), table_.get(), iopts);
+  ASSERT_TRUE(ingestor.ok());
+  const uint64_t gen0 = tabula_->generation();
+  FaultInjector::Global().Arm("ingest.merge", ErrorSpec());
+  EXPECT_FALSE(
+      ingestor.value()->Append(BoxRows(base_rows_, base_rows_ + 400)).ok());
+  ASSERT_EQ(ingestor.value()->PendingRows(), 400u);
+  FaultInjector::Global().DisarmAll();
+
+  QueryRequest req({{"payment_type", CompareOp::kEq, Value("Cash")}});
+  req.consistency = ConsistencyHint::kFreshWithinDeadline;
+  req.deadline_ms = 1e300;
+  auto waiting =
+      std::async(std::launch::async, [&] { return server.Query(req); });
+  EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "the request did not wait for the pending commit";
+  ASSERT_TRUE(ingestor.value()->Drain().ok());
+  auto answer = waiting.get();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_FALSE(answer->degraded);
+  EXPECT_FALSE(answer->result->stale);
+  EXPECT_EQ(answer->result->generation, gen0 + 1);
 }
 
 // ---------- metrics primitives ----------
