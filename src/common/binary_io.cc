@@ -1,5 +1,6 @@
 #include "common/binary_io.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/query_request.h"
@@ -17,6 +18,13 @@ constexpr uint32_t kValueNull = 0;
 constexpr uint32_t kValueInt64 = 1;
 constexpr uint32_t kValueDouble = 2;
 constexpr uint32_t kValueString = 3;
+
+/// The fewest bytes one encoded record can take, so a count read off the
+/// wire reserves no more records than the bytes left can hold: a term
+/// (column length, op, value tag), a bound (column length, lo, hi), and
+/// a QueryRequest with no terms and no bounds.
+constexpr size_t kMinTermBytes = 8 + 4 + 4;
+constexpr size_t kMinBoundBytes = 8 + 8 + 8;
 
 /// Reads a record's version; anything but kQueryCodecVersion is
 /// kDataLoss naming the version.
@@ -117,7 +125,8 @@ Result<QueryRequest> DecodeQueryRequest(BufferReader* in) {
     return Status::DataLoss("implausible predicate count " +
                             std::to_string(n_terms));
   }
-  request.where.reserve(n_terms);
+  request.where.reserve(std::min<uint64_t>(n_terms,
+                                           in->remaining() / kMinTermBytes));
   for (uint64_t i = 0; i < n_terms; ++i) {
     PredicateTerm term;
     TABULA_ASSIGN_OR_RETURN(term.column, in->ReadString());
@@ -144,7 +153,8 @@ Result<QueryRequest> DecodeQueryRequest(BufferReader* in) {
     return Status::DataLoss("implausible spatial bound count " +
                             std::to_string(n_bounds));
   }
-  request.range.bounds.reserve(n_bounds);
+  request.range.bounds.reserve(
+      std::min<uint64_t>(n_bounds, in->remaining() / kMinBoundBytes));
   for (uint64_t i = 0; i < n_bounds; ++i) {
     SpatialBound bound;
     TABULA_ASSIGN_OR_RETURN(bound.column, in->ReadString());

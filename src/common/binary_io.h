@@ -1,6 +1,7 @@
 #ifndef TABULA_COMMON_BINARY_IO_H_
 #define TABULA_COMMON_BINARY_IO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -74,9 +75,25 @@ class BufferWriter {
   std::string buf_;
 };
 
+/// Reads what BinaryWriter wrote. Every count a record announces is
+/// checked against the bytes left in the stream before anything is
+/// allocated for it — BufferReader's check — so a corrupt count is
+/// kDataLoss, never an allocation of the size it claims. The bytes left
+/// come from the stream's size, so counts need a stream that can seek
+/// (a file or a string stream); on one that cannot, any non-empty
+/// string or vector is kDataLoss.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream* in) : in_(in) {}
+  explicit BinaryReader(std::istream* in) : in_(in) {
+    const std::istream::pos_type start = in->tellg();
+    if (start == std::istream::pos_type(-1)) return;
+    in->seekg(0, std::ios::end);
+    const std::istream::pos_type end = in->tellg();
+    in->seekg(start);
+    if (end != std::istream::pos_type(-1) && end > start) {
+      remaining_ = static_cast<uint64_t>(end - start);
+    }
+  }
 
   Result<uint32_t> ReadU32() {
     uint32_t v = 0;
@@ -95,8 +112,8 @@ class BinaryReader {
   }
   Result<std::string> ReadString() {
     TABULA_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    // A garbage length field means the bytes on disk are corrupt.
-    if (n > (1ull << 32)) return Status::DataLoss("string too long");
+    // A length beyond the bytes left means the bytes on disk are corrupt.
+    if (n > remaining_) return Status::DataLoss("string too long");
     std::string s(n, '\0');
     TABULA_RETURN_NOT_OK(ReadRaw(s.data(), n));
     return s;
@@ -105,13 +122,16 @@ class BinaryReader {
   Result<std::vector<T>> ReadVector() {
     static_assert(std::is_trivially_copyable_v<T>);
     TABULA_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    if (n > (1ull << 34) / sizeof(T)) {
+    if (n > remaining_ / sizeof(T)) {
       return Status::DataLoss("vector too long");
     }
     std::vector<T> v(n);
     TABULA_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(T)));
     return v;
   }
+
+  /// Bytes left in the stream: the bound for any count read from it.
+  uint64_t remaining() const { return remaining_; }
 
  private:
   Status ReadRaw(void* data, size_t bytes) {
@@ -121,9 +141,11 @@ class BinaryReader {
       // truncated, which no retry can fix — data loss, not I/O error.
       return Status::DataLoss("unexpected end of file (truncated data)");
     }
+    remaining_ -= std::min<uint64_t>(bytes, remaining_);
     return Status::OK();
   }
   std::istream* in_;
+  uint64_t remaining_ = 0;
 };
 
 /// BinaryReader twin over an in-memory byte span (identical wire

@@ -142,6 +142,11 @@ Result<uint64_t> Tabula::ReadHeader(BinaryReader* r, uint32_t magic,
         ", options specify " + std::to_string(options.threshold));
   }
   TABULA_ASSIGN_OR_RETURN(uint64_t num_attrs, r->ReadU64());
+  // Each attribute is at least its 8-byte length.
+  if (num_attrs > r->remaining() / sizeof(uint64_t)) {
+    return Status::DataLoss(what + " claims " + std::to_string(num_attrs) +
+                            " cubed attributes; it is corrupt");
+  }
   std::vector<std::string> attrs(num_attrs);
   for (auto& attr : attrs) {
     TABULA_ASSIGN_OR_RETURN(attr, r->ReadString());

@@ -1,5 +1,5 @@
-/// Incremental maintenance of an initialized sampling cube (see
-/// Tabula::Refresh in tabula.h). The paper builds the cube once over a
+/// Incremental maintenance of an initialized sampling cube (see the
+/// Tabula class comment in tabula.h). The paper builds the cube once over a
 /// static table; this extension keeps the deterministic guarantee valid
 /// as rows are appended, at a cost far below re-initialization: the
 /// finest-cell index's loss states absorb the new rows, the dry run's
@@ -9,19 +9,17 @@
 /// The work is factored into the four-phase streaming protocol of
 /// QueryEngine (PlanIngest → BeginIngest → ExecuteIngest →
 /// CommitIngest) so the ingestion layer can run the slow phases under a
-/// shared lock while queries keep serving; Refresh() is the batch
-/// composition of the four phases.
+/// shared lock while queries keep serving. EngineFront writes the
+/// phases' prologue and commit tail and composes Refresh() from them;
+/// this file holds the single-instance bodies.
 
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/tabula.h"
 #include "cube/lattice.h"
-#include "sampling/random_sampler.h"
 #include "sampling/theta_restore.h"
 #include "testing/fault_injection.h"
 
@@ -38,11 +36,12 @@ struct CellWork {
   bool preverified = false;
 };
 
+}  // namespace
+
 /// Staged state of one in-flight single-instance ingest cycle. Every
 /// field below is private to the cycle; nothing query-visible mutates
 /// until CommitIngest.
-struct TabulaIngestPlan : QueryEngine::IngestPlan {
-  KeyEncoder new_encoder;
+struct Tabula::IngestState : StagedIngest {
   /// The finest-cell index's states including the pending rows, parallel
   /// to its keys (adopted at commit when the engine keeps the index).
   std::vector<LossState> staged_states;
@@ -54,17 +53,7 @@ struct TabulaIngestPlan : QueryEngine::IngestPlan {
   /// sample-table ids deterministically, and each cell's raw rows.
   std::vector<uint64_t> cell_keys;
   std::vector<std::vector<RowId>> cell_rows;
-
-  /// Redrawn global sample over [0, target_rows) — byte-for-byte the
-  /// sample a from-scratch build over the grown table would draw (same
-  /// seed, same Serfling size). Adopted at commit when the loss's
-  /// accumulated state is reference-independent, so the incrementally
-  /// maintained iceberg set converges to the from-scratch one;
-  /// reference-dependent losses keep the original sample (their
-  /// retained states are bound to it) and `adopt_global` stays false.
-  bool adopt_global = false;
-  std::vector<RowId> staged_global_rows;
-  DatasetView staged_global;
+  /// The loss bound to the redrawn global sample (adopted with it).
   std::unique_ptr<BoundLoss> staged_bound;
 
   /// ExecuteIngest outputs.
@@ -75,95 +64,34 @@ struct TabulaIngestPlan : QueryEngine::IngestPlan {
   /// instances only); adopted wholesale at commit.
   bool has_spatial_delta = false;
   SpatialGrid::AppendDelta spatial_delta;
-  /// Full-rebuild path: the from-scratch replacement instance.
-  std::unique_ptr<Tabula> fresh;
 };
 
-}  // namespace
+std::unique_ptr<EngineFront::StagedIngest> Tabula::NewIngestPlan() const {
+  return std::make_unique<IngestState>();
+}
 
-Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
-  auto owned = std::make_unique<TabulaIngestPlan>();
-  TabulaIngestPlan& plan = *owned;
-
+Status Tabula::PlanChanges(StagedIngest* staged_plan) {
+  IngestState& plan = *static_cast<IngestState*>(staged_plan);
   const size_t n0 = refreshed_rows_;
-  const size_t n1 = table_->num_rows();
-  if (n1 < n0) {
-    return Status::InvalidArgument(
-        "base table shrank; Refresh only supports appends");
-  }
-  plan.target_rows = n1;
-  plan.stats.new_rows = n1 - n0;
-  if (plan.stats.new_rows == 0) {
-    plan.no_op = true;
-    return std::unique_ptr<IngestPlan>(std::move(owned));
-  }
-
-  // Failure contract: every error return below (including injected
-  // faults) happens before any query-visible mutation — fallible work
-  // is staged into the plan and committed in one infallible block by
-  // CommitIngest — so an abandoned plan leaves the instance answering
-  // queries exactly as before, generation unchanged. The only members
-  // this phase may touch are maintenance-only (maintenance_bound_, the
-  // finest-cell index), which no Query() path reads.
-  //
-  // With the tiered store enabled that carve-out no longer holds:
-  // Query() promotes cold cells through the finest-cell index this
-  // phase extends, and the recheck below reads sample slots a
-  // concurrent promote may be filling — so the whole phase runs in the
-  // store's exclusive section. Disabled-store instances take no lock
-  // and behave exactly as before.
+  const size_t n1 = plan.target_rows;
+  // The only members this phase may touch are maintenance-only
+  // (maintenance_bound_, the finest-cell index), which no Query() path
+  // reads. With the tiered store enabled that carve-out no longer
+  // holds: Query() promotes cold cells through the finest-cell index
+  // this phase extends, and the recheck below reads sample slots a
+  // concurrent promote may be filling — so the rest of the phase runs
+  // in the store's exclusive section. Disabled-store instances take no
+  // lock.
   std::unique_lock<std::shared_mutex> store_lock;
   if (store_enabled()) {
     store_lock = std::unique_lock<std::shared_mutex>(*store_mu_);
   }
-  TABULA_FAULT_POINT("refresh.begin");
-
-  // Re-make the encoder: appended rows need fresh int64 code maps, and
-  // this is where unseen attribute values surface.
-  TABULA_ASSIGN_OR_RETURN(
-      plan.new_encoder, KeyEncoder::Make(*table_, options_.cubed_attributes));
-  bool layout_changed = false;
-  for (size_t k = 0; k < plan.new_encoder.num_columns(); ++k) {
-    if (plan.new_encoder.Cardinality(k) != encoder_.Cardinality(k)) {
-      layout_changed = true;
-      break;
-    }
-  }
-  if (layout_changed) {
-    // A new attribute value shifts the packed-key layout: every stored
-    // key would be stale. ExecuteIngest rebuilds from scratch; the
-    // dirty set stays empty, which staleness tagging reads as "every
-    // cell is dirty".
-    plan.full_rebuild = true;
-    plan.stats.full_rebuild = true;
-    return std::unique_ptr<IngestPlan>(std::move(owned));
-  }
-  // Redraw the global sample over the grown table exactly as a
-  // from-scratch Initialize would (same seed, same Serfling size).
-  // When the loss's accumulated state is reference-independent
-  // (StateDependsOnReference() == false — mean, regression, top-k),
-  // the retained finest states stay valid under the new binding, so
-  // classification below runs against the fresh sample and the
-  // incrementally maintained iceberg set is IDENTICAL to a
-  // from-scratch build's (the ingest_diff_test contract), not merely
-  // θ-bounded. Reference-dependent losses (min-distance) would need a
-  // full re-accumulation to rebind, so they keep the original sample;
-  // the θ guarantee holds either way.
-  if (!loss_fn()->StateDependsOnReference()) {
-    // The current sample is itself the bottom-k of [0, n0) — Initialize
-    // and every adopted redraw use this same seed and size.
-    plan.staged_global_rows = ExtendBottomKSample(
-        *table_, global_sample_rows_, n0, n1,
-        SerflingSampleSize(options_.serfling_epsilon,
-                           options_.serfling_delta),
-        options_.seed);
-    plan.staged_global = DatasetView(table_, plan.staged_global_rows);
+  const BoundLoss* bound = nullptr;
+  if (plan.adopt_global) {
     TABULA_ASSIGN_OR_RETURN(plan.staged_bound,
                             loss_fn()->Bind(*table_, plan.staged_global));
-    plan.adopt_global = true;
-  }
-  const BoundLoss* bound = plan.staged_bound.get();
-  if (bound == nullptr) {
+    bound = plan.staged_bound.get();
+  } else {
     if (maintenance_bound_ == nullptr) {
       TABULA_ASSIGN_OR_RETURN(maintenance_bound_,
                               loss_fn()->Bind(*table_, global_sample_));
@@ -176,7 +104,7 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   // an abandoned cycle's retry, dropped again at commit). Then the
   // pending rows join it in place: rows are append-only, readers cap
   // them at the committed prefix, and layout changes took the
-  // full-rebuild exit above, so old and new encoders agree.
+  // full-rebuild exit in the prologue, so old and new encoders agree.
   if (finest_.num_rows < n0) {
     TABULA_RETURN_NOT_OK(RebuildFinestIndex(plan.new_encoder, nullptr));
   }
@@ -306,32 +234,17 @@ Result<std::unique_ptr<QueryEngine::IngestPlan>> Tabula::PlanIngest() {
   });
   plan.dirty_keys.insert(plan.dirty_keys.end(), plan.to_remove.begin(),
                          plan.to_remove.end());
-  return std::unique_ptr<IngestPlan>(std::move(owned));
+  return Status::OK();
 }
 
-void Tabula::BeginIngest(IngestPlan* plan) {
-  auto* p = static_cast<TabulaIngestPlan*>(plan);
-  if (p->no_op) return;
-  // Publish the dirty set for precise staleness tagging. A replanned
-  // cycle (after an execute failure) recomputes a superset over the
-  // same base, so replacing — not merging — is correct. Full rebuilds
-  // publish an empty set: every cell reads as stale while rows pend.
-  pending_dirty_.clear();
-  for (uint64_t key : p->dirty_keys) pending_dirty_.Insert(key);
+Result<std::unique_ptr<EngineFront>> Tabula::Rebuild() const {
+  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<Tabula> fresh,
+                          Initialize(*table_, options_));
+  return std::unique_ptr<EngineFront>(std::move(fresh));
 }
 
-Status Tabula::ExecuteIngest(IngestPlan* plan) {
-  auto* p = static_cast<TabulaIngestPlan*>(plan);
-  if (p->no_op) return Status::OK();
-  if (p->full_rebuild) {
-    TabulaOptions opts = options_;
-    TABULA_ASSIGN_OR_RETURN(p->fresh, Initialize(*table_, std::move(opts)));
-    // The rebuild folded everything visible at its start, which may
-    // exceed the planned target if appends landed in between.
-    p->target_rows = p->fresh->refreshed_rows_;
-    return Status::OK();
-  }
-
+Status Tabula::ExecuteChanges(StagedIngest* staged) {
+  auto* p = static_cast<IngestState*>(staged);
   // Verify / (re)sample into the staging area, in ascending key order
   // so sample-table ids assign deterministically. With the store
   // enabled the reads of cube_/samples_ below race with Query()'s lazy
@@ -383,35 +296,12 @@ Status Tabula::ExecuteIngest(IngestPlan* plan) {
   return Status::OK();
 }
 
-Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
-                            RefreshStats* stats) {
-  auto* p = static_cast<TabulaIngestPlan*>(plan.get());
-  if (p->no_op) {
-    if (stats != nullptr) *stats = p->stats;
-    return Status::OK();
-  }
-  if (p->full_rebuild) {
-    if (p->fresh == nullptr) {
-      return Status::Internal(
-          "CommitIngest before ExecuteIngest on a full-rebuild plan");
-    }
-    // The generation counter and registered listeners survive the
-    // wholesale move-assignment — a rebuild is a cube mutation like any
-    // other.
-    auto listeners = std::move(refresh_listeners_);
-    uint64_t next_id = next_listener_id_;
-    uint64_t generation = generation_;
-    *this = std::move(*p->fresh);
-    refresh_listeners_ = std::move(listeners);
-    next_listener_id_ = next_id;
-    generation_ = generation + 1;
-    pending_dirty_.clear();
-    if (stats != nullptr) *stats = p->stats;
-    NotifyRefreshListeners();
-    return Status::OK();
-  }
+void Tabula::AdoptRebuild(EngineFront&& fresh) {
+  *this = std::move(static_cast<Tabula&>(fresh));
+}
 
-  // ---- Commit point: nothing below can fail. ----
+void Tabula::CommitChanges(StagedIngest* staged) {
+  auto* p = static_cast<IngestState*>(staged);
   // Tier transitions are commit-phase-only: the store's bookkeeping
   // mutates inside this one exclusive section (and Demote never fails),
   // so an abandoned cycle leaves every tier untouched.
@@ -431,13 +321,10 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
       }
     }
   }
-  encoder_ = std::move(p->new_encoder);
   if (p->adopt_global) {
-    // Adopt the redrawn global sample (and the loss bound to it) the
-    // plan classified against — non-iceberg cells now answer from the
-    // same sample a from-scratch build would serve.
-    global_sample_rows_ = std::move(p->staged_global_rows);
-    global_sample_ = std::move(p->staged_global);
+    // The front adopted the redrawn global sample the plan classified
+    // against; the loss bound to it comes along — non-iceberg cells now
+    // answer from the same sample a from-scratch build would serve.
     maintenance_bound_ = std::move(p->staged_bound);
     stats_.global_sample_tuples = global_sample_.size();
     stats_.global_sample_bytes = global_sample_.size() * BytesPerTuple();
@@ -481,7 +368,6 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
     grid_.CommitAppend(std::move(p->spatial_delta));
     stats_.spatial_sample_tuples = grid_.SampleTuples();
   }
-  refreshed_rows_ = p->target_rows;
   if (keeps_finest_index()) {
     // The plan staged one state per key of the index it extended; no
     // other plan ran in between.
@@ -494,53 +380,6 @@ Status Tabula::CommitIngest(std::unique_ptr<IngestPlan> plan,
   stats_.cube_table_bytes = cube_.MemoryBytes();
   stats_.sample_table_bytes = samples_.MemoryBytes(tuple_bytes);
   stats_.iceberg_cells = cube_.size();
-  pending_dirty_.clear();
-  ++generation_;
-  if (stats != nullptr) *stats = p->stats;
-  NotifyRefreshListeners();
-  return Status::OK();
-}
-
-Status Tabula::Refresh(RefreshStats* stats) {
-  Stopwatch timer;
-  RefreshStats local;
-  RefreshStats* out = stats != nullptr ? stats : &local;
-  *out = RefreshStats{};
-
-  // One span per Refresh(); inert (no cost beyond one branch) without
-  // an enabled tracer. Ended via `finish` on every success path so the
-  // span-derived duration and RefreshStats::millis agree when traced.
-  Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->StartSpan("tabula.refresh");
-  }
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("new_rows", out->new_rows);
-      span.SetAttribute("new_iceberg_cells", out->new_iceberg_cells);
-      span.SetAttribute("dropped_iceberg_cells", out->dropped_iceberg_cells);
-      span.SetAttribute("rechecked_cells", out->rechecked_cells);
-      span.SetAttribute("resampled_cells", out->resampled_cells);
-      span.SetAttribute("full_rebuild", out->full_rebuild);
-      out->millis = span.End();
-    } else {
-      out->millis = timer.ElapsedMillis();
-    }
-  };
-
-  // Batch maintenance is exactly the streaming protocol run
-  // back-to-back under the caller's one exclusive section.
-  TABULA_ASSIGN_OR_RETURN(std::unique_ptr<IngestPlan> plan, PlanIngest());
-  if (plan->no_op) {
-    out->new_rows = 0;
-    finish();
-    return Status::OK();
-  }
-  BeginIngest(plan.get());
-  TABULA_RETURN_NOT_OK(ExecuteIngest(plan.get()));
-  TABULA_RETURN_NOT_OK(CommitIngest(std::move(plan), out));
-  finish();
-  return Status::OK();
 }
 
 }  // namespace tabula

@@ -45,15 +45,9 @@ Result<std::unique_ptr<Tabula>> Tabula::MakeInstance(
     const Table& table, TabulaOptions options, KeyEncoder encoder,
     std::vector<RowId> global_rows) {
   auto tabula = std::unique_ptr<Tabula>(new Tabula());
-  tabula->table_ = &table;
   tabula->options_ = std::move(options);
-  tabula->encoder_ = std::move(encoder);
-  std::vector<size_t> all_cols(tabula->encoder_.num_columns());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TABULA_ASSIGN_OR_RETURN(tabula->packer_,
-                          KeyPacker::Make(tabula->encoder_, all_cols));
-  tabula->global_sample_rows_ = std::move(global_rows);
-  tabula->global_sample_ = DatasetView(&table, tabula->global_sample_rows_);
+  TABULA_RETURN_NOT_OK(tabula->InstallFront(table, std::move(encoder),
+                                            std::move(global_rows)));
   tabula->stats_.global_sample_tuples = tabula->global_sample_.size();
   return tabula;
 }
@@ -209,211 +203,32 @@ Status Tabula::RebuildFinestIndex(const KeyEncoder& encoder,
   return Status::OK();
 }
 
-uint64_t Tabula::AddRefreshListener(std::function<void()> listener) {
-  uint64_t id = next_listener_id_++;
-  refresh_listeners_.emplace_back(id, std::move(listener));
-  return id;
-}
-
-void Tabula::RemoveRefreshListener(uint64_t id) {
-  for (auto it = refresh_listeners_.begin(); it != refresh_listeners_.end();
-       ++it) {
-    if (it->first == id) {
-      refresh_listeners_.erase(it);
-      return;
-    }
-  }
-}
-
-void Tabula::NotifyRefreshListeners() {
-  for (auto& [id, listener] : refresh_listeners_) listener();
-}
-
 uint64_t Tabula::BytesPerTuple() const {
   if (table_ == nullptr || table_->num_rows() == 0) return sizeof(RowId);
   return std::max<uint64_t>(table_->MemoryBytes() / table_->num_rows(), 1);
 }
 
-Result<QueryResponse> Tabula::Query(const QueryRequest& request) const {
-  // Tracing guard: when no tracer is attached (or it is disabled and
-  // the request did not opt in) `span` is inert — no allocation, no
-  // clock read beyond the Stopwatch the result always carried.
-  Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->StartSpan("tabula.query", request.parent_span,
-                                      request.trace);
-  }
-  Stopwatch timer;
-  QueryResponse response;
-  response.span_id = span.id();
-  TabulaQueryResult& result = response.result;
-  const std::vector<PredicateTerm>& where = request.where;
-  // Progressive-answer tagging: the generation this answer is computed
-  // at, and whether appended-but-unfolded rows are scheduled to change
-  // it. With a published dirty set the tag is per-cell precise;
-  // before classification (dirty set empty) every answer is
-  // conservatively stale while rows pend.
-  result.generation = generation_;
-  const bool has_pending = table_->num_rows() > refreshed_rows_;
-
-  auto finish = [&]() {
-    if (span.recording()) {
-      span.SetAttribute("terms", where.size());
-      span.SetAttribute("from_local_sample", result.from_local_sample);
-      span.SetAttribute("empty_cell", result.empty_cell);
-      span.SetAttribute("sample_rows", result.sample.size());
-      // The span duration IS the reported latency, so trace and stats
-      // cannot disagree.
-      result.data_system_millis = span.End();
-    } else {
-      result.data_system_millis = timer.ElapsedMillis();
-    }
-  };
-
-  // Bbox (pan/zoom) requests take the spatial path; everything below it
-  // is the pre-spatial equality surface, untouched bit for bit.
-  if (!request.range.empty()) {
-    TABULA_RETURN_NOT_OK(QueryRange(request, has_pending, &result));
-    finish();
-    return response;
-  }
-
-  // Invalid-request returns below leave `span` to end at scope exit;
-  // the recorded span then has no result attributes, which is the
-  // trace-side marker for a rejected query.
-  std::vector<uint32_t> codes;
-  bool provably_empty = false;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(encoder_, where, &codes, &provably_empty));
-  if (provably_empty) {
-    // The filter value never occurs in the data: the cell is provably
-    // empty, so an empty sample is the exact answer (loss 0). Pending
-    // rows may contain the value, so the emptiness claim itself is
-    // stale while an ingest is in flight (coarse: the value has no
-    // cell key to probe the dirty set with).
-    result.empty_cell = true;
-    result.stale = has_pending;
-    result.sample = DatasetView(table_, {});
-    finish();
-    return response;
-  }
-
-  uint64_t key = packer_.PackCodes(codes);
-  result.stale =
-      has_pending && (pending_dirty_.empty() || pending_dirty_.Contains(key));
+void Tabula::ServeCell(uint64_t key, const Span& span,
+                       TabulaQueryResult* result) const {
   const IcebergCell* cell = cube_.Find(key);
-  if (cell != nullptr) {
-    // Hit accounting + cold-tier lazy promote with the store enabled
-    // (store_tier.cc).
-    std::vector<RowId> sample;
-    if (AppendLocalSample(*cell, span.id(), &sample)) {
-      result.from_local_sample = true;
-      result.sample = DatasetView(table_, std::move(sample));
-    } else {
-      // A cold cell failed to promote: degrade to the global sample —
-      // never the stale evicted bytes.
-      result.store_degraded = true;
-      result.sample = DatasetView(table_, global_sample_rows_);
-    }
-  } else {
+  if (cell == nullptr) {
     // Non-iceberg cell: the dry run verified the global sample is within
     // θ of this cell's raw data.
-    result.sample = DatasetView(table_, global_sample_rows_);
+    result->sample = global_sample_;
+    return;
   }
-  finish();
-  return response;
-}
-
-Status Tabula::ValidateEqualityTerms(const KeyEncoder& encoder,
-                                     const std::vector<PredicateTerm>& where,
-                                     std::vector<uint32_t>* codes,
-                                     bool* provably_empty) {
-  const auto& names = encoder.column_names();
-  codes->assign(names.size(), kNullCode);
-  *provably_empty = false;
-  for (const auto& term : where) {
-    if (term.op != CompareOp::kEq) {
-      return Status::InvalidArgument(
-          "sampling-cube queries support equality predicates only (got '" +
-          term.column + " " + CompareOpName(term.op) + " ...')");
-    }
-    auto it = std::find(names.begin(), names.end(), term.column);
-    if (it == names.end()) {
-      return Status::InvalidArgument(
-          "'" + term.column +
-          "' is not a cubed attribute; WHERE-clause attributes must be a "
-          "subset of the cubed attributes of the initialization query");
-    }
-    size_t k = static_cast<size_t>(it - names.begin());
-    if ((*codes)[k] != kNullCode) {
-      return Status::InvalidArgument("duplicate predicate on '" +
-                                     term.column + "'");
-    }
-    auto code = encoder.CodeForValue(k, term.literal);
-    if (!code.ok()) {
-      *provably_empty = true;
-      return Status::OK();
-    }
-    (*codes)[k] = code.value();
+  // Hit accounting + cold-tier lazy promote with the store enabled
+  // (store_tier.cc).
+  std::vector<RowId> sample;
+  if (AppendLocalSample(*cell, span.id(), &sample)) {
+    result->from_local_sample = true;
+    result->sample = DatasetView(table_, std::move(sample));
+  } else {
+    // A cold cell failed to promote: degrade to the global sample —
+    // never the stale evicted bytes.
+    result->store_degraded = true;
+    result->sample = global_sample_;
   }
-  return Status::OK();
-}
-
-ThetaContext Tabula::MakeThetaContext(const Table* table,
-                                      const TabulaOptions& options,
-                                      const DatasetView& ref) {
-  ThetaContext ctx;
-  ctx.table = table;
-  ctx.loss = options.effective_loss();
-  ctx.threshold = options.threshold;
-  ctx.sampler = options.sampler;
-  ctx.sampler.seed = options.seed;
-  ctx.ref = ref;
-  return ctx;
-}
-
-Result<SpatialGrid::ResolvedBBox> Tabula::ValidateRange(
-    const SpatialGrid& grid, const KeyEncoder& encoder,
-    const QueryRequest& request, bool* provably_empty) {
-  if (!grid.present()) {
-    return Status::InvalidArgument(
-        "this engine has no spatial grid (enable TabulaOptions.spatial to "
-        "serve bbox queries)");
-  }
-  TABULA_ASSIGN_OR_RETURN(SpatialGrid::ResolvedBBox box,
-                          grid.Resolve(request.range));
-  for (const auto& term : request.where) {
-    if (term.column == grid.options().x_column ||
-        term.column == grid.options().y_column) {
-      return Status::InvalidArgument(
-          "cannot mix a spatial range and an equality predicate on '" +
-          term.column + "'");
-    }
-  }
-  std::vector<uint32_t> codes;
-  TABULA_RETURN_NOT_OK(
-      ValidateEqualityTerms(encoder, request.where, &codes, provably_empty));
-  return box;
-}
-
-Status Tabula::ServeHybrid(const ThetaContext& ctx, size_t cap,
-                           std::vector<RowId> matching,
-                           TabulaQueryResult* result) {
-  if (matching.empty()) {
-    result->empty_cell = true;
-    result->sample = DatasetView(ctx.table, {});
-    return Status::OK();
-  }
-  result->from_local_sample = true;
-  if (cap == 0 || matching.size() <= cap) {
-    result->sample = DatasetView(ctx.table, std::move(matching));
-    return Status::OK();
-  }
-  TABULA_ASSIGN_OR_RETURN(
-      std::vector<RowId> sample,
-      Redraw(ctx, DatasetView(ctx.table, std::move(matching))));
-  result->sample = DatasetView(ctx.table, std::move(sample));
-  return Status::OK();
 }
 
 Status Tabula::QueryRange(const QueryRequest& request, bool has_pending,

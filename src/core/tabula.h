@@ -9,6 +9,7 @@
 
 #include "common/binary_io.h"
 #include "common/status.h"
+#include "core/engine_front.h"
 #include "core/query_engine.h"
 #include "core/query_request.h"
 #include "cube/cube_table.h"
@@ -132,10 +133,10 @@ struct TabulaQueryResult {
   /// Middleware lookup latency (the data-system time of Tabula).
   double data_system_millis = 0.0;
   /// Shards that could not be reached while gathering this answer
-  /// (sharded engine only; always empty for single-instance answers and
-  /// at K=1). When non-empty, the sample stands in the global sample
-  /// for the missing slices, so the deterministic θ bound no longer
-  /// holds — the dashboard should mark the tile provisional.
+  /// (sharded engine only; always empty for single-instance answers).
+  /// When non-empty, the sample stands in the global sample for the
+  /// missing slices, so the deterministic θ bound no longer holds — the
+  /// dashboard should mark the tile provisional.
   std::vector<uint32_t> unavailable_shards;
   /// kUnavailable detail describing the first shard failure (OK when
   /// `unavailable_shards` is empty).
@@ -181,36 +182,48 @@ class ShardedTabula;
 /// with a readily materialized sample whose accuracy loss w.r.t. the true
 /// query answer never exceeds θ (100% confidence).
 ///
-/// Implements QueryEngine, the interface the serving layer routes
-/// through, so a `Tabula` and a sharded `ShardedTabula` (src/shard/)
-/// are interchangeable behind a QueryServer. A sharded engine is itself
+/// The query, refresh and listener front is EngineFront's, shared with
+/// the sharded engine (`ShardedTabula`, src/shard/), so the two are
+/// interchangeable behind a QueryServer. A sharded engine is itself
 /// built from `Tabula` instances, one per shard (its shard units).
-class Tabula : public QueryEngine {
+///
+/// Query() — every `request.where` term must be an equality predicate on
+/// a cubed attribute (the paper's WHERE-clause contract); attributes not
+/// mentioned roll up to '*'. `request.deadline_ms` and
+/// `request.consistency` are serving-layer knobs and are ignored here;
+/// `request.trace`/`request.parent_span` drive the "tabula.query" span
+/// emitted into the attached tracer. Query() reads only state that is
+/// immutable after Initialize()/Load() — the key encoder/packer, cube
+/// table, sample table, and global-sample row list — through genuinely
+/// const paths with no hidden caches, so any number of threads may call
+/// it concurrently (the Tracer is internally synchronized; with the
+/// store enabled, promotes synchronize on the store's own lock). The
+/// mutating entry points (Refresh(), the ingest phases' Begin/Commit,
+/// and replacing the instance via Load()) are NOT safe against
+/// in-flight Query() calls; callers must serialize them externally —
+/// QueryServer in src/serve/ does so with a shared/exclusive lock.
+///
+/// Refresh() is incremental maintenance after the base table grew (an
+/// extension beyond the paper, which builds the cube once): it
+/// re-derives every cube cell's loss state from the maintained
+/// finest-cuboid states (no 2^n GroupBys), then restores the
+/// deterministic guarantee — newly-iceberg cells get fresh local
+/// samples, cells whose raw data changed re-verify their representative
+/// sample (re-sampling on violation), and cells that dropped below θ
+/// fall back to the global sample. An appended row with a previously
+/// unseen cubed attribute value changes the key layout, and a full
+/// re-initialization runs instead (RefreshStats::full_rebuild).
+/// Representative-sample sharing is not re-optimized here — memory may
+/// drift above optimal until the next full initialization. The ingest
+/// phases' Plan/Execute mutate only plan-staged state plus
+/// maintenance-only members no Query() path reads (the finest-cell
+/// index's rows, maintenance_bound_).
+class Tabula : public EngineFront {
  public:
   /// Builds the partially materialized sampling cube over `table`.
   /// `table` must outlive the returned instance.
   static Result<std::unique_ptr<Tabula>> Initialize(const Table& table,
                                                     TabulaOptions options);
-
-  /// Answers a dashboard query — the canonical entry point. Every
-  /// `request.where` term must be an equality predicate on a cubed
-  /// attribute (the paper's WHERE-clause contract); attributes not
-  /// mentioned roll up to '*'. `request.deadline_ms` and
-  /// `request.consistency` are serving-layer knobs and are ignored
-  /// here; `request.trace`/`request.parent_span` drive the "tabula.query"
-  /// span emitted into the attached tracer.
-  ///
-  /// Thread-safety contract (const ⇒ safe for concurrent readers):
-  /// Query() reads only state that is immutable after
-  /// Initialize()/Load() — the key encoder/packer, cube table, sample
-  /// table, and global-sample row list — through genuinely const paths
-  /// with no hidden caches, so any number of threads may call it
-  /// concurrently (the Tracer is internally synchronized). The mutating
-  /// entry points (Refresh(), and replacing the instance via Load())
-  /// are NOT safe against in-flight Query() calls; callers must
-  /// serialize them externally — QueryServer in src/serve/ does so with
-  /// a shared/exclusive lock.
-  Result<QueryResponse> Query(const QueryRequest& request) const override;
 
   const TabulaInitStats& init_stats() const { return stats_; }
   /// The spans of the last Initialize() (or full rebuild), root first:
@@ -218,7 +231,6 @@ class Tabula : public QueryEngine {
   /// init_stats() stage timings are these spans' durations.
   const std::vector<SpanRecord>& init_trace() const { return init_trace_; }
   const TabulaOptions& options() const { return options_; }
-  const Table& base_table() const override { return *table_; }
   const CubeTable& cube_table() const { return cube_; }
   const SampleTable& sample_table() const { return samples_; }
   /// The tiered sample store (enabled() is false when budget_bytes==0).
@@ -230,7 +242,6 @@ class Tabula : public QueryEngine {
   /// byte budget. Follows the same external-serialization contract as
   /// Refresh(). No-op when the store is disabled.
   Status MaintainStoreTiers();
-  const DatasetView& global_sample() const override { return global_sample_; }
   /// The spatial grid (present() is false when disabled).
   const SpatialGrid& spatial_grid() const { return grid_; }
 
@@ -264,57 +275,26 @@ class Tabula : public QueryEngine {
   // RefreshStats is inherited from QueryEngine; `Tabula::RefreshStats`
   // keeps naming it for existing callers.
 
-  /// \brief Incremental maintenance after the base table grew (an
-  /// extension beyond the paper, which builds the cube once).
-  ///
-  /// Call after appending rows to the base table. Re-derives every cube
-  /// cell's loss state from the maintained finest-cuboid states (no
-  /// 2^n GroupBys), then restores the deterministic guarantee:
-  /// newly-iceberg cells get fresh local samples, cells whose raw data
-  /// changed re-verify their representative sample (re-sampling on
-  /// violation), and cells that dropped below θ fall back to the global
-  /// sample. If an appended row introduces a previously unseen cubed
-  /// attribute value, the key layout changes and a full
-  /// re-initialization runs instead (reported via
-  /// RefreshStats::full_rebuild). Representative-sample sharing is not
-  /// re-optimized here — memory may drift above optimal until the next
-  /// full initialization.
-  Status Refresh(RefreshStats* stats = nullptr) override;
-
-  /// \brief Streaming-maintenance phases (see QueryEngine). Refresh()
-  /// is exactly Plan → Begin → Execute → Commit run back-to-back; the
-  /// split lets the ingestion layer run the fallible/slow phases under
-  /// a shared lock so queries keep serving. Plan/Execute mutate only
-  /// plan-staged state plus maintenance-only members no Query() path
-  /// reads (the finest-cell index's rows, maintenance_bound_);
-  /// Begin/Commit mutate query-visible state and need the exclusive
-  /// section. At most one plan may be in flight at a time.
-  Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
-  void BeginIngest(IngestPlan* plan) override;
-  Status ExecuteIngest(IngestPlan* plan) override;
-  Status CommitIngest(std::unique_ptr<IngestPlan> plan,
-                      RefreshStats* stats = nullptr) override;
-  size_t PendingIngestRows() const override {
-    return table_->num_rows() - refreshed_rows_;
-  }
-
-  /// Monotone cube-content version, bumped by every successful
-  /// Refresh() that saw appended rows (full rebuilds included). Caches
-  /// layered above the middleware key their coherence off this counter.
-  uint64_t generation() const override { return generation_; }
-
-  /// Registers `listener` to run after every successful Refresh() (in
-  /// the refreshing thread, once the cube has mutated) — the
-  /// invalidation hook serve/ResultCache fences itself with. Returns a
-  /// handle for RemoveRefreshListener(). Listener registration follows
-  /// the same external-serialization contract as Refresh() itself.
-  uint64_t AddRefreshListener(std::function<void()> listener) override;
-  void RemoveRefreshListener(uint64_t id) override;
+ protected:
+  const TabulaOptions& cube_options() const override { return options_; }
+  void ServeCell(uint64_t key, const Span& span,
+                 TabulaQueryResult* result) const override;
+  Status QueryRange(const QueryRequest& request, bool has_pending,
+                    TabulaQueryResult* result) const override;
+  std::unique_ptr<StagedIngest> NewIngestPlan() const override;
+  Status PlanChanges(StagedIngest* plan) override;
+  Status ExecuteChanges(StagedIngest* plan) override;
+  void CommitChanges(StagedIngest* plan) override;
+  Result<std::unique_ptr<EngineFront>> Rebuild() const override;
+  void AdoptRebuild(EngineFront&& fresh) override;
 
  private:
   /// The sharded engine builds, serves, and persists its shard units
   /// through the private entry points below.
   friend class ShardedTabula;
+
+  /// Staged state of one in-flight ingest cycle (defined in refresh.cc).
+  struct IngestState;
 
   /// What a sharded coordinator hands one shard unit: the key encoder
   /// and global sample every unit shares, and the unit's ascending rows.
@@ -408,49 +388,6 @@ class Tabula : public QueryEngine {
   /// The bound loss (options_.effective_loss(), cached at Initialize).
   const LossFunction* loss_fn() const { return options_.effective_loss(); }
 
-  /// The loss machinery every θ restoration reads, for both engines:
-  /// `options`' loss at its threshold, the sampler seeded with
-  /// options.seed (so re-draws reproduce the build's bytes), and `ref`.
-  static ThetaContext MakeThetaContext(const Table* table,
-                                       const TabulaOptions& options,
-                                       const DatasetView& ref);
-  /// This engine's context: the real run, the grid, refresh rechecks and
-  /// store promotes read it.
-  ThetaContext theta_context() const {
-    return MakeThetaContext(table_, options_, global_sample_);
-  }
-
-  /// Answers a request with a non-empty `range` (bbox). `result` fields
-  /// other than generation are filled here.
-  Status QueryRange(const QueryRequest& request, bool has_pending,
-                    TabulaQueryResult* result) const;
-
-  /// The range-request checks both engines share: `grid` is present,
-  /// the box resolves against its columns, no equality term names a
-  /// grid column, and the terms pass ValidateEqualityTerms against
-  /// `encoder` (`*provably_empty` as there).
-  static Result<SpatialGrid::ResolvedBBox> ValidateRange(
-      const SpatialGrid& grid, const KeyEncoder& encoder,
-      const QueryRequest& request, bool* provably_empty);
-
-  /// The hybrid (range + equality) answer both engines serve from
-  /// `matching`, the ascending rows in the box that match the terms: an
-  /// empty cell, the rows themselves up to `cap` (0 = no cap), or a
-  /// re-draw above it — within θ and deterministic either way.
-  static Status ServeHybrid(const ThetaContext& ctx, size_t cap,
-                            std::vector<RowId> matching,
-                            TabulaQueryResult* result);
-
-  /// The WHERE validation of the equality query surface, shared by the
-  /// pure-equality and hybrid range paths of both engines: codes of
-  /// `encoder`'s columns, kNullCode for rolled-up ones. On return
-  /// `*provably_empty` marks a literal absent from its dictionary (empty
-  /// cell); later terms are then left unchecked.
-  static Status ValidateEqualityTerms(const KeyEncoder& encoder,
-                                      const std::vector<PredicateTerm>& where,
-                                      std::vector<uint32_t>* codes,
-                                      bool* provably_empty);
-
   // --- Tiered sample store (src/core/store_tier.cc) -----------------
   /// Whether the tiered store is active for this instance.
   bool store_enabled() const { return options_.store.budget_bytes > 0; }
@@ -480,13 +417,8 @@ class Tabula : public QueryEngine {
   bool AppendLocalSample(const IcebergCell& cell, uint64_t parent_span,
                          std::vector<RowId>* out) const;
 
-  const Table* table_ = nullptr;
   TabulaOptions options_;
   std::vector<SpanRecord> init_trace_;
-  KeyEncoder encoder_;
-  KeyPacker packer_;
-  std::vector<RowId> global_sample_rows_;
-  DatasetView global_sample_;
   /// Mutable: with the store enabled, const Query() promotes cold cells
   /// in place under store_mu_'s exclusive section. With the store
   /// disabled both are immutable after Initialize()/Load(), preserving
@@ -517,20 +449,6 @@ class Tabula : public QueryEngine {
   FinestIndex finest_;
   /// The loss bound to global_sample_ for incremental maintenance.
   std::unique_ptr<BoundLoss> maintenance_bound_;
-  size_t refreshed_rows_ = 0;
-  /// Cells the in-flight ingest cycle will change (packed keys across
-  /// all cuboids), published by BeginIngest and cleared by CommitIngest.
-  /// Query() reads it for precise staleness tagging; empty while rows
-  /// are pending means "not classified yet" → every cell is
-  /// conservatively stale.
-  FlatHashSet pending_dirty_;
-
-  /// Fires every registered refresh listener (after a cube mutation).
-  void NotifyRefreshListeners();
-
-  uint64_t generation_ = 0;
-  uint64_t next_listener_id_ = 1;
-  std::vector<std::pair<uint64_t, std::function<void()>>> refresh_listeners_;
 };
 
 }  // namespace tabula

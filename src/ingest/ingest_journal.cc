@@ -1,5 +1,6 @@
 #include "ingest/ingest_journal.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -112,7 +113,9 @@ Status ScanJournal(
     Fnv fnv;
     fnv.Mix(nrows.value());
     std::vector<std::vector<Value>> batch;
-    batch.reserve(nrows.value());
+    // Every row holds at least one byte: a corrupt count reserves no
+    // more rows than the file has bytes left.
+    batch.reserve(std::min<uint64_t>(nrows.value(), r.remaining()));
     bool torn = false;
     for (uint64_t row = 0; row < nrows.value() && !torn; ++row) {
       std::vector<Value> values;

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -35,6 +36,16 @@ namespace {
 void AppendRaw(std::string* out, const void* data, size_t bytes) {
   out->append(static_cast<const char*>(data), bytes);
 }
+
+/// The fewest bytes one encoded batch record can take, so a batch count
+/// reserves no more records than the payload can hold: a QueryRequest
+/// with no terms and no bounds (version, term count, deadline, trace,
+/// consistency, bound count), and a batch item with an empty message and
+/// no result (status code, message length; then the ServeAnswer's
+/// version, result flag, cache hit, degraded, queue and total times,
+/// error flag).
+constexpr size_t kMinRequestBytes = 4 + 8 + 8 + 4 + 4 + 8;
+constexpr size_t kMinBatchItemBytes = 4 + 8 + (4 + 4 + 4 + 4 + 8 + 8 + 4);
 }  // namespace
 
 std::string EncodeFrame(FrameType type, uint64_t request_id,
@@ -186,7 +197,7 @@ Result<std::vector<QueryRequest>> DecodeBatchQueryPayload(
                             std::to_string(count));
   }
   std::vector<QueryRequest> requests;
-  requests.reserve(count);
+  requests.reserve(std::min<size_t>(count, r.remaining() / kMinRequestBytes));
   for (uint32_t i = 0; i < count; ++i) {
     TABULA_ASSIGN_OR_RETURN(QueryRequest request, DecodeQueryRequest(&r));
     requests.push_back(std::move(request));
@@ -214,7 +225,7 @@ Result<std::vector<BatchItem>> DecodeBatchAnswerPayload(
                             std::to_string(count));
   }
   std::vector<BatchItem> items;
-  items.reserve(count);
+  items.reserve(std::min<size_t>(count, r.remaining() / kMinBatchItemBytes));
   for (uint32_t i = 0; i < count; ++i) {
     BatchItem item;
     TABULA_ASSIGN_OR_RETURN(uint32_t code, r.ReadU32());

@@ -25,7 +25,7 @@ namespace tabula {
 /// raw rows when the check fails.
 
 /// The loss machinery every restoration reads. The engines build it in
-/// one place (Tabula::MakeThetaContext).
+/// one place (EngineFront::theta_context).
 struct ThetaContext {
   const Table* table = nullptr;
   const LossFunction* loss = nullptr;

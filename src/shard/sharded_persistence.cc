@@ -3,7 +3,7 @@
 /// codec, and the merged directory with its override samples. Written
 /// temp-then-rename like the cube file, so a failure mid-write (full
 /// disk, injected fault) never leaves a partial manifest at the
-/// destination. K = 1 delegates to the plain Tabula format (TBLC).
+/// destination.
 
 #include <fstream>
 #include <string>
@@ -27,7 +27,6 @@ constexpr uint32_t kShardVersion = 5;
 }  // namespace
 
 Status ShardedTabula::Save(const std::string& path) const {
-  if (single_ != nullptr) return single_->Save(path);
   // With the store enabled, concurrent query promotes mutate the sample
   // tables under their stores' exclusive sections; the shared locks make
   // the manifest a consistent snapshot.
@@ -86,19 +85,7 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
     return Status::InvalidArgument("TabulaOptions.loss must be set");
   }
   auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
-  sharded->table_ = &table;
   sharded->options_ = std::move(options);
-  if (sharded->options_.num_shards == 1) {
-    TABULA_ASSIGN_OR_RETURN(
-        sharded->single_, Tabula::Load(table, sharded->options_.base, path,
-                                       resume_partial));
-    const TabulaInitStats& s = sharded->single_->init_stats();
-    sharded->stats_.num_shards = 1;
-    sharded->stats_.global_sample_tuples = s.global_sample_tuples;
-    sharded->stats_.merged_iceberg_cells = s.iceberg_cells;
-    sharded->stats_.shard_iceberg_cells = {s.iceberg_cells};
-    return sharded;
-  }
   TABULA_RETURN_NOT_OK(sharded->CheckStoreOptions());
   const ShardedTabulaOptions& opts = sharded->options_;
 
@@ -122,19 +109,15 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
         "manifest partitioning differs from options");
   }
 
-  TABULA_ASSIGN_OR_RETURN(sharded->encoder_,
+  TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
                           KeyEncoder::Make(table, opts.base.cubed_attributes));
-  std::vector<size_t> all_cols(opts.base.cubed_attributes.size());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TABULA_ASSIGN_OR_RETURN(sharded->packer_,
-                          KeyPacker::Make(sharded->encoder_, all_cols));
-  sharded->lattice_ = Lattice(opts.base.cubed_attributes.size());
-  TABULA_ASSIGN_OR_RETURN(sharded->global_sample_rows_,
+  TABULA_ASSIGN_OR_RETURN(std::vector<RowId> global_rows,
                           r.ReadVector<RowId>());
-  TABULA_RETURN_NOT_OK(Tabula::CheckRowsBelow(
-      sharded->global_sample_rows_, saved_rows, "manifest's global sample"));
-  sharded->global_sample_ =
-      DatasetView(&table, sharded->global_sample_rows_);
+  TABULA_RETURN_NOT_OK(Tabula::CheckRowsBelow(global_rows, saved_rows,
+                                              "manifest's global sample"));
+  TABULA_RETURN_NOT_OK(sharded->InstallFront(table, std::move(encoder),
+                                             std::move(global_rows)));
+  sharded->lattice_ = Lattice(opts.base.cubed_attributes.size());
 
   // The persisted row lists must partition [0, saved_rows) exactly —
   // every row in one shard, no row in two — before a unit indexes them.
@@ -173,6 +156,12 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
   }
 
   TABULA_ASSIGN_OR_RETURN(uint64_t num_merged, r.ReadU64());
+  // Each merged cell is a key, a cuboid, a flags word and an override id.
+  constexpr uint64_t kMergedCellBytes = 8 + 4 + 4 + 4;
+  if (num_merged > r.remaining() / kMergedCellBytes) {
+    return Status::DataLoss("manifest claims " + std::to_string(num_merged) +
+                            " merged cells; it is corrupt");
+  }
   sharded->merged_.reserve(num_merged);
   for (uint64_t i = 0; i < num_merged; ++i) {
     TABULA_ASSIGN_OR_RETURN(uint64_t key, r.ReadU64());
@@ -266,7 +255,7 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
   // every replica up. The override store enforces its (possibly smaller)
   // budget over the adopted tiers.
   sharded->TrackOverridesLocked();
-  sharded->InitReplicas();
+  sharded->InitServing();
   return sharded;
 }
 

@@ -17,7 +17,6 @@
 #include "common/stopwatch.h"
 #include "shard/sharded_tabula.h"
 #include "storage/predicate.h"
-#include "testing/fault_injection.h"
 
 namespace tabula {
 
@@ -28,42 +27,28 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
   bool provably_empty = false;
   TABULA_ASSIGN_OR_RETURN(
       SpatialGrid::ResolvedBBox box,
-      Tabula::ValidateRange(g0, encoder_, request, &provably_empty));
+      ValidateRange(g0, encoder_, request, &provably_empty));
   // Spatial cells live outside the cube's dirty-key space, so staleness
   // tagging is conservative, like the plain engine's range path.
   result->stale = has_pending;
   const ThetaContext ctx = theta_context();
 
   // One probed visit to shard `s`, shared by the pure and hybrid paths:
-  // the legacy whole-group `shard.query` seam, then replica failover,
-  // then the grid call (whose own `spatial.plan` / `spatial.scan` seams
-  // also count as that shard failing). Failures degrade, not abort.
+  // replica failover (behind the whole-group `shard.query` seam), then
+  // the grid call (whose own `spatial.plan` / `spatial.scan` seams also
+  // count as that shard failing). Failures degrade, not abort.
   auto visit_shard = [&](size_t s,
                          const std::function<Status()>& serve) -> void {
     Stopwatch shard_timer;
-    Status shard_status = Status::OK();
-    if (FaultInjector::AnyArmed()) {
-      shard_status = FaultInjector::Global().Hit("shard.query");
-    }
-    if (shard_status.ok()) shard_status = ProbeReplicas(s);
+    Status shard_status = ProbeReplicas(s);
     if (shard_status.ok()) shard_status = serve();
-    if (!shard_status.ok()) {
-      result->unavailable_shards.push_back(static_cast<uint32_t>(s));
-      if (result->shard_error.ok()) {
-        result->shard_error = Status::Unavailable(
-            "shard " + std::to_string(s) +
-            " unavailable during scatter-gather: " + shard_status.message());
-      }
-      metrics_.counter("shard_unavailable_total").Increment();
-    }
-    metrics_.histogram("shard" + std::to_string(s) + "_query_latency")
-        .RecordMillis(shard_timer.ElapsedMillis());
+    RecordShardVisit(s, shard_status, shard_timer.ElapsedMillis(), result);
   };
   // Degraded: serve what the healthy shards gathered plus the global
   // sample as the stand-in for the missing slices. θ is voided, which
   // the populated `unavailable_shards` signals.
   auto degrade = [&](std::vector<RowId> rows) {
-    metrics_.counter("shard_degraded_answers").Increment();
+    meters_.degraded->Increment();
     rows.insert(rows.end(), global_sample_rows_.begin(),
                 global_sample_rows_.end());
     result->from_local_sample = true;
@@ -84,8 +69,7 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
         return Status::OK();
       });
     }
-    metrics_.histogram("shard_fanout_latency")
-        .RecordMillis(fanout_timer.ElapsedMillis());
+    meters_.fanout->RecordMillis(fanout_timer.ElapsedMillis());
     if (!result->unavailable_shards.empty()) {
       std::vector<RowId> gathered;
       for (SpatialGrid::RangeAnswer& p : partials) {
@@ -148,8 +132,7 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
       });
     }
     std::sort(rows.begin(), rows.end());
-    metrics_.histogram("shard_fanout_latency")
-        .RecordMillis(fanout_timer.ElapsedMillis());
+    meters_.fanout->RecordMillis(fanout_timer.ElapsedMillis());
     TABULA_ASSIGN_OR_RETURN(BoundPredicate pred,
                             BoundPredicate::Bind(*table_, request.where));
     matching = pred.FilterRows(rows);
@@ -157,8 +140,8 @@ Status ShardedTabula::QueryRange(const QueryRequest& request, bool has_pending,
       return degrade(std::move(matching));
     }
   }
-  return Tabula::ServeHybrid(ctx, g0.options().resample_cap,
-                             std::move(matching), result);
+  return ServeHybrid(ctx, g0.options().resample_cap, std::move(matching),
+                     result);
 }
 
 }  // namespace tabula

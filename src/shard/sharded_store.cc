@@ -105,7 +105,6 @@ ShardedTabula::LockStoresShared() const {
 }
 
 SampleStoreStats ShardedTabula::StoreStats() const {
-  if (single_ != nullptr) return single_->sample_store().Stats();
   SampleStoreStats total;
   total.budget_bytes = options_.base.store.budget_bytes;
   if (!store_enabled()) return total;
@@ -132,7 +131,6 @@ SampleStoreStats ShardedTabula::StoreStats() const {
 }
 
 uint64_t ShardedTabula::StoreBytes() const {
-  if (single_ != nullptr) return single_->sample_store().bytes();
   if (!store_enabled()) return 0;
   uint64_t bytes = override_store_.bytes();
   for (const Shard& shard : shards_) {

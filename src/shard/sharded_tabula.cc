@@ -42,8 +42,8 @@ const char* ShardPartitionName(ShardPartition partition) {
 }
 
 Status ShardedTabula::CheckShardCount(size_t num_shards) {
-  if (num_shards == 0 || num_shards > kMaxShards) {
-    return Status::InvalidArgument("num_shards must be in [1, " +
+  if (num_shards < 2 || num_shards > kMaxShards) {
+    return Status::InvalidArgument("num_shards must be in [2, " +
                                    std::to_string(kMaxShards) + "] (got " +
                                    std::to_string(num_shards) + ")");
   }
@@ -54,47 +54,36 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Initialize(
     const Table& table, ShardedTabulaOptions options) {
   TABULA_RETURN_NOT_OK(CheckShardCount(options.num_shards));
   auto sharded = std::unique_ptr<ShardedTabula>(new ShardedTabula());
-  sharded->table_ = &table;
   sharded->options_ = std::move(options);
-
-  if (sharded->options_.num_shards == 1) {
-    // Strict pass-through: the plain middleware answers everything, so
-    // K = 1 is bit-identical to an unsharded deployment by construction.
-    TABULA_ASSIGN_OR_RETURN(
-        sharded->single_, Tabula::Initialize(table, sharded->options_.base));
-    const TabulaInitStats& s = sharded->single_->init_stats();
-    sharded->stats_.num_shards = 1;
-    sharded->stats_.global_sample_tuples = s.global_sample_tuples;
-    sharded->stats_.merged_iceberg_cells = s.iceberg_cells;
-    sharded->stats_.build_millis = s.total_millis;
-    sharded->stats_.total_millis = s.total_millis;
-    sharded->stats_.critical_path_millis = s.total_millis;
-    sharded->stats_.shard_build_millis = {s.total_millis};
-    sharded->stats_.shard_iceberg_cells = {s.iceberg_cells};
-    return sharded;
-  }
   TABULA_RETURN_NOT_OK(sharded->InitializeSharded(table));
-  sharded->InitReplicas();
+  sharded->InitServing();
   return sharded;
 }
 
-size_t ShardedTabula::replicas_per_shard() const {
-  if (single_ != nullptr) return 1;
-  return options_.replicas_per_shard == 0 ? 1 : options_.replicas_per_shard;
-}
-
-void ShardedTabula::InitReplicas() {
+void ShardedTabula::InitServing() {
+  const size_t r = replicas_per_shard();
   replicas_.clear();
-  const size_t total = shards_.size() * replicas_per_shard();
-  for (size_t i = 0; i < total; ++i) replicas_.emplace_back();
+  for (size_t i = 0; i < shards_.size() * r; ++i) replicas_.emplace_back();
+  meters_.unavailable = &metrics_.counter("shard_unavailable_total");
+  meters_.degraded = &metrics_.counter("shard_degraded_answers");
+  meters_.probe_failures = &metrics_.counter("replica_probe_failures");
+  meters_.failovers = &metrics_.counter("replica_failovers");
+  meters_.fanout = &metrics_.histogram("shard_fanout_latency");
+  meters_.shard_latency.clear();
+  meters_.replica_latency.clear();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::string shard = "shard" + std::to_string(s);
+    meters_.shard_latency.push_back(
+        &metrics_.histogram(shard + "_query_latency"));
+    for (size_t j = 0; r > 1 && j < r; ++j) {
+      meters_.replica_latency.push_back(&metrics_.histogram(
+          shard + "_replica" + std::to_string(j) + "_latency"));
+    }
+  }
 }
 
 Status ShardedTabula::SetReplicaDown(size_t shard, size_t replica,
                                      bool down) {
-  if (single_ != nullptr) {
-    return Status::InvalidArgument(
-        "replica control requires a sharded deployment (num_shards > 1)");
-  }
   if (shard >= shards_.size()) {
     return Status::InvalidArgument("shard " + std::to_string(shard) +
                                    " out of range (K = " +
@@ -110,15 +99,14 @@ Status ShardedTabula::SetReplicaDown(size_t shard, size_t replica,
 }
 
 bool ShardedTabula::replica_down(size_t shard, size_t replica) const {
-  if (single_ != nullptr || shard >= shards_.size() ||
-      replica >= replicas_per_shard()) {
+  if (shard >= shards_.size() || replica >= replicas_per_shard()) {
     return false;
   }
   return replica_state(shard, replica).down.load(std::memory_order_acquire);
 }
 
 size_t ShardedTabula::HealthyReplicaCount(size_t shard) const {
-  if (single_ != nullptr || shard >= shards_.size()) return 0;
+  if (shard >= shards_.size()) return 0;
   size_t healthy = 0;
   for (size_t j = 0; j < replicas_per_shard(); ++j) {
     if (!replica_state(shard, j).down.load(std::memory_order_acquire)) {
@@ -146,23 +134,20 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
   init_span.SetAttribute("partition",
                          ShardPartitionName(options_.partition));
 
-  TABULA_ASSIGN_OR_RETURN(encoder_,
-                          KeyEncoder::Make(table, base.cubed_attributes));
-  std::vector<size_t> all_cols(base.cubed_attributes.size());
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  TABULA_ASSIGN_OR_RETURN(packer_, KeyPacker::Make(encoder_, all_cols));
-  lattice_ = Lattice(base.cubed_attributes.size());
-
   // ONE global sample over the FULL table, drawn exactly as the
   // single-instance engine draws it. Sharing it across units is what
   // makes the per-unit loss states merge to the single-instance states
   // (same reference ⇒ same accumulation), which in turn makes the merged
   // iceberg set equal the single-instance set.
-  global_sample_rows_ = ConsistentBottomKSample(
-      DatasetView(&table),
-      SerflingSampleSize(base.serfling_epsilon, base.serfling_delta),
-      base.seed);
-  global_sample_ = DatasetView(&table, global_sample_rows_);
+  TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
+                          KeyEncoder::Make(table, base.cubed_attributes));
+  TABULA_RETURN_NOT_OK(InstallFront(
+      table, std::move(encoder),
+      ConsistentBottomKSample(
+          DatasetView(&table),
+          SerflingSampleSize(base.serfling_epsilon, base.serfling_delta),
+          base.seed)));
+  lattice_ = Lattice(base.cubed_attributes.size());
   stats_.global_sample_tuples = global_sample_.size();
 
   // Partition the row space. Shard row lists stay ascending under both
@@ -504,72 +489,15 @@ Result<ShardedTabula::MergeOutput> ShardedTabula::MergeShardCubes(
   return out;
 }
 
-const ShardedInitStats& ShardedTabula::init_stats() const { return stats_; }
-
-size_t ShardedTabula::merged_iceberg_cells() const {
-  if (single_ != nullptr) return single_->cube_table().size();
-  return merged_.size();
-}
-
-std::vector<uint64_t> ShardedTabula::MergedIcebergKeys() const {
-  std::vector<uint64_t> keys;
-  if (single_ != nullptr) {
-    keys.reserve(single_->cube_table().size());
-    for (const auto& cell : single_->cube_table().cells()) {
-      keys.push_back(cell.key);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-  return merged_.SortedKeys();
-}
-
 const std::vector<RowId>& ShardedTabula::shard_rows(size_t i) const {
-  TABULA_CHECK(single_ == nullptr && i < shards_.size());
+  TABULA_CHECK(i < shards_.size());
   return shards_[i].rows;
 }
 
 const CubeTable& ShardedTabula::shard_cube(size_t i) const {
-  TABULA_CHECK(single_ == nullptr && i < shards_.size());
+  TABULA_CHECK(i < shards_.size());
   return shards_[i].unit->cube_table();
 }
-
-uint64_t ShardedTabula::generation() const {
-  return single_ != nullptr ? single_->generation() : generation_;
-}
-
-uint64_t ShardedTabula::AddRefreshListener(std::function<void()> listener) {
-  if (single_ != nullptr) {
-    return single_->AddRefreshListener(std::move(listener));
-  }
-  uint64_t id = next_listener_id_++;
-  refresh_listeners_.emplace_back(id, std::move(listener));
-  return id;
-}
-
-void ShardedTabula::RemoveRefreshListener(uint64_t id) {
-  if (single_ != nullptr) {
-    single_->RemoveRefreshListener(id);
-    return;
-  }
-  for (auto it = refresh_listeners_.begin(); it != refresh_listeners_.end();
-       ++it) {
-    if (it->first == id) {
-      refresh_listeners_.erase(it);
-      return;
-    }
-  }
-}
-
-void ShardedTabula::NotifyRefreshListeners() {
-  for (auto& [id, listener] : refresh_listeners_) listener();
-}
-
-const DatasetView& ShardedTabula::global_sample() const {
-  return single_ != nullptr ? single_->global_sample() : global_sample_;
-}
-
-const Table& ShardedTabula::base_table() const { return *table_; }
 
 size_t ShardedTabula::ShardForNewRow(RowId row,
                                      const std::vector<size_t>& sizes) const {

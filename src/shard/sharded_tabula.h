@@ -10,7 +10,7 @@
 
 #include "common/flat_hash.h"
 #include "common/status.h"
-#include "core/query_engine.h"
+#include "core/engine_front.h"
 #include "core/tabula.h"
 #include "cube/cube_table.h"
 #include "cube/lattice.h"
@@ -35,17 +35,17 @@ const char* ShardPartitionName(ShardPartition partition);
 /// Configuration of a sharded sampling cube.
 struct ShardedTabulaOptions {
   /// Per-shard build parameters (loss, θ, cubed attributes, sampler,
-  /// seed, tracer, store budget). At K > 1 the coordinator overrides a
-  /// few of them for its shard units (ShardedTabula::UnitOptions):
+  /// seed, tracer, store budget). The coordinator overrides a few of
+  /// them for its shard units (ShardedTabula::UnitOptions):
   /// `enable_sample_selection` and `keep_maintenance_state` are ignored
   /// (cross-cell representative-sample sharing is a global optimization
   /// the partitioned build forgoes), units never hot-promote or spill,
   /// and the store budget splits into K + 1 slices.
   TabulaOptions base;
-  /// Number of shards K, 1 ≤ K ≤ ShardedTabula::kMaxShards. K = 1 is a
-  /// strict pass-through to a plain `Tabula` — bit-identical answers,
-  /// cube, and persistence format.
-  size_t num_shards = 1;
+  /// Number of shards K, 2 ≤ K ≤ ShardedTabula::kMaxShards. A single
+  /// shard is a plain `Tabula`: callers that pick K at run time build
+  /// one at K ≤ 1.
+  size_t num_shards = 2;
   ShardPartition partition = ShardPartition::kHash;
   /// Serving replicas per shard (R). Each shard's cube is built once
   /// and registered with R replicas that share the immutable cube and
@@ -53,7 +53,7 @@ struct ShardedTabulaOptions {
   /// data. Query() probes replicas in health/EWMA order and degrades a
   /// shard's slice to the global sample only when every replica of
   /// that shard is gone. R = 1 keeps the pre-replication behaviour
-  /// (and persistence format) exactly. Ignored at K = 1.
+  /// (and persistence format) exactly.
   size_t replicas_per_shard = 1;
 };
 
@@ -118,40 +118,29 @@ struct ShardedInitStats {
 /// `TabulaQueryResult::unavailable_shards` + `shard_error` populate,
 /// and the θ bound is voided — the request still succeeds.
 ///
+/// The query, refresh and listener front is EngineFront's, shared with
+/// the plain engine. The streaming-maintenance phases: PlanIngest routes
+/// the pending rows to their owning shards and computes the dirty cell
+/// set; ExecuteIngest rebuilds the touched shards into staged copies and
+/// re-runs the merge + θ re-verification over the mix of staged and
+/// untouched shards; CommitIngest adopts the staged shards and the
+/// merged directory. Plan/Execute mutate only plan-staged state, so they
+/// may run under a shared lock while queries serve.
+///
 /// Thread-safety matches Tabula: Query() is const ⇒ concurrent-safe;
 /// Refresh()/Save()/Load() require external serialization.
-class ShardedTabula : public QueryEngine {
+class ShardedTabula : public EngineFront {
  public:
+  /// Builds K = options.num_shards shard units and merges them; K
+  /// outside [2, kMaxShards] is kInvalidArgument.
   static Result<std::unique_ptr<ShardedTabula>> Initialize(
       const Table& table, ShardedTabulaOptions options);
-
-  Result<QueryResponse> Query(const QueryRequest& request) const override;
-  Status Refresh(RefreshStats* stats = nullptr) override;
-
-  /// \brief Streaming-maintenance phases (see QueryEngine). Refresh()
-  /// composes them. PlanIngest routes the pending rows to their owning
-  /// shards and computes the dirty cell set; ExecuteIngest rebuilds the
-  /// touched shards into staged copies and re-runs the merge + θ
-  /// re-verification over the mix of staged and untouched shards;
-  /// CommitIngest adopts the staged shards and the merged directory.
-  /// Plan/Execute mutate only plan-staged state, so they may run under a
-  /// shared lock while queries serve. K = 1 delegates every phase to the
-  /// plain engine.
-  Result<std::unique_ptr<IngestPlan>> PlanIngest() override;
-  void BeginIngest(IngestPlan* plan) override;
-  Status ExecuteIngest(IngestPlan* plan) override;
-  Status CommitIngest(std::unique_ptr<IngestPlan> plan,
-                      RefreshStats* stats = nullptr) override;
-  size_t PendingIngestRows() const override {
-    return single_ != nullptr ? single_->PendingIngestRows()
-                              : table_->num_rows() - refreshed_rows_;
-  }
 
   /// Persists the shard manifest: partition + per-shard row lists with
   /// fingerprints, per-shard cubes and sample tables, and the merged
   /// directory with override samples — one file, written
   /// temp-then-rename so a failure mid-write never leaves a partial
-  /// manifest. K = 1 delegates to Tabula::Save (plain cube format).
+  /// manifest.
   Status Save(const std::string& path) const override;
 
   /// Restores a manifest saved with Save(). `options` must match the
@@ -166,52 +155,48 @@ class ShardedTabula : public QueryEngine {
       const Table& table, ShardedTabulaOptions options,
       const std::string& path, bool resume_partial = false);
 
-  uint64_t generation() const override;
-  uint64_t AddRefreshListener(std::function<void()> listener) override;
-  void RemoveRefreshListener(uint64_t id) override;
-  const DatasetView& global_sample() const override;
-  const Table& base_table() const override;
-
   size_t num_shards() const { return options_.num_shards; }
   const ShardedTabulaOptions& options() const { return options_; }
-  const ShardedInitStats& init_stats() const;
+  const ShardedInitStats& init_stats() const { return stats_; }
 
   /// Aggregated tiered-store counters across the K unit stores and the
   /// override store (their budgets sum to base.store.budget_bytes; see
-  /// DESIGN.md §12). At K = 1 this is the plain engine's store.
+  /// DESIGN.md §12).
   SampleStoreStats StoreStats() const;
   /// Resident sample bytes across every store (the sharded budget
   /// invariant's left-hand side). 0 when the store is disabled.
   uint64_t StoreBytes() const;
 
   /// Number of iceberg cells of the merged cube.
-  size_t merged_iceberg_cells() const;
+  size_t merged_iceberg_cells() const { return merged_.size(); }
   /// Sorted packed keys of every merged iceberg cell (for differential
   /// tests against a single-instance cube).
-  std::vector<uint64_t> MergedIcebergKeys() const;
+  std::vector<uint64_t> MergedIcebergKeys() const {
+    return merged_.SortedKeys();
+  }
 
-  /// Row ids owned by shard `i` (K > 1 only).
+  /// Row ids owned by shard `i`.
   const std::vector<RowId>& shard_rows(size_t i) const;
-  /// Shard `i`'s local cube (K > 1 only; tests and diagnostics).
+  /// Shard `i`'s local cube (tests and diagnostics).
   const CubeTable& shard_cube(size_t i) const;
 
   /// Largest supported K: the merge tags every cell with the set of
   /// shards holding its rows in one 64-bit word.
   static constexpr size_t kMaxShards = 64;
 
-  /// The underlying plain Tabula at K = 1 (nullptr at K > 1).
-  const Tabula* single_instance() const { return single_.get(); }
-
   /// Per-shard serving metrics: `shard<i>_query_latency` histograms,
   /// `shard_unavailable_total` / `shard_degraded_answers` counters and
   /// the `shard_fanout_latency` histogram; with R > 1 also
   /// `shard<i>_replica<j>_latency` histograms and the
-  /// `replica_probe_failures` / `replica_failovers` counters. Safe to
-  /// read concurrently with Query().
+  /// `replica_probe_failures` / `replica_failovers` counters. All are
+  /// registered at build or load, so each reads 0 until its first
+  /// event. Safe to read concurrently with Query().
   MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Serving replicas per shard (R; 1 when unconfigured or K = 1).
-  size_t replicas_per_shard() const;
+  /// Serving replicas per shard (R; 1 when unconfigured).
+  size_t replicas_per_shard() const {
+    return options_.replicas_per_shard == 0 ? 1 : options_.replicas_per_shard;
+  }
   /// Marks one replica of one shard down (true) or back up (false).
   /// Down replicas are skipped by the scatter-gather router; marking
   /// every replica of a shard down degrades that shard's slices to the
@@ -221,12 +206,28 @@ class ShardedTabula : public QueryEngine {
   /// Replicas of `shard` currently not marked down.
   size_t HealthyReplicaCount(size_t shard) const;
 
+ protected:
+  const TabulaOptions& cube_options() const override { return options_.base; }
+  void ServeCell(uint64_t key, const Span& span,
+                 TabulaQueryResult* result) const override;
+  /// Scatter-gather bbox path (defined in sharded_spatial.cc): per-shard
+  /// grid partials composed through RestoreTheta, a failed shard
+  /// degrading the answer to include the global sample.
+  Status QueryRange(const QueryRequest& request, bool has_pending,
+                    TabulaQueryResult* result) const override;
+  std::unique_ptr<StagedIngest> NewIngestPlan() const override;
+  Status PlanChanges(StagedIngest* plan) override;
+  Status ExecuteChanges(StagedIngest* plan) override;
+  void CommitChanges(StagedIngest* plan) override;
+  Result<std::unique_ptr<EngineFront>> Rebuild() const override;
+  void AdoptRebuild(EngineFront&& fresh) override;
+
  private:
   ShardedTabula() = default;
 
   /// Staged state of one in-flight ingest cycle (defined in
   /// sharded_refresh.cc; the layout is an implementation detail).
-  struct IngestPlanState;
+  struct IngestState;
 
   /// One shard: its rows and the unit built over them.
   struct Shard {
@@ -275,14 +276,26 @@ class ShardedTabula : public QueryEngine {
     std::atomic<int64_t> ewma_nanos{0};
   };
 
-  /// Rejects K outside [1, kMaxShards].
+  /// The serving metrics, resolved once per build or load.
+  struct Meters {
+    Counter* unavailable = nullptr;
+    Counter* degraded = nullptr;
+    Counter* probe_failures = nullptr;
+    Counter* failovers = nullptr;
+    LatencyHistogram* fanout = nullptr;
+    std::vector<LatencyHistogram*> shard_latency;  ///< per shard
+    /// Per replica, indexed shard * R + replica (empty at R = 1).
+    std::vector<LatencyHistogram*> replica_latency;
+  };
+
+  /// Rejects K outside [2, kMaxShards].
   static Status CheckShardCount(size_t num_shards);
 
   Status InitializeSharded(const Table& table);
 
-  /// Sizes `replicas_` to K * R (called after shards exist, from both
-  /// the build and the Load path).
-  void InitReplicas();
+  /// Sizes `replicas_` to K * R and resolves `meters_` (called after
+  /// shards exist, from both the build and the Load path).
+  void InitServing();
 
   Replica& replica_state(size_t shard, size_t replica) const {
     return replicas_[shard * replicas_per_shard() + replica];
@@ -293,13 +306,21 @@ class ShardedTabula : public QueryEngine {
   /// tie-break — cold replicas probe in index order).
   std::vector<size_t> ReplicaOrder(size_t shard) const;
 
-  /// Probes `shard`'s replicas in ReplicaOrder, honoring the
-  /// `replica.query` / `replica.query.s<k>.r<j>` fault seams and
-  /// updating EWMAs/metrics. OK once any healthy replica answered;
-  /// Unavailable when every replica is down or faulted. Replicas share
-  /// the shard's unit, so after a successful probe the caller reads the
-  /// unit directly — the bytes are replica-invariant.
+  /// Probes `shard`'s replicas in ReplicaOrder: first the legacy
+  /// whole-group `shard.query` seam (a fault takes out all R replicas at
+  /// once), then each replica's `replica.query` /
+  /// `replica.query.s<k>.r<j>` seams, updating EWMAs/metrics. OK once
+  /// any healthy replica answered; Unavailable when every replica is
+  /// down or faulted. Replicas share the shard's unit, so after a
+  /// successful probe the caller reads the unit directly — the bytes are
+  /// replica-invariant.
   Status ProbeReplicas(size_t shard) const;
+
+  /// Records shard `s`'s outcome in a scatter-gather: its latency, and
+  /// on failure the unavailable shard in `result` (the first failure's
+  /// detail in `shard_error`).
+  void RecordShardVisit(size_t s, const Status& status, double millis,
+                        TabulaQueryResult* result) const;
 
   /// Serves shard `shard`'s slice of cell `key` from its first healthy
   /// replica, appending sample rows to `gathered`: one lookup in the
@@ -311,19 +332,6 @@ class ShardedTabula : public QueryEngine {
   Status QueryShardReplicas(size_t shard, uint64_t key, uint64_t parent_span,
                             std::vector<RowId>* gathered,
                             TabulaQueryResult* result) const;
-
-  /// Scatter-gather bbox path (defined in sharded_spatial.cc): per-shard
-  /// grid partials composed through RestoreTheta, a failed shard
-  /// degrading the answer to include the global sample.
-  Status QueryRange(const QueryRequest& request, bool has_pending,
-                    TabulaQueryResult* result) const;
-
-  /// The coordinator's θ-restoration context (see
-  /// Tabula::MakeThetaContext): the merge, override promotes and the
-  /// range path read it.
-  ThetaContext theta_context() const {
-    return Tabula::MakeThetaContext(table_, options_.base, global_sample_);
-  }
 
   /// The settings the coordinator fixes for every unit: no
   /// representative-sample sharing (an answer is a union of per-shard
@@ -357,9 +365,7 @@ class ShardedTabula : public QueryEngine {
   size_t ShardForNewRow(RowId row, const std::vector<size_t>& sizes) const;
 
   // --- Override store (sharded_store.cc) ----------------------------
-  bool store_enabled() const {
-    return single_ == nullptr && options_.base.store.budget_bytes > 0;
-  }
+  bool store_enabled() const { return options_.base.store.budget_bytes > 0; }
   /// Rejects store settings a sharded engine cannot honor.
   Status CheckStoreOptions() const;
   /// The override store's settings: the budget left after the K unit
@@ -378,22 +384,11 @@ class ShardedTabula : public QueryEngine {
   /// the store off) — a consistent snapshot against concurrent promotes.
   std::vector<std::shared_lock<std::shared_mutex>> LockStoresShared() const;
 
-  void NotifyRefreshListeners();
-
-  const Table* table_ = nullptr;
   ShardedTabulaOptions options_;
 
-  /// K = 1 pass-through instance; when set, every entry point
-  /// delegates and the members below stay empty.
-  std::unique_ptr<Tabula> single_;
-
-  KeyEncoder encoder_;
-  KeyPacker packer_;
   /// Placeholder size until Initialize/Load set the real lattice
   /// (Lattice rejects zero attributes).
   Lattice lattice_{1};
-  std::vector<RowId> global_sample_rows_;
-  DatasetView global_sample_;
   std::vector<Shard> shards_;
   /// K * R replica states, indexed shard * R + replica. A deque so the
   /// atomics never relocate; mutable because probes update EWMAs from
@@ -410,18 +405,9 @@ class ShardedTabula : public QueryEngine {
   mutable std::unique_ptr<std::shared_mutex> store_mu_ =
       std::make_unique<std::shared_mutex>();
   ShardedInitStats stats_;
-  size_t refreshed_rows_ = 0;
-  /// Cells the in-flight ingest cycle will change (packed keys across
-  /// all cuboids), published by BeginIngest, cleared by CommitIngest;
-  /// Query() probes it for per-cell staleness tagging (empty while rows
-  /// pend ⇒ conservatively stale everywhere).
-  FlatHashSet pending_dirty_;
 
   mutable MetricsRegistry metrics_;
-
-  uint64_t generation_ = 0;
-  uint64_t next_listener_id_ = 1;
-  std::vector<std::pair<uint64_t, std::function<void()>>> refresh_listeners_;
+  Meters meters_;
 };
 
 }  // namespace tabula

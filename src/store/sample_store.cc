@@ -280,7 +280,8 @@ Result<std::vector<RowId>> SampleStore::ReadSpilled(uint32_t id) {
   BinaryReader r(&in);
   TABULA_ASSIGN_OR_RETURN(uint64_t stored_id, r.ReadU64());
   TABULA_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadU64());
-  if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len) {
+  if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len ||
+      nrows > r.remaining() / sizeof(uint32_t)) {
     return Status::DataLoss("spill record for sample " + std::to_string(id) +
                             " is torn (header mismatch)");
   }
@@ -320,7 +321,8 @@ Status SampleStore::ValidateSpill() const {
     BinaryReader r(&in);
     TABULA_ASSIGN_OR_RETURN(uint64_t stored_id, r.ReadU64());
     TABULA_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadU64());
-    if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len) {
+    if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len ||
+        nrows > r.remaining() / sizeof(uint32_t)) {
       return Status::DataLoss("cold-spill record for sample " +
                               std::to_string(id) + " is torn");
     }

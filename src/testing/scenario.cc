@@ -41,8 +41,8 @@ struct SoakContext {
   std::vector<std::string> attrs;
 
   std::unique_ptr<Tracer> tracer;
-  std::unique_ptr<Tabula> tabula;          ///< shards == 0
-  std::unique_ptr<ShardedTabula> sharded;  ///< shards >= 1
+  std::unique_ptr<Tabula> tabula;          ///< shards <= 1
+  std::unique_ptr<ShardedTabula> sharded;  ///< shards >= 2
   /// Whichever of the two is live; every per-op helper goes through
   /// this, so the checks are engine-agnostic.
   QueryEngine* engine = nullptr;
@@ -1089,7 +1089,7 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     TABULA_ASSIGN_OR_RETURN(TabulaOptions probe_opt, make_topt());
     probe_opt.store.budget_bytes = uint64_t{1} << 40;
     uint64_t full_bytes = 0;
-    if (options.shards >= 1) {
+    if (options.shards >= 2) {
       ShardedTabulaOptions probe_shopt;
       probe_shopt.base = std::move(probe_opt);
       probe_shopt.num_shards = options.shards;
@@ -1120,10 +1120,10 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
     }
   }
 
-  // Engine selection. No extra rng draws on the sharded path — a
-  // shards = 1 run must replay the shards = 0 op sequence exactly (the
-  // pass-through makes the traces byte-identical).
-  if (options.shards >= 1) {
+  // Engine selection: one shard is the plain engine. No extra rng draws
+  // on the sharded path — a shards = 1 run replays the shards = 0 op
+  // sequence exactly (only its store runs without a spill file).
+  if (options.shards >= 2) {
     ShardedTabulaOptions shopt;
     shopt.base = std::move(topt);
     shopt.num_shards = options.shards;
@@ -1173,8 +1173,6 @@ Result<SoakReport> RunSoak(const SoakOptions& options) {
         ctx.ingestor, Ingestor::Make(ctx.engine, ctx.table.get(), iopts));
   }
 
-  // At K <= 1 the iceberg count comes out of the same single-instance
-  // build either way, keeping this line identical across shards=0/1.
   const size_t init_ice = ctx.sharded != nullptr
                               ? ctx.sharded->merged_iceberg_cells()
                               : ctx.tabula->init_stats().iceberg_cells;

@@ -37,12 +37,13 @@ struct SoakOptions {
   /// Raising it trades invariant coverage for speed on big runs; which
   /// answers get checked stays deterministic.
   size_t check_every = 1;
-  /// Engine under test: 0 (default) = the plain single-instance Tabula,
-  /// K >= 1 = a ShardedTabula with K shards behind the same QueryServer.
-  /// K = 1 is the strict pass-through, so its scenario trace is
-  /// byte-identical to shards = 0 with the same options. K > 1 runs add
-  /// the shard.build / shard.merge error seams and the shard.query
-  /// delay seam to the fault-toggle menu.
+  /// Engine under test: 0 (default) or 1 = the plain single-instance
+  /// Tabula, K >= 2 = a ShardedTabula with K shards behind the same
+  /// QueryServer. A shards = 1 trace is byte-identical to shards = 0
+  /// with the same options (under --store-budget only shards = 0 spills
+  /// demoted samples to a side file). K > 1 runs add the shard.build /
+  /// shard.merge error seams and the shard.query delay seam to the
+  /// fault-toggle menu.
   size_t shards = 0;
   /// Streaming-ingestion mode: appends flow through a synchronous
   /// Ingestor (journaled into a WAL next to the scratch cube file)

@@ -1,7 +1,7 @@
 /// Incremental-maintenance differential suite: a cube maintained by the
 /// streaming Ingestor (base load + N append batches) against a cube
-/// built from scratch over the final table, across 20+ seeds and shard
-/// counts K ∈ {1, 4}.
+/// built from scratch over the final table, across 20+ seeds, for the
+/// plain engine and a K = 4 sharded one.
 ///
 /// The contract under test (DESIGN.md §8):
 ///  - the incrementally maintained iceberg-cell SET is identical to the
@@ -9,8 +9,8 @@
 ///    agrees);
 ///  - every served answer meets loss(truth, sample) <= θ with truth
 ///    from a direct predicate scan of the final table;
-///  - the guarantee is shard-invariant: K = 1 and K = 4 converge to the
-///    same iceberg set, and K = 1 is bit-identical to the plain engine.
+///  - the guarantee is shard-invariant: the plain engine and K = 4
+///    converge to the same iceberg set.
 
 #include <gtest/gtest.h>
 
@@ -179,8 +179,9 @@ void RunIngestEquivalence(uint64_t seed) {
                     "plain", seed);
   }
 
-  // Incrementally maintained sharded engines, K ∈ {1, 4}.
-  for (size_t k : {size_t{1}, size_t{4}}) {
+  // Incrementally maintained sharded engine, K = 4.
+  {
+    const size_t k = 4;
     ShardedTabulaOptions sopts;
     sopts.base = plain_opts;
     sopts.num_shards = k;
@@ -206,15 +207,6 @@ void RunIngestEquivalence(uint64_t seed) {
       const TabulaQueryResult& result = got.value().result;
       EXPECT_FALSE(result.stale);
       EXPECT_TRUE(result.unavailable_shards.empty());
-      if (k == 1) {
-        // Strict pass-through: bit-identical to the incremental plain
-        // engine (same rows, same seed, same maintenance path).
-        auto want = plain.value()->Query(QueryRequest(q.where));
-        ASSERT_TRUE(want.ok());
-        EXPECT_EQ(result.sample.ToRowIds(),
-                  want.value().result.sample.ToRowIds())
-            << "seed=" << seed << " query=" << q.ToString();
-      }
       CheckThetaBound(*live, *loss, theta, q, result, "sharded", seed);
     }
   }

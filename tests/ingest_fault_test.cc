@@ -195,6 +195,7 @@ TEST_F(IngestFaultTest, MergeFaultMidBatchKeepsPreviousGenerationAtomically) {
 
 TEST_F(IngestFaultTest, ResampleFaultKeepsPreviousGenerationOnBothEngines) {
   ScopedFaultClear clear;
+  // The plain engine (k = 1) and a sharded one.
   for (size_t k : {size_t{1}, size_t{4}}) {
     ShardedTabulaOptions sopts;
     sopts.base = options_;
@@ -203,23 +204,30 @@ TEST_F(IngestFaultTest, ResampleFaultKeepsPreviousGenerationOnBothEngines) {
     std::vector<RowId> base(base_rows_);
     for (RowId r = 0; r < base_rows_; ++r) base[r] = r;
     auto live = full_->TakeRows(base);
-    auto engine = ShardedTabula::Initialize(*live, sopts);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    const uint64_t gen0 = engine.value()->generation();
-    auto ingestor =
-        Ingestor::Make(engine.value().get(), live.get(), IngestorOptions{});
+    std::unique_ptr<QueryEngine> engine;
+    if (k == 1) {
+      auto plain = Tabula::Initialize(*live, sopts.base);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      engine = std::move(plain).value();
+    } else {
+      auto sharded = ShardedTabula::Initialize(*live, sopts);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      engine = std::move(sharded).value();
+    }
+    const uint64_t gen0 = engine->generation();
+    auto ingestor = Ingestor::Make(engine.get(), live.get(), IngestorOptions{});
     ASSERT_TRUE(ingestor.ok());
 
     FaultInjector::Global().Arm("ingest.resample", ErrorSpec());
     Status st =
         ingestor.value()->Append(BoxRows(*full_, base_rows_, base_rows_ + 400));
     EXPECT_FALSE(st.ok()) << "k=" << k;
-    EXPECT_EQ(engine.value()->generation(), gen0) << "k=" << k;
+    EXPECT_EQ(engine->generation(), gen0) << "k=" << k;
     EXPECT_EQ(ingestor.value()->PendingRows(), 400u) << "k=" << k;
 
     FaultInjector::Global().DisarmAll();
     ASSERT_TRUE(ingestor.value()->Drain().ok()) << "k=" << k;
-    EXPECT_EQ(engine.value()->generation(), gen0 + 1) << "k=" << k;
+    EXPECT_EQ(engine->generation(), gen0 + 1) << "k=" << k;
     EXPECT_EQ(ingestor.value()->PendingRows(), 0u) << "k=" << k;
   }
 }

@@ -8,13 +8,19 @@
 /// inflated up to kMaxPayloadBytes. Every mutant goes through a socket
 /// pair into a FrameReader and then into its payload decoder, and must
 /// end in OK or an error Status within the read deadline: no crash, no
-/// hang, and the reader's buffer never above a fixed cap.
+/// hang, and the reader's buffer never above a fixed cap. A last family
+/// inflates the record counts the decoders read before their records;
+/// each must fail having reserved no more than the payload can hold.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <random>
 #include <string>
 #include <utility>
@@ -25,6 +31,48 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "serve/query_server.h"
+
+namespace tabula {
+namespace {
+
+/// The largest single heap request made while `g_track_heap` is on. A
+/// decoder's up-front reservation is freed before the decoder returns,
+/// so the heap it leaves behind (what mallinfo2 reports) cannot show
+/// it; the largest request can. Counted by the operator new below.
+std::atomic<bool> g_track_heap{false};
+std::atomic<size_t> g_largest_request{0};
+
+void NoteRequest(size_t size) {
+  if (!g_track_heap.load(std::memory_order_relaxed)) return;
+  size_t seen = g_largest_request.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !g_largest_request.compare_exchange_weak(seen, size)) {
+  }
+}
+
+}  // namespace
+}  // namespace tabula
+
+void* operator new(std::size_t size) {
+  tabula::NoteRequest(size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  tabula::NoteRequest(size);
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tabula {
 namespace {
@@ -262,6 +310,61 @@ TEST(WireMutationTest, EveryMutantEndsInAStatus) {
   // Some damaged payloads still decode (a flipped flag or value byte);
   // the rest fail with a Status. Both are fine; neither may crash.
   EXPECT_GT(resealed_decoded, 0u);
+}
+
+/// Count inflation: every count a decoder reads before its records —
+/// the batch size of both batch payloads and a request's predicate
+/// count — raised to the largest value the decoder accepts and to
+/// random values between the true count and it. Each mutant must end in
+/// an error Status, and no single allocation while decoding may exceed
+/// a bound far below what the counts claim (a batch of 2^20 requests
+/// would reserve 72 MiB), since the payloads are a few hundred bytes.
+TEST(WireMutationTest, InflatedCountsReserveOnlyWhatThePayloadHolds) {
+  constexpr size_t kHeapBound = 64 * 1024;
+  BufferWriter query;
+  EncodeQueryRequest(SampleRequest(), &query);
+  std::vector<BatchItem> items(2);
+  items[0].answer = SampleAnswer();
+  struct Count {
+    FrameType type;
+    std::string payload;
+    size_t offset;  ///< where the count sits in the payload
+    size_t width;   ///< 4 or 8 bytes
+    uint64_t max;   ///< the largest count the decoder accepts
+  };
+  const std::vector<Count> counts = {
+      {FrameType::kBatchQuery,
+       EncodeBatchQueryPayload({SampleRequest(), SampleRequest()}), 0, 4,
+       uint64_t{1} << 20},
+      {FrameType::kBatchAnswer, EncodeBatchAnswerPayload(items), 0, 4,
+       uint64_t{1} << 20},
+      // After the codec version word.
+      {FrameType::kQuery, std::string(query.data(), query.size()), 4, 8,
+       uint64_t{1} << 16},
+  };
+  std::mt19937_64 rng(0x5EED0017);
+  size_t mutants = 0;
+  for (const Count& c : counts) {
+    uint64_t actual = 0;
+    std::memcpy(&actual, c.payload.data() + c.offset, c.width);
+    for (int i = 0; i < 16; ++i) {
+      const uint64_t inflated =
+          i == 0 ? c.max : actual + 1 + rng() % (c.max - actual);
+      std::string damaged = c.payload;
+      std::memcpy(damaged.data() + c.offset, &inflated, c.width);
+      g_largest_request = 0;
+      g_track_heap = true;
+      const Status decoded = DecodePayload(c.type, damaged);
+      g_track_heap = false;
+      const std::string what = std::string(FrameTypeName(c.type)) +
+                               " count " + std::to_string(inflated);
+      EXPECT_FALSE(decoded.ok()) << what;
+      EXPECT_LE(g_largest_request.load(), kHeapBound)
+          << what << ": the decoder reserved for records that never came";
+      ++mutants;
+    }
+  }
+  EXPECT_EQ(mutants, 48u);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
@@ -198,6 +203,130 @@ TEST_F(PersistenceTest, OneVersionPerFormat) {
   EXPECT_TRUE(Tabula::Load(*table_, options_, cube_path).ok());
   EXPECT_TRUE(
       ShardedTabula::Load(*table_, sharded_options, manifest_path).ok());
+  std::remove(cube_path.c_str());
+  std::remove(manifest_path.c_str());
+}
+
+/// The u64 at `offset` of the file at `path` (read, then overwritten).
+uint64_t ReadU64At(const std::string& path, uint64_t offset) {
+  std::ifstream f(path, std::ios::binary);
+  uint64_t v = 0;
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(reinterpret_cast<char*>(&v), sizeof(v));
+  return v;
+}
+void WriteU64At(const std::string& path, uint64_t offset, uint64_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+/// Offset of the first `a` immediately followed by `b` (two u64s) in the
+/// file at `path`.
+uint64_t FindU64Pair(const std::string& path, uint64_t a, uint64_t b) {
+  std::ifstream f(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  std::string pattern(16, '\0');
+  std::memcpy(pattern.data(), &a, 8);
+  std::memcpy(pattern.data() + 8, &b, 8);
+  const size_t at = bytes.find(pattern);
+  EXPECT_NE(at, std::string::npos);
+  return at;
+}
+
+/// A count a corrupt file may inflate: where it sits and what it claims.
+struct CountField {
+  std::string name;
+  uint64_t offset = 0;
+  std::vector<uint64_t> values;
+};
+
+/// Sets each field to each of its values in turn: `load` must return
+/// kDataLoss without throwing, and must succeed again once the field is
+/// restored.
+void ExpectCorruptCountsFail(const std::string& path,
+                             const std::vector<CountField>& fields,
+                             const std::function<Status()>& load) {
+  for (const CountField& field : fields) {
+    const uint64_t original = ReadU64At(path, field.offset);
+    for (uint64_t value : field.values) {
+      WriteU64At(path, field.offset, value);
+      Status loaded = Status::OK();
+      EXPECT_NO_THROW(loaded = load()) << field.name << " = " << value;
+      EXPECT_EQ(loaded.code(), StatusCode::kDataLoss)
+          << field.name << " = " << value << ": " << loaded.ToString();
+    }
+    WriteU64At(path, field.offset, original);
+    EXPECT_TRUE(load().ok()) << field.name << " restored";
+  }
+}
+
+/// Every count a cube file or a K=4 manifest announces is checked
+/// against the bytes left in the file before anything is allocated for
+/// it: the loss-name length, the cubed-attribute count, the global
+/// sample's row count, and the first sample's row count (cube file) or
+/// the merged-cell count (manifest). Each inflated count is kDataLoss —
+/// never a multi-gigabyte allocation or an exception.
+TEST_F(PersistenceTest, CorruptCountsFailWithoutAllocating) {
+  auto cube = Tabula::Initialize(*table_, options_);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ShardedTabulaOptions sharded_options;
+  sharded_options.base = options_;
+  sharded_options.num_shards = 4;
+  auto sharded = ShardedTabula::Initialize(*table_, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::string cube_path = TempPath("tabula_cube_counts.bin");
+  const std::string manifest_path = TempPath("tabula_manifest_counts.bin");
+  ASSERT_TRUE(cube.value()->Save(cube_path).ok());
+  ASSERT_TRUE(sharded.value()->Save(manifest_path).ok());
+
+  // Header: magic, version, rows, fingerprint, loss name, threshold,
+  // attribute count, attributes.
+  const uint64_t loss_name_at = 4 + 4 + 8 + 8;
+  const uint64_t attrs_at = loss_name_at + 8 + loss_->name().size() + 8;
+  uint64_t header_bytes = attrs_at + 8;
+  for (const std::string& attr : options_.cubed_attributes) {
+    header_bytes += 8 + attr.size();
+  }
+  const std::vector<uint64_t> string_lengths = {uint64_t{1} << 31,
+                                                uint64_t{1} << 62};
+  const std::vector<uint64_t> attr_counts = {uint64_t{1} << 36,
+                                             uint64_t{1} << 62};
+  const std::vector<uint64_t> row_counts = {uint64_t{1} << 31,
+                                            uint64_t{1} << 40};
+
+  // Cube file: the global sample, then the cube cells (key, cuboid,
+  // sample id), then the sample table.
+  const uint64_t global_rows = cube.value()->global_sample().size();
+  const uint64_t cells_at = header_bytes + 8 + 4 * global_rows;
+  const uint64_t first_sample_at =
+      cells_at + 8 + (8 + 4 + 4) * cube.value()->cube_table().size() + 8;
+  ASSERT_GT(cube.value()->sample_table().size(), 0u);
+  ExpectCorruptCountsFail(
+      cube_path,
+      {{"loss-name length", loss_name_at, string_lengths},
+       {"attribute count", attrs_at, attr_counts},
+       {"global-sample rows", header_bytes, row_counts},
+       {"first sample's rows", first_sample_at, row_counts}},
+      [&] { return Tabula::Load(*table_, options_, cube_path).status(); });
+
+  // Manifest: shard count and partition, then the global sample; the
+  // merged directory (its count, then the first key) follows the units.
+  const std::vector<uint64_t> merged = sharded.value()->MergedIcebergKeys();
+  ASSERT_FALSE(merged.empty());
+  ExpectCorruptCountsFail(
+      manifest_path,
+      {{"loss-name length", loss_name_at, string_lengths},
+       {"attribute count", attrs_at, attr_counts},
+       {"global-sample rows", header_bytes + 8 + 4, row_counts},
+       {"merged-cell count",
+        FindU64Pair(manifest_path, merged.size(), merged.front()),
+        {uint64_t{1} << 40, uint64_t{1} << 62}}},
+      [&] {
+        return ShardedTabula::Load(*table_, sharded_options, manifest_path)
+            .status();
+      });
   std::remove(cube_path.c_str());
   std::remove(manifest_path.c_str());
 }

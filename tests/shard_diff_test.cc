@@ -1,5 +1,5 @@
 /// Shard-equivalence differential suite: a ShardedTabula at K ∈
-/// {1, 2, 4, 8} against the single-instance engine and against
+/// {2, 4, 8} against the single-instance engine and against
 /// brute-force ground truth, across many random tables and seeds.
 ///
 /// The contract under test (DESIGN.md "Sharding"):
@@ -7,9 +7,8 @@
 ///    (per-cell loss states merge exactly, so classification agrees);
 ///  - every served answer still meets the deterministic loss(truth,
 ///    sample) <= θ bound, truth gathered by a direct predicate scan;
-///  - K = 1 is a strict pass-through: answers are bit-identical to a
-///    plain Tabula, and a shards=1 soak trace is byte-identical to the
-///    unsharded harness;
+///  - a shards=1 soak runs the plain engine: its trace is byte-identical
+///    to the unsharded harness's;
 ///  - a sharded soak replays byte-identically for a fixed shard count.
 
 #include <gtest/gtest.h>
@@ -32,7 +31,7 @@
 namespace tabula {
 namespace {
 
-constexpr size_t kShardCounts[] = {1, 2, 4, 8};
+constexpr size_t kShardCounts[] = {2, 4, 8};
 
 struct DiffFixture {
   std::unique_ptr<Table> table;
@@ -150,21 +149,19 @@ void RunEquivalence(const std::string& loss_name, uint64_t seed,
     EXPECT_EQ(sharded.value()->MergedIcebergKeys(), plain_keys)
         << "seed=" << seed << " k=" << k;
     EXPECT_EQ(sharded.value()->merged_iceberg_cells(), plain_keys.size());
-    if (k > 1) {
-      const ShardedInitStats& stats = sharded.value()->init_stats();
-      EXPECT_EQ(stats.num_shards, k);
-      EXPECT_EQ(stats.merged_iceberg_cells, plain_keys.size());
-      if (loss_name == "mean_loss") {
-        // Mean is not union-closed: nothing may be accepted unverified.
-        EXPECT_EQ(stats.union_accepted_cells, 0u);
-      }
-      // Every base row is owned by exactly one shard.
-      size_t owned = 0;
-      for (size_t s = 0; s < k; ++s) {
-        owned += sharded.value()->shard_rows(s).size();
-      }
-      EXPECT_EQ(owned, f.table->num_rows());
+    const ShardedInitStats& stats = sharded.value()->init_stats();
+    EXPECT_EQ(stats.num_shards, k);
+    EXPECT_EQ(stats.merged_iceberg_cells, plain_keys.size());
+    if (loss_name == "mean_loss") {
+      // Mean is not union-closed: nothing may be accepted unverified.
+      EXPECT_EQ(stats.union_accepted_cells, 0u);
     }
+    // Every base row is owned by exactly one shard.
+    size_t owned = 0;
+    for (size_t s = 0; s < k; ++s) {
+      owned += sharded.value()->shard_rows(s).size();
+    }
+    EXPECT_EQ(owned, f.table->num_rows());
 
     for (const WorkloadQuery& q : qs.value()) {
       auto got = sharded.value()->Query(QueryRequest(q.where));
@@ -175,16 +172,11 @@ void RunEquivalence(const std::string& loss_name, uint64_t seed,
       auto want = plain.value()->Query(QueryRequest(q.where));
       ASSERT_TRUE(want.ok());
       // Classification (iceberg / global / empty) always agrees with
-      // the single instance; at K = 1 the answer is bit-identical.
+      // the single instance.
       EXPECT_EQ(result.from_local_sample,
                 want.value().result.from_local_sample)
           << "seed=" << seed << " k=" << k << " query=" << q.ToString();
       EXPECT_EQ(result.empty_cell, want.value().result.empty_cell);
-      if (k == 1) {
-        EXPECT_EQ(result.sample.ToRowIds(),
-                  want.value().result.sample.ToRowIds())
-            << "seed=" << seed << " query=" << q.ToString();
-      }
       CheckThetaBound(f, *loss, theta, q, result, k, seed);
     }
   }
@@ -192,7 +184,7 @@ void RunEquivalence(const std::string& loss_name, uint64_t seed,
 
 /// Mean loss (ratio-of-aggregates): NOT union-closed, but its loss
 /// state is reference-free, so merge-time verification is the exact
-/// finalize-against-candidate check. 20 seeds x 4 shard counts.
+/// finalize-against-candidate check. 20 seeds x 3 shard counts.
 TEST(ShardDiff, MeanLossEquivalenceAcross20Seeds) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     RunEquivalence("mean_loss", seed, 700);
@@ -209,7 +201,7 @@ TEST(ShardDiff, HeatmapLossEquivalenceAcross6Seeds) {
 }
 
 /// Refresh equivalence: append rows, refresh both engines, and the
-/// merged iceberg set must still equal the rebuilt single instance's.
+/// merged iceberg set must still equal the refreshed single instance's.
 TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     DiffFixture f = MakeFixture(seed, 600);
@@ -237,11 +229,18 @@ TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
     // Units keep no raw rows: the merge gathers them from the units'
     // finest-cell indexes.
     auto expect_no_raw_rows = [](const ShardedTabula& e) {
-      for (size_t i = 0; e.num_shards() > 1 && i < e.num_shards(); ++i) {
+      for (size_t i = 0; i < e.num_shards(); ++i) {
         EXPECT_EQ(e.shard_cube(i).RawDataBytes(), 0u)
             << "k=" << e.num_shards() << " shard=" << i;
       }
     };
+    TabulaOptions plain_opts;
+    plain_opts.cubed_attributes = f.attrs;
+    plain_opts.owned_loss = loss;
+    plain_opts.threshold = theta;
+    plain_opts.seed = seed;
+    auto plain = Tabula::Initialize(*f.table, plain_opts);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
     std::vector<std::unique_ptr<ShardedTabula>> engines;
     for (size_t k : kShardCounts) {
       auto e = ShardedTabula::Initialize(
@@ -255,15 +254,16 @@ TEST(ShardDiff, RefreshKeepsIcebergSetEqualAcrossShardCounts) {
       ASSERT_TRUE(
           f.table->AppendRowFrom(*donor, static_cast<RowId>(r)).ok());
     }
+    ASSERT_TRUE(plain.value()->Refresh().ok());
     for (auto& e : engines) {
       Status st = e->Refresh();
       ASSERT_TRUE(st.ok()) << st.ToString();
       EXPECT_EQ(e->generation(), 1u);
       expect_no_raw_rows(*e);
     }
-    // All shard counts agree with each other (k=1 is the plain engine).
-    const std::vector<uint64_t> want = engines[0]->MergedIcebergKeys();
-    for (size_t i = 1; i < engines.size(); ++i) {
+    // Every shard count agrees with the refreshed plain engine.
+    const std::vector<uint64_t> want = PlainIcebergKeys(*plain.value());
+    for (size_t i = 0; i < engines.size(); ++i) {
       EXPECT_EQ(engines[i]->MergedIcebergKeys(), want)
           << "seed=" << seed << " k=" << kShardCounts[i];
     }
@@ -308,8 +308,9 @@ TEST(ShardDiff, TracedRefreshRecordsMergeUnderRefresh) {
   EXPECT_GT(builds, 0u);
 }
 
-/// shards=1 soak trace is byte-identical to the unsharded harness: the
-/// K=1 pass-through may not perturb a single recorded outcome.
+/// shards=1 soak trace is byte-identical to the unsharded harness: one
+/// shard maps to the plain engine without perturbing a single recorded
+/// outcome.
 TEST(ShardDiff, SoakTraceAtK1MatchesUnshardedEngine) {
   for (uint64_t seed : {2u, 5u, 9u}) {
     SoakOptions a;

@@ -3,8 +3,8 @@
 /// the bytes of the answer — only who pays the latency and how many
 /// failures the shard survives.
 ///
-///  - liveness control: SetReplicaDown/replica_down/HealthyReplicaCount,
-///    rejected on single-instance deployments;
+///  - liveness control: SetReplicaDown/replica_down/HealthyReplicaCount;
+///    the shard count itself must lie in [2, 64];
 ///  - failover: a failing replica probe (seams `replica.query` and
 ///    `replica.query.s<k>.r<j>`) falls through to the next replica and
 ///    the answer stays non-degraded; only when *every* replica of a
@@ -97,15 +97,31 @@ TEST(ShardReplicaTest, InitStartsAllReplicasHealthy) {
   }
 }
 
-TEST(ShardReplicaTest, SingleInstanceRejectsReplicaControl) {
-  auto f = MakeFixture(1, 2);
-  auto engine = ShardedTabula::Initialize(*f.table, f.options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  // K = 1 is the bit-identical pass-through; replica groups are a
-  // sharded-deployment concept and the option is ignored.
-  EXPECT_EQ(engine.value()->replicas_per_shard(), 1u);
-  Status down = engine.value()->SetReplicaDown(0, 0, true);
-  EXPECT_EQ(down.code(), StatusCode::kInvalidArgument);
+TEST(ShardReplicaTest, ShardCountOutsideTwoToSixtyFourIsRejected) {
+  // One shard is a plain Tabula: the sharded engine takes K in [2, 64]
+  // only, at build and at load, and names the range when it refuses.
+  auto f = MakeFixture(2, 2);
+  auto built = ShardedTabula::Initialize(*f.table, f.options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "shard_count_range.bin")
+          .string();
+  ASSERT_TRUE(built.value()->Save(path).ok());
+  for (size_t k : {size_t{0}, size_t{1}, size_t{65}}) {
+    ShardedTabulaOptions options = f.options;
+    options.num_shards = k;
+    auto engine = ShardedTabula::Initialize(*f.table, options);
+    ASSERT_FALSE(engine.ok()) << "k=" << k;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("[2, 64]"), std::string::npos)
+        << engine.status().ToString();
+    auto loaded = ShardedTabula::Load(*f.table, options, path);
+    ASSERT_FALSE(loaded.ok()) << "k=" << k;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("[2, 64]"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardReplicaTest, SetReplicaDownValidatesRange) {

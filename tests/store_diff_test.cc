@@ -4,7 +4,7 @@
 /// The contract under test:
 ///  - budget unset / unbounded is a strict pass-through: cube build and
 ///    every served answer are byte-identical to the store-disabled
-///    engine at K ∈ {1, 4};
+///    engine, for the plain engine (K = 1) and at K = 4;
 ///  - under a real budget, resident sample bytes never exceed it after
 ///    ANY step (build, query, refresh, ingest, load);
 ///  - every served answer is within θ of ground truth (direct predicate
@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -114,6 +115,72 @@ ShardedTabulaOptions MakeOptions(const DiffFixture& f, uint64_t seed,
   return o;
 }
 
+/// The engine under test at `options.num_shards`: the plain Tabula at
+/// K = 1 (one shard is a plain engine), a ShardedTabula otherwise —
+/// built, loaded and inspected through one surface.
+class Engine {
+ public:
+  static Result<std::unique_ptr<Engine>> Initialize(
+      const Table& table, const ShardedTabulaOptions& options) {
+    auto e = std::make_unique<Engine>();
+    if (options.num_shards == 1) {
+      TABULA_ASSIGN_OR_RETURN(e->plain_,
+                              Tabula::Initialize(table, options.base));
+    } else {
+      TABULA_ASSIGN_OR_RETURN(e->sharded_,
+                              ShardedTabula::Initialize(table, options));
+    }
+    return e;
+  }
+  static Result<std::unique_ptr<Engine>> Load(
+      const Table& table, const ShardedTabulaOptions& options,
+      const std::string& path) {
+    auto e = std::make_unique<Engine>();
+    if (options.num_shards == 1) {
+      TABULA_ASSIGN_OR_RETURN(e->plain_,
+                              Tabula::Load(table, options.base, path));
+    } else {
+      TABULA_ASSIGN_OR_RETURN(e->sharded_,
+                              ShardedTabula::Load(table, options, path));
+    }
+    return e;
+  }
+
+  QueryEngine& engine() const {
+    return plain_ != nullptr ? static_cast<QueryEngine&>(*plain_)
+                             : *sharded_;
+  }
+  Result<QueryResponse> Query(const QueryRequest& request) const {
+    return engine().Query(request);
+  }
+  Status Refresh(QueryEngine::RefreshStats* stats = nullptr) {
+    return engine().Refresh(stats);
+  }
+  Status Save(const std::string& path) const { return engine().Save(path); }
+
+  std::vector<uint64_t> MergedIcebergKeys() const {
+    if (sharded_ != nullptr) return sharded_->MergedIcebergKeys();
+    std::vector<uint64_t> keys;
+    for (const IcebergCell& c : plain_->cube_table().cells()) {
+      keys.push_back(c.key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+  SampleStoreStats StoreStats() const {
+    return sharded_ != nullptr ? sharded_->StoreStats()
+                               : plain_->sample_store().Stats();
+  }
+  uint64_t StoreBytes() const {
+    return sharded_ != nullptr ? sharded_->StoreBytes()
+                               : plain_->sample_store().bytes();
+  }
+
+ private:
+  std::unique_ptr<Tabula> plain_;
+  std::unique_ptr<ShardedTabula> sharded_;
+};
+
 /// loss(truth, sample) <= θ with truth from a direct predicate scan —
 /// the paper's deterministic guarantee, zero cube code involved.
 void CheckThetaBound(const DiffFixture& f, const LossFunction& loss,
@@ -163,7 +230,7 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
   // Private re-draw oracle for the selection-ON membership check.
   std::vector<std::vector<RowId>> redraw_rows;
   if (selection) {
-    auto noshare = ShardedTabula::Initialize(
+    auto noshare = Engine::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, 0, false));
     ASSERT_TRUE(noshare.ok()) << noshare.status().ToString();
     for (const WorkloadQuery& q : qs.value()) {
@@ -174,10 +241,10 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
   }
 
   for (size_t k : kShardCounts) {
-    auto disabled = ShardedTabula::Initialize(
+    auto disabled = Engine::Initialize(
         *f.table, MakeOptions(f, seed, k, loss, theta, 0, selection));
     ASSERT_TRUE(disabled.ok()) << disabled.status().ToString();
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = Engine::Initialize(
         *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded,
                               selection));
     ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
@@ -218,11 +285,11 @@ void RunBudgetDiff(uint64_t seed, size_t rows, bool selection) {
     for (uint64_t divisor : {2u, 10u}) {
       const uint64_t budget =
           std::max<uint64_t>(full / divisor, static_cast<uint64_t>(k) + 2);
-      auto budgeted = ShardedTabula::Initialize(
+      auto budgeted = Engine::Initialize(
           *f.table,
           MakeOptions(f, seed, k, loss, theta, budget, selection));
       ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
-      ShardedTabula& engine = *budgeted.value();
+      Engine& engine = *budgeted.value();
 
       // Build step already honors the budget.
       EXPECT_LE(engine.StoreBytes(), budget)
@@ -304,11 +371,11 @@ TEST(StoreDiff, SpillModePromotesByteIdenticalSamples) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto baseline = ShardedTabula::Initialize(
+    auto baseline = Engine::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, 0, false));
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
     const uint64_t full =
-        ShardedTabula::Initialize(
+        Engine::Initialize(
             *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded,
                                   false))
             .value()
@@ -362,7 +429,7 @@ TEST(StoreDiff, HotTierServesTighterThetaUnderBudget) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto probe = ShardedTabula::Initialize(
+    auto probe = Engine::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded, false));
     ASSERT_TRUE(probe.ok());
     const uint64_t budget =
@@ -419,7 +486,7 @@ TEST(StoreDiff, ShardUnitsNeverHotPromote) {
     DiffFixture f = MakeFixture(seed, 400);
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = Engine::Initialize(
         *f.table, MakeOptions(f, seed, 4, loss, theta, kUnbounded, false));
     ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
     const uint64_t budget =
@@ -427,7 +494,7 @@ TEST(StoreDiff, ShardUnitsNeverHotPromote) {
     ShardedTabulaOptions options =
         MakeOptions(f, seed, 4, loss, theta, budget, false);
     options.base.store.hot_promote_hits = 1;
-    auto engine = ShardedTabula::Initialize(*f.table, options);
+    auto engine = Engine::Initialize(*f.table, options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_GT(engine.value()->StoreStats().cold_samples, 0u)
         << "seed=" << seed << " (nothing demoted — test lost its teeth)";
@@ -466,7 +533,7 @@ TEST(StoreDiff, SpillPathRejectedAtKGreaterThanOne) {
   ShardedTabulaOptions o =
       MakeOptions(f, 2, 4, MakeLoss(), 0.07, 4096, true);
   o.base.store.spill_path = TempPath("store_diff_rejected_spill.bin");
-  auto engine = ShardedTabula::Initialize(*f.table, o);
+  auto engine = Engine::Initialize(*f.table, o);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
@@ -475,7 +542,7 @@ TEST(StoreDiff, SpillPathRejectedAtKGreaterThanOne) {
 /// configuration error, not a silent disable.
 TEST(StoreDiff, DegenerateShardBudgetRejected) {
   DiffFixture f = MakeFixture(2, 200);
-  auto engine = ShardedTabula::Initialize(
+  auto engine = Engine::Initialize(
       *f.table, MakeOptions(f, 2, 4, MakeLoss(), 0.07, 3, true));
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
@@ -491,7 +558,7 @@ TEST(StoreDiff, BudgetedAnswersWithinThetaOfOracleCube) {
     const double theta = MakeTheta(seed);
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = Engine::Initialize(
         *f.table, MakeOptions(f, seed, 1, loss, theta, kUnbounded, true));
     ASSERT_TRUE(unbounded.ok());
     const uint64_t budget =
@@ -569,14 +636,14 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
     std::unique_ptr<Table> donor = SyntheticGenerator(donor_gen).Generate();
 
     for (size_t k : kShardCounts) {
-      auto probe = ShardedTabula::Initialize(
+      auto probe = Engine::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded, true));
       ASSERT_TRUE(probe.ok());
       const uint64_t budget = std::max<uint64_t>(
           probe.value()->StoreBytes() / 2, static_cast<uint64_t>(k) + 2);
-      probe = Result<std::unique_ptr<ShardedTabula>>(nullptr);
+      probe = Result<std::unique_ptr<Engine>>(nullptr);
 
-      auto engine = ShardedTabula::Initialize(
+      auto engine = Engine::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, true));
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
@@ -616,12 +683,12 @@ TEST(StoreDiff, RefreshAndIngestKeepBudgetInvariant) {
         ASSERT_TRUE(
             f.table->AppendRowFrom(*donor, static_cast<RowId>(r)).ok());
       }
-      auto plan = engine.value()->PlanIngest();
+      QueryEngine& phases = engine.value()->engine();
+      auto plan = phases.PlanIngest();
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      engine.value()->BeginIngest(plan.value().get());
-      ASSERT_TRUE(engine.value()->ExecuteIngest(plan.value().get()).ok());
-      ASSERT_TRUE(
-          engine.value()->CommitIngest(std::move(plan).value()).ok());
+      phases.BeginIngest(plan.value().get());
+      ASSERT_TRUE(phases.ExecuteIngest(plan.value().get()).ok());
+      ASSERT_TRUE(phases.CommitIngest(std::move(plan).value()).ok());
       EXPECT_LE(engine.value()->StoreBytes(), budget)
           << "seed=" << seed << " k=" << k << " (post-ingest)";
       for (const WorkloadQuery& q : qs.value()) {
@@ -646,14 +713,14 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
     std::shared_ptr<const LossFunction> loss = MakeLoss();
 
     for (size_t k : kShardCounts) {
-      auto unbounded = ShardedTabula::Initialize(
+      auto unbounded = Engine::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded,
                                 false));
       ASSERT_TRUE(unbounded.ok());
       const uint64_t budget = std::max<uint64_t>(
           unbounded.value()->StoreBytes() / 3, static_cast<uint64_t>(k) + 2);
 
-      auto engine = ShardedTabula::Initialize(
+      auto engine = Engine::Initialize(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, false));
       ASSERT_TRUE(engine.ok());
       ASSERT_GT(engine.value()->StoreStats().cold_samples, 0u)
@@ -664,7 +731,7 @@ TEST(StoreDiff, SaveLoadRoundTripsTierState) {
           std::to_string(k) + ".bin");
       ASSERT_TRUE(engine.value()->Save(path).ok());
 
-      auto loaded = ShardedTabula::Load(
+      auto loaded = Engine::Load(
           *f.table, MakeOptions(f, seed, k, loss, theta, budget, false),
           path);
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -730,7 +797,7 @@ TEST(StoreDiff, LoadedEngineRefreshesLikeTheLiveOne) {
       DiffFixture f = MakeFixture(seed, 360);
       uint64_t budget = 0;
       if (budgeted) {
-        auto probe = ShardedTabula::Initialize(
+        auto probe = Engine::Initialize(
             *f.table, MakeOptions(f, seed, k, loss, theta, kUnbounded, false));
         ASSERT_TRUE(probe.ok());
         budget = std::max<uint64_t>(probe.value()->StoreBytes() / 3,
@@ -738,7 +805,7 @@ TEST(StoreDiff, LoadedEngineRefreshesLikeTheLiveOne) {
       }
       const ShardedTabulaOptions options =
           MakeOptions(f, seed, k, loss, theta, budget, false);
-      auto live = ShardedTabula::Initialize(*f.table, options);
+      auto live = Engine::Initialize(*f.table, options);
       ASSERT_TRUE(live.ok()) << live.status().ToString();
       if (budgeted) {
         ASSERT_GT(live.value()->StoreStats().cold_samples, 0u);
@@ -747,7 +814,7 @@ TEST(StoreDiff, LoadedEngineRefreshesLikeTheLiveOne) {
           TempPath("store_diff_refresh_" + std::to_string(k) + "_" +
                    std::to_string(budgeted) + ".bin");
       ASSERT_TRUE(live.value()->Save(path).ok());
-      auto loaded = ShardedTabula::Load(*f.table, options, path);
+      auto loaded = Engine::Load(*f.table, options, path);
       std::remove(path.c_str());
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -796,14 +863,14 @@ TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
 
   for (size_t k : kShardCounts) {
     // Saved with the store disabled: every tier record is kWarm.
-    auto disabled = ShardedTabula::Initialize(
+    auto disabled = Engine::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, 0, true));
     ASSERT_TRUE(disabled.ok());
     const std::string warm_path =
         TempPath("store_diff_warm_" + std::to_string(k) + ".bin");
     ASSERT_TRUE(disabled.value()->Save(warm_path).ok());
 
-    auto upgraded = ShardedTabula::Load(
+    auto upgraded = Engine::Load(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true),
         warm_path);
     ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
@@ -813,12 +880,12 @@ TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
     std::remove(warm_path.c_str());
 
     // Saved with cold tiers: refuses a store-disabled load.
-    auto unbounded = ShardedTabula::Initialize(
+    auto unbounded = Engine::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, kUnbounded, true));
     ASSERT_TRUE(unbounded.ok());
     const uint64_t budget = std::max<uint64_t>(
         unbounded.value()->StoreBytes() / 4, static_cast<uint64_t>(k) + 2);
-    auto tight = ShardedTabula::Initialize(
+    auto tight = Engine::Initialize(
         *f.table, MakeOptions(f, 4, k, loss, theta, budget, true));
     ASSERT_TRUE(tight.ok());
     ASSERT_GT(tight.value()->StoreStats().cold_samples, 0u) << "k=" << k;
@@ -826,7 +893,7 @@ TEST(StoreDiff, FormatCompatibilityAcrossStoreBoundary) {
         TempPath("store_diff_cold_" + std::to_string(k) + ".bin");
     ASSERT_TRUE(tight.value()->Save(cold_path).ok());
 
-    auto refused = ShardedTabula::Load(
+    auto refused = Engine::Load(
         *f.table, MakeOptions(f, 4, k, loss, theta, 0, true), cold_path);
     EXPECT_FALSE(refused.ok()) << "k=" << k;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)

@@ -17,8 +17,9 @@ namespace tools {
 /// The deterministic synthetic deployment tabula_server serves and
 /// tabula_client --compare-local rebuilds: same (rows, seed, shards,
 /// replicas) on both sides means the same table, the same cube, and —
-/// because ShardedTabula answers are deterministic — byte-identical
-/// answers whether asked over the wire or in process.
+/// because both engines' answers are deterministic — byte-identical
+/// answers whether asked over the wire or in process. One shard (or
+/// zero) is a plain Tabula; two or more a ShardedTabula.
 struct DemoDeployment {
   size_t rows = 20000;
   uint64_t seed = 61;
@@ -32,7 +33,9 @@ struct DemoDeployment {
 
   std::unique_ptr<Table> table;
   std::unique_ptr<MeanLoss> loss;
-  std::unique_ptr<ShardedTabula> engine;
+  std::unique_ptr<QueryEngine> engine;
+  /// The engine as a ShardedTabula (replica control); null at K <= 1.
+  ShardedTabula* sharded = nullptr;
 
   Status Build() {
     TaxiGeneratorOptions gen;
@@ -47,8 +50,15 @@ struct DemoDeployment {
     options.base.spatial.levels = spatial_levels;
     options.num_shards = shards;
     options.replicas_per_shard = replicas;
-    TABULA_ASSIGN_OR_RETURN(engine,
+    if (shards <= 1) {
+      TABULA_ASSIGN_OR_RETURN(engine,
+                              Tabula::Initialize(*table, options.base));
+      return Status::OK();
+    }
+    TABULA_ASSIGN_OR_RETURN(std::unique_ptr<ShardedTabula> built,
                             ShardedTabula::Initialize(*table, options));
+    sharded = built.get();
+    engine = std::move(built);
     return Status::OK();
   }
 };

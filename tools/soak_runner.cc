@@ -34,9 +34,9 @@ void Usage(const char* argv0) {
       "  --no-faults      same op mix without fault injection\n"
       "  --check-every N  theta-check every Nth answer (default 1)\n"
       "  --rows N         initial table rows (default 3000)\n"
-      "  --shards K       run a ShardedTabula with K shards (default:\n"
-      "                   plain single-instance engine; K>1 adds shard\n"
-      "                   fault seams to the toggle mix)\n"
+      "  --shards K       run a ShardedTabula with K >= 2 shards (default:\n"
+      "                   plain single-instance engine, as is K = 1;\n"
+      "                   K>1 adds shard fault seams to the toggle mix)\n"
       "  --ingest         route appends through the streaming Ingestor\n"
       "                   (WAL + incremental maintenance) instead of\n"
       "                   Refresh; adds the ingest.* fault seams and the\n"

@@ -6,13 +6,18 @@
 ///   tabula_server --rows 20000 --seed 61 --shards 4 --replicas 2
 ///                 --port 0 --threads 8 [--arm-delay 0.05 40]
 ///
+/// `--shards K` serves a ShardedTabula of K shards (`--replicas` R per
+/// shard) at K >= 2 and a plain Tabula at K <= 1, which has no replicas
+/// to control.
+///
 /// Prints `LISTENING <port>` once the socket is bound (parents that
 /// fork/exec this binary scan stdout for that line), then serves until
 /// stdin reaches EOF or a `quit` admin command arrives — tying the
 /// server's lifetime to the parent's pipe means a dying test harness
 /// can never leak a listener.
 ///
-/// Admin commands (via `tabula_client --admin`):
+/// Admin commands (via `tabula_client --admin`; the first three need
+/// K >= 2):
 ///   kill <shard> <replica>     mark one replica down
 ///   revive <shard> <replica>   bring it back
 ///   healthy <shard>            number of healthy replicas
@@ -89,13 +94,19 @@ int Run(int argc, char** argv) {
         std::istringstream in(command);
         std::string verb;
         in >> verb;
+        if ((verb == "kill" || verb == "revive" || verb == "healthy") &&
+            deployment.sharded == nullptr) {
+          return Status::InvalidArgument(
+              "replica control requires a sharded deployment (--shards 2 "
+              "or more)");
+        }
         if (verb == "kill" || verb == "revive") {
           size_t shard = 0, replica = 0;
           if (!(in >> shard >> replica)) {
             return Status::InvalidArgument("usage: " + verb +
                                            " <shard> <replica>");
           }
-          TABULA_RETURN_NOT_OK(deployment.engine->SetReplicaDown(
+          TABULA_RETURN_NOT_OK(deployment.sharded->SetReplicaDown(
               shard, replica, verb == "kill"));
           return std::string("ok");
         }
@@ -105,7 +116,7 @@ int Run(int argc, char** argv) {
             return Status::InvalidArgument("usage: healthy <shard>");
           }
           return std::to_string(
-              deployment.engine->HealthyReplicaCount(shard));
+              deployment.sharded->HealthyReplicaCount(shard));
         }
         if (verb == "arm-delay") {
           std::string seam;
