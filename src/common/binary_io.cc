@@ -1,15 +1,53 @@
 #include "common/binary_io.h"
 
 #include <algorithm>
+#include <fstream>
 #include <utility>
 
+#include "common/logging.h"
 #include "core/query_request.h"
+#include "exec/vector_ops.h"
 #include "serve/query_server.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
 namespace tabula {
+
+void BufferWriter::WriteRecord(const BufferWriter& payload) {
+  TABULA_CHECK(payload.size() <= UINT32_MAX);
+  WriteU32(static_cast<uint32_t>(payload.size()));
+  WriteU32(vec::Crc32c(payload.data(), payload.size()));
+  WriteRaw(payload.data(), payload.size());
+}
+
+Result<BufferReader> BufferReader::ReadRecord() {
+  TABULA_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
+  TABULA_ASSIGN_OR_RETURN(uint32_t crc, ReadU32());
+  if (len > remaining()) {
+    return Status::DataLoss("torn record: " + std::to_string(len) +
+                            " payload bytes announced, " +
+                            std::to_string(remaining()) + " left");
+  }
+  const char* payload = data_.data() + pos_;
+  if (vec::Crc32c(payload, len) != crc) {
+    return Status::DataLoss("record failed its CRC32C checksum");
+  }
+  pos_ += len;
+  return BufferReader(payload, len);
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
+  const std::streamoff size = in.tellg();
+  std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  in.seekg(0);
+  if (size < 0 || !in.read(bytes.data(), size)) {
+    return Status::IOError("read failed for '" + path + "'");
+  }
+  return bytes;
+}
 
 namespace {
 

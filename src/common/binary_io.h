@@ -1,11 +1,8 @@
 #ifndef TABULA_COMMON_BINARY_IO_H_
 #define TABULA_COMMON_BINARY_IO_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,41 +11,18 @@
 
 namespace tabula {
 
-/// Minimal little-endian binary (de)serialization helpers used by the
-/// sampling-cube persistence format.
-class BinaryWriter {
- public:
-  explicit BinaryWriter(std::ostream* out) : out_(out) {}
+/// Checked records: the one record shape of the ingest journal's batches
+/// and the cold-spill file's samples,
+///
+///   [u32 payload length][u32 CRC32C of the payload][payload]
+///
+/// with the wire's CRC32C (`vec::Crc32c`, DESIGN.md §9).
+inline constexpr size_t kRecordHeaderBytes = 8;
 
-  void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteDouble(double v) { WriteRaw(&v, sizeof(v)); }
-  void WriteString(const std::string& s) {
-    WriteU64(s.size());
-    WriteRaw(s.data(), s.size());
-  }
-  template <typename T>
-  void WriteVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU64(v.size());
-    WriteRaw(v.data(), v.size() * sizeof(T));
-  }
-
-  bool ok() const { return out_->good(); }
-
- private:
-  void WriteRaw(const void* data, size_t bytes) {
-    out_->write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(bytes));
-  }
-  std::ostream* out_;
-};
-
-/// BinaryWriter twin that serializes into memory (identical wire
-/// format) so a whole record can land in ONE stream write. ofstream
-/// pays a sentry (lock + tie/locale checks) per call; a record of ten
-/// thousand small values is ~50k calls written value-by-value versus
-/// one call from a buffer.
+/// Little-endian binary serialization into memory: the one encoder of
+/// the cube file, the shard manifest, the ingest journal, the cold-spill
+/// file and the wire payloads. A whole file or record is encoded first
+/// and then lands in ONE write.
 class BufferWriter {
  public:
   void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
@@ -64,6 +38,9 @@ class BufferWriter {
     WriteU64(v.size());
     WriteRaw(v.data(), v.size() * sizeof(T));
   }
+  /// Appends `payload` (under 4 GiB) as one checked record;
+  /// BufferReader::ReadRecord reads it back.
+  void WriteRecord(const BufferWriter& payload);
 
   const char* data() const { return buf_.data(); }
   size_t size() const { return buf_.size(); }
@@ -75,84 +52,12 @@ class BufferWriter {
   std::string buf_;
 };
 
-/// Reads what BinaryWriter wrote. Every count a record announces is
-/// checked against the bytes left in the stream before anything is
-/// allocated for it — BufferReader's check — so a corrupt count is
-/// kDataLoss, never an allocation of the size it claims. The bytes left
-/// come from the stream's size, so counts need a stream that can seek
-/// (a file or a string stream); on one that cannot, any non-empty
-/// string or vector is kDataLoss.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::istream* in) : in_(in) {
-    const std::istream::pos_type start = in->tellg();
-    if (start == std::istream::pos_type(-1)) return;
-    in->seekg(0, std::ios::end);
-    const std::istream::pos_type end = in->tellg();
-    in->seekg(start);
-    if (end != std::istream::pos_type(-1) && end > start) {
-      remaining_ = static_cast<uint64_t>(end - start);
-    }
-  }
-
-  Result<uint32_t> ReadU32() {
-    uint32_t v = 0;
-    TABULA_RETURN_NOT_OK(ReadRaw(&v, sizeof(v)));
-    return v;
-  }
-  Result<uint64_t> ReadU64() {
-    uint64_t v = 0;
-    TABULA_RETURN_NOT_OK(ReadRaw(&v, sizeof(v)));
-    return v;
-  }
-  Result<double> ReadDouble() {
-    double v = 0;
-    TABULA_RETURN_NOT_OK(ReadRaw(&v, sizeof(v)));
-    return v;
-  }
-  Result<std::string> ReadString() {
-    TABULA_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    // A length beyond the bytes left means the bytes on disk are corrupt.
-    if (n > remaining_) return Status::DataLoss("string too long");
-    std::string s(n, '\0');
-    TABULA_RETURN_NOT_OK(ReadRaw(s.data(), n));
-    return s;
-  }
-  template <typename T>
-  Result<std::vector<T>> ReadVector() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    TABULA_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    if (n > remaining_ / sizeof(T)) {
-      return Status::DataLoss("vector too long");
-    }
-    std::vector<T> v(n);
-    TABULA_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(T)));
-    return v;
-  }
-
-  /// Bytes left in the stream: the bound for any count read from it.
-  uint64_t remaining() const { return remaining_; }
-
- private:
-  Status ReadRaw(void* data, size_t bytes) {
-    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    if (!in_->good() && bytes > 0) {
-      // The stream opened but ran out of bytes mid-record: the file is
-      // truncated, which no retry can fix — data loss, not I/O error.
-      return Status::DataLoss("unexpected end of file (truncated data)");
-    }
-    remaining_ -= std::min<uint64_t>(bytes, remaining_);
-    return Status::OK();
-  }
-  std::istream* in_;
-  uint64_t remaining_ = 0;
-};
-
-/// BinaryReader twin over an in-memory byte span (identical wire
-/// format). The networking layer decodes whole frame payloads from a
-/// buffer it already holds, so reads are memcpys with a bounds check —
-/// no stream machinery. Running past the end is kDataLoss, the same
-/// torn-record contract as BinaryReader.
+/// Reads what BufferWriter wrote, from an in-memory byte span: a frame
+/// payload the network layer holds, or a file read whole (ReadFileBytes).
+/// Reads are memcpys with a bounds check. Running past the end is
+/// kDataLoss, and every count a record announces is checked against the
+/// bytes left before anything is allocated for it, so a corrupt count is
+/// kDataLoss, never an allocation of the size it claims.
 class BufferReader {
  public:
   explicit BufferReader(std::string_view data) : data_(data) {}
@@ -193,9 +98,16 @@ class BufferReader {
     TABULA_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(T)));
     return v;
   }
+  /// Reads one record written by BufferWriter::WriteRecord and returns a
+  /// reader over its payload. The length and the checksum are checked
+  /// before a payload byte is decoded: a record that runs past the bytes
+  /// left (torn) or whose CRC32C does not match (flipped) is kDataLoss.
+  Result<BufferReader> ReadRecord();
 
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
+  /// Bytes consumed so far (a file offset when the span is a whole file).
+  size_t position() const { return pos_; }
 
  private:
   Status ReadRaw(void* data, size_t bytes) {
@@ -212,6 +124,10 @@ class BufferReader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+/// The whole file at `path`, for a BufferReader: kIOError when it cannot
+/// be opened or read.
+Result<std::string> ReadFileBytes(const std::string& path);
 
 // ---------------------------------------------------------------------
 // Canonical binary encodings of the query surface.

@@ -173,7 +173,15 @@ void ThreadPool::RunStealing(
     drain();
   }
   job->unfinished.wait();
-  if (job->first_error != nullptr) std::rethrow_exception(job->first_error);
+  // Take the exception out of the job before rethrowing: a late helper
+  // may hold the last reference to the job, and the pool thread that
+  // drops it must not free the exception the caller is handling.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(job->error_mu);
+    error = std::move(job->first_error);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 namespace {

@@ -16,7 +16,7 @@ constexpr uint32_t kMagic = 0x54424C43;  // "TBLC"
 /// The one cube-file version this build reads and writes. This
 /// repository wrote every cube file there is, so an older file is
 /// rejected (rebuild and save again) instead of migrated.
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 
 }  // namespace
 
@@ -75,7 +75,7 @@ Status Tabula::CheckRowsBelow(const std::vector<RowId>& rows, uint64_t limit,
   return Status::OK();
 }
 
-void Tabula::WriteHeader(BinaryWriter* w, uint32_t magic, uint32_t version,
+void Tabula::WriteHeader(BufferWriter* w, uint32_t magic, uint32_t version,
                          const Table& table, size_t rows,
                          const TabulaOptions& options) {
   w->WriteU32(magic);
@@ -91,7 +91,7 @@ void Tabula::WriteHeader(BinaryWriter* w, uint32_t magic, uint32_t version,
   for (const auto& attr : options.cubed_attributes) w->WriteString(attr);
 }
 
-Result<uint64_t> Tabula::ReadHeader(BinaryReader* r, uint32_t magic,
+Result<uint64_t> Tabula::ReadHeader(BufferReader* r, uint32_t magic,
                                     uint32_t version, const std::string& what,
                                     const std::string& path,
                                     const Table& table,
@@ -160,7 +160,7 @@ Result<uint64_t> Tabula::ReadHeader(BinaryReader* r, uint32_t magic,
 
 Status Tabula::WriteAtomically(
     const std::string& path,
-    const std::function<Status(BinaryWriter*)>& write) {
+    const std::function<Status(BufferWriter*)>& write) {
   // Write-temp-then-rename: the destination is replaced atomically only
   // after every byte landed, so a failure mid-write (a full disk, an
   // injected "persistence.write" fault) leaves any prior file at `path`
@@ -168,16 +168,15 @@ Status Tabula::WriteAtomically(
   const std::string tmp = path + ".tmp";
   Status written = [&]() -> Status {
     TABULA_FAULT_POINT("persistence.open");
+    BufferWriter w;
+    TABULA_RETURN_NOT_OK(write(&w));
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       return Status::IOError("cannot open '" + tmp + "' for writing");
     }
-    BinaryWriter w(&out);
-    TABULA_RETURN_NOT_OK(write(&w));
+    out.write(w.data(), static_cast<std::streamsize>(w.size()));
     out.flush();
-    if (!w.ok() || !out) {
-      return Status::IOError("write failed for '" + tmp + "'");
-    }
+    if (!out) return Status::IOError("write failed for '" + tmp + "'");
     return Status::OK();
   }();
   std::error_code ec;
@@ -195,7 +194,7 @@ Status Tabula::WriteAtomically(
   return Status::OK();
 }
 
-Status Tabula::EncodeBody(BinaryWriter* w) const {
+Status Tabula::EncodeBody(BufferWriter* w) const {
   w->WriteU64(cube_.size());
   for (const auto& cell : cube_.cells()) {
     w->WriteU64(cell.key);
@@ -249,7 +248,7 @@ Status Tabula::Save(const std::string& path) const {
   if (store_enabled()) {
     store_lock = std::shared_lock<std::shared_mutex>(*store_mu_);
   }
-  return WriteAtomically(path, [&](BinaryWriter* w) -> Status {
+  return WriteAtomically(path, [&](BufferWriter* w) -> Status {
     WriteHeader(w, kMagic, kVersion, *table_, refreshed_rows_, options_);
     w->WriteVector(global_sample_rows_);
     TABULA_FAULT_POINT("persistence.write");
@@ -257,7 +256,7 @@ Status Tabula::Save(const std::string& path) const {
   });
 }
 
-Status Tabula::DecodeBody(BinaryReader* r, uint64_t saved_rows,
+Status Tabula::DecodeBody(BufferReader* r, uint64_t saved_rows,
                           const std::vector<RowId>* grid_rows) {
   TABULA_ASSIGN_OR_RETURN(uint64_t num_cells, r->ReadU64());
   for (uint64_t i = 0; i < num_cells; ++i) {
@@ -265,6 +264,10 @@ Status Tabula::DecodeBody(BinaryReader* r, uint64_t saved_rows,
     TABULA_ASSIGN_OR_RETURN(cell.key, r->ReadU64());
     TABULA_ASSIGN_OR_RETURN(cell.cuboid, r->ReadU32());
     TABULA_ASSIGN_OR_RETURN(cell.sample_id, r->ReadU32());
+    if (cube_.Find(cell.key) != nullptr) {
+      return Status::DataLoss("cube file repeats cell key " +
+                              std::to_string(cell.key));
+    }
     cube_.Add(std::move(cell));
   }
   TABULA_ASSIGN_OR_RETURN(uint64_t num_samples, r->ReadU64());
@@ -352,8 +355,7 @@ Status Tabula::DecodeBody(BinaryReader* r, uint64_t saved_rows,
           "requires TabulaOptions.store.budget_bytes > 0");
     }
   } else {
-    TABULA_RETURN_NOT_OK(
-        store_.Configure(options_.store, /*truncate_spill=*/false));
+    store_.Configure(options_.store);
     std::vector<uint32_t> refs(samples_.size(), 0);
     for (const auto& cell : cube_.cells()) {
       if (cell.sample_id != kInvalidSampleId) ++refs[cell.sample_id];
@@ -385,9 +387,8 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   }
   Stopwatch timer;
   TABULA_FAULT_POINT("persistence.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader r(&in);
+  TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  BufferReader r(bytes);
   TABULA_ASSIGN_OR_RETURN(uint64_t saved_rows,
                           ReadHeader(&r, kMagic, kVersion, "cube file", path,
                                      table, options, resume_partial));
@@ -423,7 +424,7 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   return tabula;
 }
 
-Result<std::unique_ptr<Tabula>> Tabula::LoadUnit(BinaryReader* r,
+Result<std::unique_ptr<Tabula>> Tabula::LoadUnit(BufferReader* r,
                                                  const Table& table,
                                                  TabulaOptions options,
                                                  const UnitInput& unit,

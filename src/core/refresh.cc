@@ -173,11 +173,18 @@ Status Tabula::PlanChanges(StagedIngest* staged_plan) {
   // no table scan at all. Reference-dependent losses defer to the
   // raw-scan recheck in ExecuteIngest.
   const bool state_verify = !loss_fn()->StateDependsOnReference();
+  // A dirty cell keeps a verified sample only where the store can
+  // restore its bytes after a demote: with the store off nothing is
+  // demoted, and a spill file restores them. In drop mode a promote
+  // re-draws over the grown rows, so a kept sample would serve other
+  // bytes once demoted; re-draw it now, as that promote would.
+  const bool drop_mode = store_enabled() && options_.store.spill_path.empty();
   const ThetaContext ctx = theta_context();
   for (Recheck& rc : rechecks) {
     const IcebergCell* dirty_cell = cube_.Find(rc.key);
     TABULA_CHECK(dirty_cell != nullptr);
-    if (store_enabled() && !store_.resident(dirty_cell->sample_id)) {
+    if (drop_mode ||
+        (store_enabled() && !store_.resident(dirty_cell->sample_id))) {
       // A dirty kCold cell has no resident sample to verify (and a
       // spill record, if any, predates these rows): resample outright.
       // This is the only tier transition the cycle makes before commit,

@@ -18,17 +18,14 @@
 namespace tabula {
 
 Status Tabula::AssignInitialTiers() {
-  // Never truncate the spill file: a full-rebuild ingest builds the
+  // The spill file is never truncated: a full-rebuild ingest builds the
   // fresh instance while the old one still serves (and may still read
   // its own spill records), so records are append-only for the life of
   // the side file. Offsets are validated by per-record checksums.
   // Load() configures the store itself (before adopting persisted tier
   // records, which a reconfigure would wipe) — only configure here when
   // that has not happened.
-  if (!store_.enabled()) {
-    TABULA_RETURN_NOT_OK(
-        store_.Configure(options_.store, /*truncate_spill=*/false));
-  }
+  if (!store_.enabled()) store_.Configure(options_.store);
   if (!store_enabled()) return Status::OK();
   if (options_.store.hot_theta_factor <= 0.0 ||
       options_.store.hot_theta_factor > 1.0) {

@@ -332,13 +332,13 @@ class Tabula : public EngineFront {
   /// Header shared by the cube file and the shard manifest: magic,
   /// format version, the covered row count and its table fingerprint,
   /// and the build configuration a Load must match.
-  static void WriteHeader(BinaryWriter* w, uint32_t magic, uint32_t version,
+  static void WriteHeader(BufferWriter* w, uint32_t magic, uint32_t version,
                           const Table& table, size_t rows,
                           const TabulaOptions& options);
   /// Checks a header written by WriteHeader and returns the covered row
   /// count. `what` names the format in errors; a file of any version but
   /// `version` is kParseError.
-  static Result<uint64_t> ReadHeader(BinaryReader* r, uint32_t magic,
+  static Result<uint64_t> ReadHeader(BufferReader* r, uint32_t magic,
                                      uint32_t version,
                                      const std::string& what,
                                      const std::string& path,
@@ -349,23 +349,24 @@ class Tabula : public EngineFront {
   /// only reference rows the cube had folded in.
   static Status CheckRowsBelow(const std::vector<RowId>& rows,
                                uint64_t limit, const std::string& what);
-  /// Writes `path` temp-then-rename: `write` fills the temp file, and
-  /// only a complete write replaces the destination, so a failure
+  /// Writes `path` temp-then-rename: `write` encodes the whole file into
+  /// memory, one write puts it in the temp file, and only a complete
+  /// write replaces the destination, so a failure mid-encode or
   /// mid-write never leaves a partial file there.
   static Status WriteAtomically(
       const std::string& path,
-      const std::function<Status(BinaryWriter*)>& write);
+      const std::function<Status(BufferWriter*)>& write);
   /// The cube body: cube cells, sample table, build stats, spatial grid,
   /// and one tier record per sample (all kWarm when the store is off).
   /// The cube file holds one body; the shard manifest one per unit.
-  Status EncodeBody(BinaryWriter* w) const;
+  Status EncodeBody(BufferWriter* w) const;
   /// Reads a body written by EncodeBody into an instance made by
   /// MakeInstance. Row ids must lie below `saved_rows`; a rebuilt
   /// spatial grid covers `grid_rows` (nullptr = every table row).
-  Status DecodeBody(BinaryReader* r, uint64_t saved_rows,
+  Status DecodeBody(BufferReader* r, uint64_t saved_rows,
                     const std::vector<RowId>* grid_rows);
   /// A shard unit restored from its manifest body.
-  static Result<std::unique_ptr<Tabula>> LoadUnit(BinaryReader* r,
+  static Result<std::unique_ptr<Tabula>> LoadUnit(BufferReader* r,
                                                   const Table& table,
                                                   TabulaOptions options,
                                                   const UnitInput& unit,

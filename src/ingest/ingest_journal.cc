@@ -1,7 +1,6 @@
 #include "ingest/ingest_journal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 
@@ -13,32 +12,11 @@ namespace tabula {
 namespace {
 
 constexpr uint32_t kJournalMagic = 0x544A424C;  // "TBLJ" (LE bytes LBJT)
-constexpr uint32_t kJournalVersion = 1;
-constexpr uint32_t kBatchMarker = 0x42415443;  // "BATC"
+/// The one journal version this build reads and writes; any other is
+/// kParseError naming it.
+constexpr uint32_t kJournalVersion = 2;
 
-/// FNV-1a fold over a batch's logical content; computed identically by
-/// the writer and the reader so a torn or bit-flipped record is caught.
-class Fnv {
- public:
-  void Mix(uint64_t v) {
-    h_ ^= v;
-    h_ *= 1099511628211ull;
-  }
-  void MixDouble(double d) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    Mix(bits);
-  }
-  void MixString(const std::string& s) {
-    Mix(s.size());
-    for (char c : s) Mix(static_cast<uint64_t>(static_cast<uint8_t>(c)));
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;  // FNV offset basis
-};
+using Batch = std::vector<std::vector<Value>>;
 
 std::vector<std::pair<std::string, DataType>> SchemaFields(
     const Schema& schema) {
@@ -50,26 +28,67 @@ std::vector<std::pair<std::string, DataType>> SchemaFields(
 
 /// Everything a pass over a journal file learns.
 struct ScanInfo {
-  std::vector<std::pair<std::string, DataType>> fields;
   uint64_t base_rows = 0;
   /// Byte offset just past the last intact record (= where appending
   /// may resume; anything beyond is a torn tail).
-  std::streamoff valid_end = 0;
+  uint64_t valid_end = 0;
   size_t batches = 0;
   uint64_t rows = 0;
   bool truncated = false;
 };
 
-/// Reads the header and every intact batch record, invoking `cb` (when
-/// non-null) with each batch's parsed rows. A torn tail record sets
-/// `truncated` and stops the scan without failing it; a malformed
-/// header or schema fails the whole call.
-Status ScanJournal(
-    const std::string& path, ScanInfo* info,
-    const std::function<Status(const std::vector<std::vector<Value>>&)>& cb) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader r(&in);
+/// Decodes one batch record's payload: the row count, then the rows'
+/// values row-major, typed per `schema` (categoricals as strings).
+Status DecodeBatch(BufferReader* r, const Schema& schema, Batch* batch) {
+  TABULA_ASSIGN_OR_RETURN(uint64_t nrows, r->ReadU64());
+  // Every value takes at least 8 bytes: a corrupt count reserves no more
+  // rows than the record holds.
+  const uint64_t row_bytes = std::max<uint64_t>(1, 8 * schema.num_fields());
+  if (nrows > r->remaining() / row_bytes) {
+    return Status::DataLoss("ingest journal batch claims " +
+                            std::to_string(nrows) + " rows; it is corrupt");
+  }
+  batch->reserve(nrows);
+  for (uint64_t row = 0; row < nrows; ++row) {
+    std::vector<Value> values;
+    values.reserve(schema.num_fields());
+    for (const Field& field : schema.fields()) {
+      switch (field.type) {
+        case DataType::kCategorical: {
+          TABULA_ASSIGN_OR_RETURN(std::string v, r->ReadString());
+          values.emplace_back(std::move(v));
+          break;
+        }
+        case DataType::kInt64: {
+          TABULA_ASSIGN_OR_RETURN(uint64_t v, r->ReadU64());
+          values.emplace_back(static_cast<int64_t>(v));
+          break;
+        }
+        case DataType::kDouble: {
+          TABULA_ASSIGN_OR_RETURN(double v, r->ReadDouble());
+          values.emplace_back(v);
+          break;
+        }
+      }
+    }
+    batch->push_back(std::move(values));
+  }
+  if (!r->exhausted()) {
+    return Status::DataLoss("ingest journal batch has trailing bytes");
+  }
+  return Status::OK();
+}
+
+/// Reads the header, checks its schema against `schema`, and reads every
+/// intact batch record, invoking `cb` (when non-null) with each batch's
+/// rows. A record that fails its length or checksum sets `truncated` and
+/// stops the scan without failing it; a malformed header, a schema
+/// mismatch, or an intact record that does not decode fails the call.
+Status ScanJournal(const std::string& path, const Schema& schema,
+                   ScanInfo* info,
+                   const std::function<Status(const Batch&)>& cb) {
+  TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  BufferReader r(bytes);
 
   TABULA_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
   if (magic != kJournalMagic) {
@@ -82,7 +101,7 @@ Status ScanJournal(
   }
   TABULA_ASSIGN_OR_RETURN(info->base_rows, r.ReadU64());
   TABULA_ASSIGN_OR_RETURN(uint64_t num_fields, r.ReadU64());
-  info->fields.clear();
+  std::vector<std::pair<std::string, DataType>> fields;
   for (uint64_t i = 0; i < num_fields; ++i) {
     TABULA_ASSIGN_OR_RETURN(std::string name, r.ReadString());
     TABULA_ASSIGN_OR_RETURN(uint32_t type, r.ReadU32());
@@ -90,100 +109,33 @@ Status ScanJournal(
       return Status::ParseError("ingest journal names unknown column type " +
                                 std::to_string(type));
     }
-    info->fields.emplace_back(std::move(name), static_cast<DataType>(type));
+    fields.emplace_back(std::move(name), static_cast<DataType>(type));
   }
-  info->valid_end = in.tellg();
-
-  // Records until the file ends. Any mid-record failure (short read,
-  // bad marker, checksum mismatch) is a torn tail: the writer flushes
-  // per record and truncates failed writes back, so a broken record can
-  // only be the crash frontier — drop it, keep everything before.
-  while (true) {
-    if (in.peek() == std::ifstream::traits_type::eof()) break;
-    auto marker = r.ReadU32();
-    if (!marker.ok() || marker.value() != kBatchMarker) {
-      info->truncated = true;
-      break;
-    }
-    auto nrows = r.ReadU64();
-    if (!nrows.ok()) {
-      info->truncated = true;
-      break;
-    }
-    Fnv fnv;
-    fnv.Mix(nrows.value());
-    std::vector<std::vector<Value>> batch;
-    // Every row holds at least one byte: a corrupt count reserves no
-    // more rows than the file has bytes left.
-    batch.reserve(std::min<uint64_t>(nrows.value(), r.remaining()));
-    bool torn = false;
-    for (uint64_t row = 0; row < nrows.value() && !torn; ++row) {
-      std::vector<Value> values;
-      values.reserve(info->fields.size());
-      for (const auto& [name, type] : info->fields) {
-        switch (type) {
-          case DataType::kCategorical: {
-            auto s = r.ReadString();
-            if (!s.ok()) {
-              torn = true;
-              break;
-            }
-            fnv.MixString(s.value());
-            values.emplace_back(std::move(s).value());
-            break;
-          }
-          case DataType::kInt64: {
-            auto v = r.ReadU64();
-            if (!v.ok()) {
-              torn = true;
-              break;
-            }
-            fnv.Mix(v.value());
-            values.emplace_back(static_cast<int64_t>(v.value()));
-            break;
-          }
-          case DataType::kDouble: {
-            auto v = r.ReadDouble();
-            if (!v.ok()) {
-              torn = true;
-              break;
-            }
-            fnv.MixDouble(v.value());
-            values.emplace_back(v.value());
-            break;
-          }
-        }
-        if (torn) break;
-      }
-      if (!torn) batch.push_back(std::move(values));
-    }
-    auto checksum = r.ReadU64();
-    if (torn || !checksum.ok() || checksum.value() != fnv.value()) {
-      info->truncated = true;
-      break;
-    }
-    ++info->batches;
-    info->rows += nrows.value();
-    info->valid_end = in.tellg();
-    if (cb != nullptr) {
-      TABULA_RETURN_NOT_OK(cb(batch));
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateSchemaMatch(
-    const std::vector<std::pair<std::string, DataType>>& journal_fields,
-    const Schema& schema) {
-  bool match = journal_fields.size() == schema.num_fields();
-  for (size_t i = 0; match && i < journal_fields.size(); ++i) {
-    match = journal_fields[i].first == schema.field(i).name &&
-            journal_fields[i].second == schema.field(i).type;
-  }
-  if (!match) {
+  if (fields != SchemaFields(schema)) {
     return Status::InvalidArgument(
         "ingest journal schema differs from the table's (" +
         schema.ToString() + ")");
+  }
+  info->valid_end = r.position();
+
+  // Records until the file ends. A record that fails its length or
+  // checksum is a torn tail: the writer flushes per record and
+  // truncates failed writes back, so a broken record can only be the
+  // crash frontier — drop it, keep everything before.
+  while (!r.exhausted()) {
+    Result<BufferReader> record = r.ReadRecord();
+    if (!record.ok()) {
+      info->truncated = true;
+      break;
+    }
+    Batch batch;
+    TABULA_RETURN_NOT_OK(DecodeBatch(&record.value(), schema, &batch));
+    ++info->batches;
+    info->rows += batch.size();
+    info->valid_end = r.position();
+    if (cb != nullptr) {
+      TABULA_RETURN_NOT_OK(cb(batch));
+    }
   }
   return Status::OK();
 }
@@ -195,7 +147,7 @@ Status IngestJournal::WriteHeader(uint64_t base_rows) {
   if (!out_) {
     return Status::IOError("cannot open '" + path_ + "' for writing");
   }
-  BinaryWriter w(&out_);
+  BufferWriter w;
   w.WriteU32(kJournalMagic);
   w.WriteU32(kJournalVersion);
   w.WriteU64(base_rows);
@@ -204,8 +156,9 @@ Status IngestJournal::WriteHeader(uint64_t base_rows) {
     w.WriteString(name);
     w.WriteU32(static_cast<uint32_t>(type));
   }
+  out_.write(w.data(), static_cast<std::streamsize>(w.size()));
   out_.flush();
-  if (!w.ok() || !out_) {
+  if (!out_) {
     return Status::IOError("write failed for '" + path_ + "'");
   }
   base_rows_ = base_rows;
@@ -228,9 +181,9 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
   }
 
   ScanInfo info;
-  TABULA_RETURN_NOT_OK(ScanJournal(path, &info, nullptr));
-  TABULA_RETURN_NOT_OK(ValidateSchemaMatch(info.fields, table.schema()));
-  if (info.base_rows + info.rows > table.num_rows()) {
+  TABULA_RETURN_NOT_OK(ScanJournal(path, table.schema(), &info, nullptr));
+  if (info.base_rows > table.num_rows() ||
+      info.rows > table.num_rows() - info.base_rows) {
     return Status::InvalidArgument(
         "ingest journal holds rows the table does not (journal covers up "
         "to row " +
@@ -252,7 +205,7 @@ Result<std::unique_ptr<IngestJournal>> IngestJournal::Open(
   if (!journal->out_) {
     return Status::IOError("cannot open '" + path + "' for appending");
   }
-  journal->out_.seekp(info.valid_end);
+  journal->out_.seekp(static_cast<std::streamoff>(info.valid_end));
   return journal;
 }
 
@@ -265,8 +218,7 @@ Result<JournalReplayStats> IngestJournal::Replay(const std::string& path,
   // Validation pass first: no row may land in the table before the
   // header (schema + base row count) is known to fit it.
   ScanInfo info;
-  TABULA_RETURN_NOT_OK(ScanJournal(path, &info, nullptr));
-  TABULA_RETURN_NOT_OK(ValidateSchemaMatch(info.fields, table->schema()));
+  TABULA_RETURN_NOT_OK(ScanJournal(path, table->schema(), &info, nullptr));
   if (info.base_rows > table->num_rows()) {
     return Status::InvalidArgument(
         "ingest journal starts at row " + std::to_string(info.base_rows) +
@@ -277,7 +229,7 @@ Result<JournalReplayStats> IngestJournal::Replay(const std::string& path,
   ScanInfo apply_info;
   uint64_t next_row = 0;  // journal-relative index of the next batch row
   TABULA_RETURN_NOT_OK(ScanJournal(
-      path, &apply_info, [&](const std::vector<std::vector<Value>>& batch) {
+      path, table->schema(), &apply_info, [&](const Batch& batch) {
         for (const auto& row : batch) {
           const uint64_t absolute = info.base_rows + next_row;
           ++next_row;
@@ -312,31 +264,26 @@ Status IngestJournal::AppendBatch(
   // Serialize the whole record into memory first: one stream write
   // instead of one per value, and the fault seam below then precedes
   // every byte that could reach the file.
-  BufferWriter w;
-  w.WriteU32(kBatchMarker);
-  w.WriteU64(rows.size());
-  Fnv fnv;
-  fnv.Mix(rows.size());
+  BufferWriter payload;
+  payload.WriteU64(rows.size());
   for (const auto& row : rows) {
     for (size_t c = 0; c < fields_.size(); ++c) {
       const Value& v = row[c];
       switch (fields_[c].second) {
         case DataType::kCategorical:
-          w.WriteString(v.AsString());
-          fnv.MixString(v.AsString());
+          payload.WriteString(v.AsString());
           break;
         case DataType::kInt64:
-          w.WriteU64(static_cast<uint64_t>(v.AsInt64()));
-          fnv.Mix(static_cast<uint64_t>(v.AsInt64()));
+          payload.WriteU64(static_cast<uint64_t>(v.AsInt64()));
           break;
         case DataType::kDouble:
-          w.WriteDouble(v.AsDouble());
-          fnv.MixDouble(v.AsDouble());
+          payload.WriteDouble(v.AsDouble());
           break;
       }
     }
   }
-  w.WriteU64(fnv.value());
+  BufferWriter w;
+  w.WriteRecord(payload);
 
   // Fault seam: a journal write that "fails" after the bytes were
   // buffered — the rollback must leave the journal at its pre-batch

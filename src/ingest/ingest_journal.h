@@ -35,18 +35,20 @@ struct JournalReplayStats {
 /// not cover, then the cube is loaded with `resume_partial` and one
 /// Refresh()/ingest cycle catches it up.
 ///
-/// Format (little-endian, via common/binary_io.h):
+/// Format (version 2, little-endian, via common/binary_io.h):
 ///   header:  magic "TBLJ" · version · base_rows · schema (field name +
 ///            type per column)
-///   record:  marker "BATC" · row count · row-major values (typed per
-///            the schema; categoricals as strings) · FNV-1a checksum
-///            over the record's logical content
+///   record:  one checked record per batch — u32 payload length · u32
+///            CRC32C of the payload · payload: row count · row-major
+///            values (typed per the schema; categoricals as strings)
 ///
 /// Each record is flushed after it is written; a record that fails to
 /// write (disk error, or the `ingest.journal.write` fault seam) is
 /// truncated back off the file, so the journal always ends on a record
 /// boundary from the writer's point of view. Replay additionally
-/// tolerates a torn tail record (crash mid-flush) by dropping it.
+/// tolerates a torn tail record (crash mid-flush): a record that fails
+/// its length or checksum is dropped with everything after it. A
+/// journal of any other version is kParseError naming the version.
 ///
 /// Thread-safety: externally serialized (the Ingestor appends from one
 /// cycle at a time).

@@ -5,7 +5,6 @@
 /// disk, injected fault) never leaves a partial manifest at the
 /// destination.
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,7 @@ Status ShardedTabula::Save(const std::string& path) const {
   // tables under their stores' exclusive sections; the shared locks make
   // the manifest a consistent snapshot.
   const auto locks = LockStoresShared();
-  return Tabula::WriteAtomically(path, [&](BinaryWriter* w) -> Status {
+  return Tabula::WriteAtomically(path, [&](BufferWriter* w) -> Status {
     // The manifest describes exactly the rows the cube has folded in
     // (shard row lists never reference pending rows).
     Tabula::WriteHeader(w, kShardMagic, kShardVersion, *table_,
@@ -90,9 +89,8 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
   const ShardedTabulaOptions& opts = sharded->options_;
 
   TABULA_FAULT_POINT("persistence.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  BinaryReader r(&in);
+  TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  BufferReader r(bytes);
   TABULA_ASSIGN_OR_RETURN(
       uint64_t saved_rows,
       Tabula::ReadHeader(&r, kShardMagic, kShardVersion, "shard manifest",
@@ -225,8 +223,7 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
         "manifest carries demoted (kCold) samples whose bytes are not in "
         "the file; loading it requires store.budget_bytes > 0");
   }
-  TABULA_RETURN_NOT_OK(
-      sharded->override_store_.Configure(sharded->OverrideStoreOptions()));
+  sharded->override_store_.Configure(sharded->OverrideStoreOptions());
   if (sharded->store_enabled()) {
     std::vector<uint32_t> refs(tier_count, 0);
     sharded->merged_.ForEach([&](uint64_t, const MergedCell& cell) {

@@ -17,7 +17,6 @@
 #include <shared_mutex>
 #include <utility>
 
-#include "common/logging.h"
 #include "shard/sharded_tabula.h"
 
 namespace tabula {
@@ -181,9 +180,7 @@ void ShardedTabula::CommitChanges(StagedIngest* staged) {
     stats_.shard_iceberg_cells[s] = shards_[s].unit->cube_table().size();
   }
   if (store_enabled()) {
-    // Configure without a spill path touches no filesystem state and
-    // cannot fail — the commit point stays infallible.
-    TABULA_CHECK(override_store_.Configure(OverrideStoreOptions()).ok());
+    override_store_.Configure(OverrideStoreOptions());
     TrackOverridesLocked();
   }
 }

@@ -202,7 +202,7 @@ Status ShardedTabula::InitializeSharded(const Table& table) {
 
   // The override store takes the budget left after the K unit slices
   // (the units enforced theirs at build); inert with the store off.
-  TABULA_RETURN_NOT_OK(override_store_.Configure(OverrideStoreOptions()));
+  override_store_.Configure(OverrideStoreOptions());
   TrackOverridesLocked();
 
   refreshed_rows_ = n;

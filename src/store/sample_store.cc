@@ -2,7 +2,7 @@
 /// budget (see DESIGN.md §12). The store holds no sample bytes itself:
 /// the engine's SampleTable keeps those; this class decides WHICH slots
 /// stay resident (CLOCK over serve-path hit counters) and owns the cold
-/// spill side file (append-only, FNV-checksummed records).
+/// spill side file (append-only checked records, common/binary_io.h).
 
 #include "store/sample_store.h"
 
@@ -18,23 +18,41 @@ namespace tabula {
 
 namespace {
 
-/// FNV-1a over a spill record's logical content; written after the rows
-/// so a torn tail (truncated file, partial write) can never verify.
-uint64_t SpillChecksum(uint32_t id, const std::vector<RowId>& rows) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(id);
-  mix(rows.size());
-  for (RowId r : rows) mix(r);
-  return h;
-}
-
-/// On-disk size of one spill record: id, row count, rows, checksum.
-uint64_t SpillRecordLen(size_t rows) {
-  return sizeof(uint64_t) * 3 + rows * sizeof(RowId);
+/// Reads the spill record of sample `id` — `len` bytes at `offset` of
+/// `in` — and decodes its rows: the one decoder of a spill record.
+/// kDataLoss when the bytes lie past the file's end, fail the record's
+/// length or checksum, or hold another sample or trailing bytes.
+Result<std::vector<RowId>> ReadSpillRecord(std::ifstream* in, uint32_t id,
+                                           uint64_t offset, uint64_t len) {
+  std::vector<RowId> rows;
+  const Status read = [&]() -> Status {
+    in->clear();
+    in->seekg(0, std::ios::end);
+    const std::streamoff size = in->tellg();
+    if (size < 0 || offset > static_cast<uint64_t>(size) ||
+        len > static_cast<uint64_t>(size) - offset) {
+      return Status::DataLoss("it lies past the end of the file");
+    }
+    std::string bytes(len, '\0');
+    in->seekg(static_cast<std::streamoff>(offset));
+    if (!in->read(bytes.data(), static_cast<std::streamsize>(len))) {
+      return Status::DataLoss("short read");
+    }
+    BufferReader file(bytes);
+    TABULA_ASSIGN_OR_RETURN(BufferReader r, file.ReadRecord());
+    TABULA_ASSIGN_OR_RETURN(uint64_t stored_id, r.ReadU64());
+    TABULA_ASSIGN_OR_RETURN(rows, r.ReadVector<RowId>());
+    if (stored_id != id || !r.exhausted() || !file.exhausted()) {
+      return Status::DataLoss("it holds another record");
+    }
+    return Status::OK();
+  }();
+  if (!read.ok()) {
+    return Status::DataLoss("cold-spill record for sample " +
+                            std::to_string(id) + " is torn: " +
+                            read.message());
+  }
+  return rows;
 }
 
 }  // namespace
@@ -70,8 +88,7 @@ SampleStore& SampleStore::operator=(SampleStore&& other) noexcept {
   return *this;
 }
 
-Status SampleStore::Configure(SampleStoreOptions options,
-                              bool truncate_spill) {
+void SampleStore::Configure(SampleStoreOptions options) {
   options_ = std::move(options);
   recs_.clear();
   resident_bytes_.store(0, std::memory_order_relaxed);
@@ -81,20 +98,10 @@ Status SampleStore::Configure(SampleStoreOptions options,
   promotes_ = demotes_ = spill_writes_ = spill_reads_ = 0;
   spill_write_failures_ = promote_failures_ = 0;
   if (enabled() && !options_.spill_path.empty()) {
-    if (truncate_spill) {
-      std::ofstream out(options_.spill_path,
-                        std::ios::binary | std::ios::trunc);
-      if (!out) {
-        return Status::IOError("cannot create spill file '" +
-                               options_.spill_path + "'");
-      }
-    } else {
-      std::error_code ec;
-      uint64_t size = std::filesystem::file_size(options_.spill_path, ec);
-      spill_end_ = ec ? 0 : size;
-    }
+    std::error_code ec;
+    uint64_t size = std::filesystem::file_size(options_.spill_path, ec);
+    spill_end_ = ec ? 0 : size;
   }
-  return Status::OK();
 }
 
 SampleStore::Rec& SampleStore::GrowTo(uint32_t id) {
@@ -209,11 +216,11 @@ Status SampleStore::SpillWrite(uint32_t id, const std::vector<RowId>& rows,
   if (ec) at = 0;  // not created yet; the append below creates it
   std::ofstream out(options_.spill_path, std::ios::binary | std::ios::app);
   if (!out) return Status::IOError("cannot open spill file for writing");
+  BufferWriter payload;
+  payload.WriteU64(id);
+  payload.WriteVector(rows);
   BufferWriter buf;
-  buf.WriteU64(id);
-  buf.WriteU64(rows.size());
-  for (RowId r : rows) buf.WriteU32(r);
-  buf.WriteU64(SpillChecksum(id, rows));
+  buf.WriteRecord(payload);
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   out.flush();
   if (!out) return Status::IOError("spill write failed");
@@ -273,68 +280,29 @@ Result<std::vector<RowId>> SampleStore::ReadSpilled(uint32_t id) {
                             " has no spill record");
   }
   TABULA_FAULT_POINT("store.spill.read");
-  const Rec& rec = recs_[id];
   std::ifstream in(options_.spill_path, std::ios::binary);
   if (!in) return Status::IOError("cannot open spill file for reading");
-  in.seekg(static_cast<std::streamoff>(rec.spill_offset));
-  BinaryReader r(&in);
-  TABULA_ASSIGN_OR_RETURN(uint64_t stored_id, r.ReadU64());
-  TABULA_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadU64());
-  if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len ||
-      nrows > r.remaining() / sizeof(uint32_t)) {
-    return Status::DataLoss("spill record for sample " + std::to_string(id) +
-                            " is torn (header mismatch)");
-  }
-  std::vector<RowId> rows(nrows);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    TABULA_ASSIGN_OR_RETURN(rows[i], r.ReadU32());
-  }
-  TABULA_ASSIGN_OR_RETURN(uint64_t checksum, r.ReadU64());
-  if (checksum != SpillChecksum(id, rows)) {
-    return Status::DataLoss("spill record for sample " + std::to_string(id) +
-                            " failed its checksum");
-  }
+  TABULA_ASSIGN_OR_RETURN(
+      std::vector<RowId> rows,
+      ReadSpillRecord(&in, id, recs_[id].spill_offset, recs_[id].spill_len));
   ++spill_reads_;
   return rows;
 }
 
 Status SampleStore::ValidateSpill() const {
-  if (options_.spill_path.empty()) return Status::OK();
-  bool any = false;
-  for (const Rec& rec : recs_) {
-    if (rec.tracked && rec.spilled) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return Status::OK();
-  std::ifstream in(options_.spill_path, std::ios::binary);
-  if (!in) {
-    return Status::DataLoss("cold-spill file '" + options_.spill_path +
-                            "' is missing");
-  }
+  std::ifstream in;
   for (uint32_t id = 0; id < recs_.size(); ++id) {
-    const Rec& rec = recs_[id];
-    if (!rec.tracked || !rec.spilled) continue;
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(rec.spill_offset));
-    BinaryReader r(&in);
-    TABULA_ASSIGN_OR_RETURN(uint64_t stored_id, r.ReadU64());
-    TABULA_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadU64());
-    if (stored_id != id || SpillRecordLen(nrows) != rec.spill_len ||
-        nrows > r.remaining() / sizeof(uint32_t)) {
-      return Status::DataLoss("cold-spill record for sample " +
-                              std::to_string(id) + " is torn");
+    if (!has_spill(id)) continue;
+    if (!in.is_open()) {
+      in.open(options_.spill_path, std::ios::binary);
+      if (!in) {
+        return Status::DataLoss("cold-spill file '" + options_.spill_path +
+                                "' is missing");
+      }
     }
-    std::vector<RowId> rows(nrows);
-    for (uint64_t i = 0; i < nrows; ++i) {
-      TABULA_ASSIGN_OR_RETURN(rows[i], r.ReadU32());
-    }
-    TABULA_ASSIGN_OR_RETURN(uint64_t checksum, r.ReadU64());
-    if (checksum != SpillChecksum(id, rows)) {
-      return Status::DataLoss("cold-spill record for sample " +
-                              std::to_string(id) + " failed its checksum");
-    }
+    TABULA_RETURN_NOT_OK(ReadSpillRecord(&in, id, recs_[id].spill_offset,
+                                         recs_[id].spill_len)
+                             .status());
   }
   return Status::OK();
 }

@@ -37,7 +37,7 @@ struct SampleStoreOptions {
   /// hit at least this many times; below it, promotes land on kWarm.
   uint64_t hot_promote_hits = 4;
   /// When non-empty, demoted samples are appended to this side file
-  /// (FNV-checksummed records) instead of being dropped, so a later
+  /// (CRC32C-checked records) instead of being dropped, so a later
   /// promote restores them without re-sampling. Single-instance engines
   /// only; shard units demote in drop mode.
   std::string spill_path;
@@ -86,10 +86,9 @@ class SampleStore {
   SampleStore(const SampleStore&) = delete;
   SampleStore& operator=(const SampleStore&) = delete;
 
-  /// Installs options and forgets every record. With `truncate_spill`
-  /// (a fresh build) the configured spill file is reset to empty; a
-  /// Load() adopting existing spill records passes false.
-  Status Configure(SampleStoreOptions options, bool truncate_spill = true);
+  /// Installs options and forgets every record. The spill file is never
+  /// truncated: its records are append-only for the life of the file.
+  void Configure(SampleStoreOptions options);
 
   bool enabled() const { return options_.budget_bytes > 0; }
   uint64_t budget() const { return options_.budget_bytes; }
@@ -167,8 +166,9 @@ class SampleStore {
     return tracked(id) && recs_[id].spilled;
   }
 
-  /// Reads sample `id` back from the spill file, verifying the record
-  /// checksum (`store.spill.read` seam). kDataLoss on a torn record.
+  /// Reads sample `id` back from the spill file, verifying the record's
+  /// length and checksum (`store.spill.read` seam). kDataLoss on a torn
+  /// or flipped record.
   Result<std::vector<RowId>> ReadSpilled(uint32_t id);
 
   /// Load-time integrity pass over every spill record: a truncated or
@@ -211,7 +211,7 @@ class SampleStore {
   /// existing records, so concurrent RecordHit on other ids stays safe).
   Rec& GrowTo(uint32_t id);
 
-  /// Appends one checksummed record; fills offset/len on success.
+  /// Appends one checked record; fills offset/len on success.
   Status SpillWrite(uint32_t id, const std::vector<RowId>& rows,
                     uint64_t* offset, uint64_t* len);
 

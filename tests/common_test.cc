@@ -4,7 +4,6 @@
 #include <chrono>
 #include <future>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/binary_io.h"
@@ -266,39 +265,69 @@ TEST(StopwatchTest, MonotoneAndRestartable) {
 // ---------- binary_io ----------
 
 TEST(BinaryIoTest, RoundTripAllTypes) {
-  std::stringstream ss;
-  BinaryWriter w(&ss);
+  BufferWriter w;
   w.WriteU32(0xDEADBEEF);
   w.WriteU64(0x1122334455667788ull);
   w.WriteDouble(3.14159);
   w.WriteString("hello cube");
   w.WriteVector(std::vector<uint32_t>{1, 2, 3});
-  ASSERT_TRUE(w.ok());
 
-  BinaryReader r(&ss);
+  BufferReader r(w.data(), w.size());
   EXPECT_EQ(r.ReadU32().value(), 0xDEADBEEFu);
   EXPECT_EQ(r.ReadU64().value(), 0x1122334455667788ull);
   EXPECT_DOUBLE_EQ(r.ReadDouble().value(), 3.14159);
   EXPECT_EQ(r.ReadString().value(), "hello cube");
   EXPECT_EQ(r.ReadVector<uint32_t>().value(),
             (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(BinaryIoTest, TruncatedReadFails) {
-  std::stringstream ss;
-  BinaryWriter w(&ss);
+  BufferWriter w;
   w.WriteU32(7);
-  BinaryReader r(&ss);
+  BufferReader r(w.data(), w.size());
   EXPECT_TRUE(r.ReadU32().ok());
   EXPECT_FALSE(r.ReadU64().ok());
 }
 
 TEST(BinaryIoTest, HostileLengthRejected) {
-  std::stringstream ss;
-  BinaryWriter w(&ss);
+  BufferWriter w;
   w.WriteU64(~0ull);  // absurd string length
-  BinaryReader r(&ss);
+  BufferReader r(w.data(), w.size());
   EXPECT_FALSE(r.ReadString().ok());
+}
+
+/// A checked record reads back its payload; every truncation and every
+/// single-bit flip of it is kDataLoss before a payload byte is decoded.
+TEST(BinaryIoTest, CheckedRecordRejectsTornAndFlippedBytes) {
+  BufferWriter payload;
+  payload.WriteU64(42);
+  payload.WriteString("cold sample");
+  BufferWriter w;
+  w.WriteRecord(payload);
+  const std::string record(w.data(), w.size());
+  ASSERT_EQ(record.size(), kRecordHeaderBytes + payload.size());
+
+  BufferReader r(record);
+  Result<BufferReader> read = r.ReadRecord();
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(read->ReadU64().value(), 42u);
+  EXPECT_EQ(read->ReadString().value(), "cold sample");
+  EXPECT_TRUE(read->exhausted());
+
+  for (size_t cut = 0; cut < record.size(); ++cut) {
+    BufferReader torn(record.data(), cut);
+    EXPECT_EQ(torn.ReadRecord().status().code(), StatusCode::kDataLoss)
+        << "cut at " << cut;
+  }
+  for (size_t bit = 0; bit < 8 * record.size(); ++bit) {
+    std::string flipped = record;
+    flipped[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    BufferReader bad(flipped);
+    EXPECT_EQ(bad.ReadRecord().status().code(), StatusCode::kDataLoss)
+        << "bit " << bit;
+  }
 }
 
 }  // namespace

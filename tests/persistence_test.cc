@@ -11,6 +11,7 @@
 
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
+#include "ingest/ingest_journal.h"
 #include "loss/mean_loss.h"
 #include "loss/min_dist_loss.h"
 #include "shard/sharded_tabula.h"
@@ -155,9 +156,10 @@ uint32_t RewriteVersion(const std::string& path, uint32_t version) {
   return old;
 }
 
-/// Each file format has exactly one version: a cube file or a K=4 shard
-/// manifest whose version word is one below or one above the current one
-/// is rejected as kParseError, with the offending version in the message.
+/// Each file format has exactly one version: a cube file, a K=4 shard
+/// manifest or an ingest journal whose version word is one below or one
+/// above the current one is rejected as kParseError, with the offending
+/// version in the message.
 TEST_F(PersistenceTest, OneVersionPerFormat) {
   auto cube = Tabula::Initialize(*table_, options_);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
@@ -197,14 +199,35 @@ TEST_F(PersistenceTest, OneVersionPerFormat) {
         << loaded.status().ToString();
   }
 
+  const std::string journal_path = TempPath("tabula_journal_version.wal");
+  std::remove(journal_path.c_str());
+  ASSERT_TRUE(IngestJournal::Open(journal_path, *table_).ok());
+  const uint32_t journal_version = RewriteVersion(journal_path, 0);
+  ASSERT_GT(journal_version, 0u);
+  for (uint32_t version : {journal_version - 1, journal_version + 1}) {
+    RewriteVersion(journal_path, version);
+    for (const Status& opened :
+         {IngestJournal::Open(journal_path, *table_).status(),
+          IngestJournal::Replay(journal_path, table_.get()).status()}) {
+      EXPECT_EQ(opened.code(), StatusCode::kParseError)
+          << "journal version " << version;
+      EXPECT_NE(opened.message().find("version " + std::to_string(version)),
+                std::string::npos)
+          << opened.ToString();
+    }
+  }
+
   // The current version still loads once restored.
   RewriteVersion(cube_path, cube_version);
   RewriteVersion(manifest_path, manifest_version);
+  RewriteVersion(journal_path, journal_version);
   EXPECT_TRUE(Tabula::Load(*table_, options_, cube_path).ok());
   EXPECT_TRUE(
       ShardedTabula::Load(*table_, sharded_options, manifest_path).ok());
+  EXPECT_TRUE(IngestJournal::Replay(journal_path, table_.get()).ok());
   std::remove(cube_path.c_str());
   std::remove(manifest_path.c_str());
+  std::remove(journal_path.c_str());
 }
 
 /// The u64 at `offset` of the file at `path` (read, then overwritten).
