@@ -15,7 +15,7 @@
 namespace tabula {
 
 void BufferWriter::WriteRecord(const BufferWriter& payload) {
-  TABULA_CHECK(payload.size() <= UINT32_MAX);
+  TABULA_CHECK(payload.size() > 0 && payload.size() <= kMaxRecordPayload);
   WriteU32(static_cast<uint32_t>(payload.size()));
   WriteU32(vec::Crc32c(payload.data(), payload.size()));
   WriteRaw(payload.data(), payload.size());
@@ -24,6 +24,10 @@ void BufferWriter::WriteRecord(const BufferWriter& payload) {
 Result<BufferReader> BufferReader::ReadRecord() {
   TABULA_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
   TABULA_ASSIGN_OR_RETURN(uint32_t crc, ReadU32());
+  // No writer writes an empty record, and the CRC32C of no bytes is 0:
+  // eight zero bytes (a tail the OS zero-filled after a crash) would
+  // otherwise read as a record that passes its checksum.
+  if (len == 0) return Status::DataLoss("empty record");
   if (len > remaining()) {
     return Status::DataLoss("torn record: " + std::to_string(len) +
                             " payload bytes announced, " +

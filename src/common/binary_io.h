@@ -16,8 +16,11 @@ namespace tabula {
 ///
 ///   [u32 payload length][u32 CRC32C of the payload][payload]
 ///
-/// with the wire's CRC32C (`vec::Crc32c`, DESIGN.md §9).
+/// with the wire's CRC32C (`vec::Crc32c`, DESIGN.md §9). A payload is
+/// never empty.
 inline constexpr size_t kRecordHeaderBytes = 8;
+/// The largest payload one record holds (its length is a u32).
+inline constexpr uint64_t kMaxRecordPayload = UINT32_MAX;
 
 /// Little-endian binary serialization into memory: the one encoder of
 /// the cube file, the shard manifest, the ingest journal, the cold-spill
@@ -38,8 +41,8 @@ class BufferWriter {
     WriteU64(v.size());
     WriteRaw(v.data(), v.size() * sizeof(T));
   }
-  /// Appends `payload` (under 4 GiB) as one checked record;
-  /// BufferReader::ReadRecord reads it back.
+  /// Appends `payload` (1 to kMaxRecordPayload bytes) as one checked
+  /// record; BufferReader::ReadRecord reads it back.
   void WriteRecord(const BufferWriter& payload);
 
   const char* data() const { return buf_.data(); }
@@ -101,13 +104,12 @@ class BufferReader {
   /// Reads one record written by BufferWriter::WriteRecord and returns a
   /// reader over its payload. The length and the checksum are checked
   /// before a payload byte is decoded: a record that runs past the bytes
-  /// left (torn) or whose CRC32C does not match (flipped) is kDataLoss.
+  /// left (torn), announces no payload (zero-filled) or whose CRC32C does
+  /// not match (flipped) is kDataLoss.
   Result<BufferReader> ReadRecord();
 
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
-  /// Bytes consumed so far (a file offset when the span is a whole file).
-  size_t position() const { return pos_; }
 
  private:
   Status ReadRaw(void* data, size_t bytes) {

@@ -168,12 +168,14 @@ Status Tabula::WriteAtomically(
   const std::string tmp = path + ".tmp";
   Status written = [&]() -> Status {
     TABULA_FAULT_POINT("persistence.open");
-    BufferWriter w;
-    TABULA_RETURN_NOT_OK(write(&w));
+    // Open before encoding: a fault while encoding then leaves a temp
+    // file behind for the cleanup below to remove.
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       return Status::IOError("cannot open '" + tmp + "' for writing");
     }
+    BufferWriter w;
+    TABULA_RETURN_NOT_OK(write(&w));
     out.write(w.data(), static_cast<std::streamsize>(w.size()));
     out.flush();
     if (!out) return Status::IOError("write failed for '" + tmp + "'");

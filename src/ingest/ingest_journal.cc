@@ -81,15 +81,39 @@ Status DecodeBatch(BufferReader* r, const Schema& schema, Batch* batch) {
 
 /// Reads the header, checks its schema against `schema`, and reads every
 /// intact batch record, invoking `cb` (when non-null) with each batch's
-/// rows. A record that fails its length or checksum sets `truncated` and
-/// stops the scan without failing it; a malformed header, a schema
+/// rows. The file is read in pieces, the header field by field and then
+/// one record at a time, so a scan never holds more than one batch. A
+/// record that runs past the end or fails its checksum sets `truncated`
+/// and stops the scan without failing it; a malformed header, a schema
 /// mismatch, or an intact record that does not decode fails the call.
 Status ScanJournal(const std::string& path, const Schema& schema,
                    ScanInfo* info,
                    const std::function<Status(const Batch&)>& cb) {
-  TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
-  BufferReader r(bytes);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) {
+    return Status::IOError("cannot open '" + path + "' for reading");
+  }
+  in.seekg(0);
+  uint64_t left = static_cast<uint64_t>(size);
+  // Appends the next `n` bytes to `*bytes`; kDataLoss, before anything
+  // is allocated, when the file ends first.
+  auto take = [&](uint64_t n, std::string* bytes) -> Status {
+    if (n > left) return Status::DataLoss("the ingest journal ends early");
+    const size_t at = bytes->size();
+    bytes->resize(at + n);
+    if (!in.read(bytes->data() + at, static_cast<std::streamsize>(n))) {
+      return Status::IOError("read failed for '" + path + "'");
+    }
+    left -= n;
+    return Status::OK();
+  };
 
+  // The fixed words (fewer when the file is shorter, so a foreign file
+  // fails on its magic first), then each field once its length is known.
+  std::string head;
+  TABULA_RETURN_NOT_OK(take(std::min<uint64_t>(4 + 4 + 8 + 8, left), &head));
+  BufferReader r(head);
   TABULA_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
   if (magic != kJournalMagic) {
     return Status::ParseError("'" + path + "' is not a Tabula ingest journal");
@@ -103,8 +127,13 @@ Status ScanJournal(const std::string& path, const Schema& schema,
   TABULA_ASSIGN_OR_RETURN(uint64_t num_fields, r.ReadU64());
   std::vector<std::pair<std::string, DataType>> fields;
   for (uint64_t i = 0; i < num_fields; ++i) {
-    TABULA_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    TABULA_ASSIGN_OR_RETURN(uint32_t type, r.ReadU32());
+    std::string field;  // name length, name, type word
+    TABULA_RETURN_NOT_OK(take(8, &field));
+    TABULA_RETURN_NOT_OK(take(*BufferReader(field).ReadU64(), &field));
+    TABULA_RETURN_NOT_OK(take(4, &field));
+    BufferReader f(field);
+    TABULA_ASSIGN_OR_RETURN(std::string name, f.ReadString());
+    TABULA_ASSIGN_OR_RETURN(uint32_t type, f.ReadU32());
     if (type > static_cast<uint32_t>(DataType::kDouble)) {
       return Status::ParseError("ingest journal names unknown column type " +
                                 std::to_string(type));
@@ -116,15 +145,20 @@ Status ScanJournal(const std::string& path, const Schema& schema,
         "ingest journal schema differs from the table's (" +
         schema.ToString() + ")");
   }
-  info->valid_end = r.position();
+  info->valid_end = size - left;
 
-  // Records until the file ends. A record that fails its length or
-  // checksum is a torn tail: the writer flushes per record and
+  // Records until the file ends. A record that runs past the end or
+  // fails its checksum is a torn tail: the writer flushes per record and
   // truncates failed writes back, so a broken record can only be the
   // crash frontier — drop it, keep everything before.
-  while (!r.exhausted()) {
-    Result<BufferReader> record = r.ReadRecord();
-    if (!record.ok()) {
+  while (left > 0) {
+    std::string bytes;  // the record head, then as many bytes as it says
+    Status taken = take(kRecordHeaderBytes, &bytes);
+    if (taken.ok()) taken = take(*BufferReader(bytes).ReadU32(), &bytes);
+    if (taken.code() == StatusCode::kIOError) return taken;
+    BufferReader whole(bytes);
+    Result<BufferReader> record = whole.ReadRecord();
+    if (!taken.ok() || !record.ok()) {
       info->truncated = true;
       break;
     }
@@ -132,7 +166,7 @@ Status ScanJournal(const std::string& path, const Schema& schema,
     TABULA_RETURN_NOT_OK(DecodeBatch(&record.value(), schema, &batch));
     ++info->batches;
     info->rows += batch.size();
-    info->valid_end = r.position();
+    info->valid_end = size - left;
     if (cb != nullptr) {
       TABULA_RETURN_NOT_OK(cb(batch));
     }
@@ -281,6 +315,12 @@ Status IngestJournal::AppendBatch(
           break;
       }
     }
+  }
+  if (payload.size() > kMaxRecordPayload) {
+    return Status::InvalidArgument(
+        "ingest batch encodes to " + std::to_string(payload.size()) +
+        " bytes; one journal record holds at most " +
+        std::to_string(kMaxRecordPayload));
   }
   BufferWriter w;
   w.WriteRecord(payload);

@@ -47,8 +47,10 @@ struct JournalReplayStats {
 /// truncated back off the file, so the journal always ends on a record
 /// boundary from the writer's point of view. Replay additionally
 /// tolerates a torn tail record (crash mid-flush): a record that fails
-/// its length or checksum is dropped with everything after it. A
-/// journal of any other version is kParseError naming the version.
+/// its length or checksum, or a zero-filled tail (an empty record), is
+/// dropped with everything after it. Recovery reads one record at a
+/// time. A journal of any other version is kParseError naming the
+/// version.
 ///
 /// Thread-safety: externally serialized (the Ingestor appends from one
 /// cycle at a time).

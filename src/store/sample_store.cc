@@ -143,10 +143,6 @@ SampleTier SampleStore::tier(uint32_t id) const {
   return tracked(id) ? recs_[id].tier : SampleTier::kWarm;
 }
 
-void SampleStore::AddRef(uint32_t id) {
-  if (tracked(id)) ++recs_[id].refs;
-}
-
 uint32_t SampleStore::ReleaseRef(uint32_t id) {
   if (!tracked(id)) return 0;
   Rec& rec = recs_[id];

@@ -128,7 +128,6 @@ class SampleStore {
   uint32_t refs(uint32_t id) const {
     return tracked(id) ? recs_[id].refs : 0;
   }
-  void AddRef(uint32_t id);
   /// Drops one reference; returns the count left (0 ⇒ orphaned slot,
   /// the caller reclaims its bytes via Untrack or Demote).
   uint32_t ReleaseRef(uint32_t id);

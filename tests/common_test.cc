@@ -328,6 +328,11 @@ TEST(BinaryIoTest, CheckedRecordRejectsTornAndFlippedBytes) {
     EXPECT_EQ(bad.ReadRecord().status().code(), StatusCode::kDataLoss)
         << "bit " << bit;
   }
+  // Eight zero bytes announce an empty payload whose CRC32C (0) matches;
+  // no writer writes one, so it is kDataLoss too.
+  const std::string zeros(kRecordHeaderBytes, '\0');
+  BufferReader zeroed(zeros);
+  EXPECT_EQ(zeroed.ReadRecord().status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

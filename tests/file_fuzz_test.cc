@@ -93,11 +93,11 @@ std::vector<std::pair<size_t, size_t>> RecordSpans(const std::string& bytes,
   std::vector<std::pair<size_t, size_t>> spans;
   BufferReader r(bytes.data() + at, bytes.size() - at);
   while (!r.exhausted()) {
-    const size_t begin = at + r.position();
+    const size_t begin = bytes.size() - r.remaining();
     Result<BufferReader> record = r.ReadRecord();
     EXPECT_TRUE(record.ok()) << record.status().ToString();
     if (!record.ok()) break;
-    spans.emplace_back(begin, at + r.position() - begin);
+    spans.emplace_back(begin, bytes.size() - r.remaining() - begin);
   }
   return spans;
 }
@@ -446,6 +446,25 @@ TEST_F(FileMutationTest, IngestJournal) {
     EXPECT_TRUE(replayed->truncated_tail);
     EXPECT_EQ(replayed->batches, k);
     EXPECT_EQ(table->num_rows(), kBaseRows + k * kBatchRows);
+  }
+
+  // A zero-filled tail (the OS kept the file's new size but not its
+  // blocks) reads as an empty record whose CRC32C of no bytes matches.
+  // It is a torn tail too: all three batches replay, and Open cuts the
+  // zeros off.
+  for (size_t zeros : {4, 8, 12, 16, 64}) {
+    WriteAll(path, input.pristine() + std::string(zeros, '\0'));
+    std::unique_ptr<Table> table = table_->TakeRows(base);
+    auto replayed = IngestJournal::Replay(path, table.get());
+    ASSERT_TRUE(replayed.ok()) << zeros << ": " << replayed.status().ToString();
+    EXPECT_TRUE(replayed->truncated_tail) << zeros;
+    EXPECT_EQ(replayed->batches, 3u) << zeros;
+    EXPECT_EQ(table->num_rows(), kBaseRows + 3 * kBatchRows) << zeros;
+    auto opened = IngestJournal::Open(path, *table);
+    ASSERT_TRUE(opened.ok()) << zeros << ": " << opened.status().ToString();
+    EXPECT_EQ(opened.value()->journaled_rows(), 3 * kBatchRows) << zeros;
+    EXPECT_EQ(std::filesystem::file_size(path), input.pristine().size())
+        << zeros;
   }
 }
 
