@@ -11,8 +11,9 @@
 
 namespace tabula {
 
-/// Checked records: the one record shape of the ingest journal's batches
-/// and the cold-spill file's samples,
+/// Checked records: the one record shape of the ingest journal's batches,
+/// the cold-spill file's samples and the cube file's and shard
+/// manifest's bodies,
 ///
 ///   [u32 payload length][u32 CRC32C of the payload][payload]
 ///

@@ -15,8 +15,9 @@ namespace {
 constexpr uint32_t kMagic = 0x54424C43;  // "TBLC"
 /// The one cube-file version this build reads and writes. This
 /// repository wrote every cube file there is, so an older file is
-/// rejected (rebuild and save again) instead of migrated.
-constexpr uint32_t kVersion = 6;
+/// rejected (rebuild and save again) instead of migrated. Version 7
+/// carries its body as one checked record.
+constexpr uint32_t kVersion = 7;
 
 }  // namespace
 
@@ -158,6 +159,28 @@ Result<uint64_t> Tabula::ReadHeader(BufferReader* r, uint32_t magic,
   return saved_rows;
 }
 
+Status Tabula::WriteBody(BufferWriter* w, const BufferWriter& body,
+                         const std::string& what) {
+  if (body.size() > kMaxRecordPayload) {
+    return Status::InvalidArgument(
+        what + " body encodes to " + std::to_string(body.size()) +
+        " bytes; one file body holds at most " +
+        std::to_string(kMaxRecordPayload));
+  }
+  w->WriteRecord(body);
+  return Status::OK();
+}
+
+Result<BufferReader> Tabula::ReadBody(BufferReader* r,
+                                      const std::string& what) {
+  Result<BufferReader> body = r->ReadRecord();
+  if (!body.ok()) {
+    return Status::DataLoss(what + " body is corrupt: " +
+                            body.status().message());
+  }
+  return body;
+}
+
 Status Tabula::WriteAtomically(
     const std::string& path,
     const std::function<Status(BufferWriter*)>& write) {
@@ -252,9 +275,11 @@ Status Tabula::Save(const std::string& path) const {
   }
   return WriteAtomically(path, [&](BufferWriter* w) -> Status {
     WriteHeader(w, kMagic, kVersion, *table_, refreshed_rows_, options_);
-    w->WriteVector(global_sample_rows_);
+    BufferWriter body;
+    body.WriteVector(global_sample_rows_);
     TABULA_FAULT_POINT("persistence.write");
-    return EncodeBody(w);
+    TABULA_RETURN_NOT_OK(EncodeBody(&body));
+    return WriteBody(w, body, "cube file");
   });
 }
 
@@ -390,10 +415,11 @@ Result<std::unique_ptr<Tabula>> Tabula::Load(const Table& table,
   Stopwatch timer;
   TABULA_FAULT_POINT("persistence.read");
   TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
-  BufferReader r(bytes);
+  BufferReader file(bytes);
   TABULA_ASSIGN_OR_RETURN(uint64_t saved_rows,
-                          ReadHeader(&r, kMagic, kVersion, "cube file", path,
-                                     table, options, resume_partial));
+                          ReadHeader(&file, kMagic, kVersion, "cube file",
+                                     path, table, options, resume_partial));
+  TABULA_ASSIGN_OR_RETURN(BufferReader r, ReadBody(&file, "cube file"));
   TABULA_ASSIGN_OR_RETURN(KeyEncoder encoder,
                           KeyEncoder::Make(table, options.cubed_attributes));
   TABULA_ASSIGN_OR_RETURN(std::vector<RowId> global_rows,

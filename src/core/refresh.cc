@@ -32,7 +32,8 @@ struct CellWork {
   CuboidMask cuboid = 0;
   bool is_new = false;  // newly iceberg vs existing-but-dirty
   /// The plan already proved (state-based) that the stored sample
-  /// exceeds θ — the execute phase resamples without re-scanning raw.
+  /// exceeds θ, or found no bytes to check — the execute phase
+  /// resamples without re-scanning raw.
   bool preverified = false;
 };
 
@@ -47,6 +48,10 @@ struct Tabula::IngestState : StagedIngest {
   std::vector<LossState> staged_states;
   /// Cells that need verification / (re)sampling in ExecuteIngest.
   FlatHashMap<CellWork> needs_rows;
+  /// For each dirty cell the execute phase re-checks against its raw
+  /// rows (a reference-dependent loss), the bytes it serves, taken by
+  /// the plan.
+  FlatHashMap<std::vector<RowId>> kept_samples;
   /// Cells that dropped below θ (removed at commit).
   std::vector<uint64_t> to_remove;
   /// The keys of `needs_rows` ascending, so the execute phase assigns
@@ -171,7 +176,7 @@ Status Tabula::PlanChanges(StagedIngest* staged_plan) {
   // the check runs off the rolled-up state without touching a single
   // raw row — the common steady-state cycle (sample still good) does
   // no table scan at all. Reference-dependent losses defer to the
-  // raw-scan recheck in ExecuteIngest.
+  // raw-scan recheck in ExecuteIngest, over the bytes taken here.
   const bool state_verify = !loss_fn()->StateDependsOnReference();
   // A dirty cell keeps a verified sample only where the store can
   // restore its bytes after a demote: with the store off nothing is
@@ -183,26 +188,40 @@ Status Tabula::PlanChanges(StagedIngest* staged_plan) {
   for (Recheck& rc : rechecks) {
     const IcebergCell* dirty_cell = cube_.Find(rc.key);
     TABULA_CHECK(dirty_cell != nullptr);
-    if (drop_mode ||
-        (store_enabled() && !store_.resident(dirty_cell->sample_id))) {
-      // A dirty kCold cell has no resident sample to verify (and a
-      // spill record, if any, predates these rows): resample outright.
-      // This is the only tier transition the cycle makes before commit,
-      // and it is cold→warm via the staged relink, never a loss of
-      // state.
+    const uint32_t id = dirty_cell->sample_id;
+    // The bytes the cell serves: its slot when resident, else the
+    // sole-owner spill record a promote would restore. A kept cold cell
+    // stays cold, its record checked against the grown cell, so which
+    // cells a cycle re-draws does not depend on which were resident.
+    // Without bytes to check (drop mode, no record, a shared slot or a
+    // failed read) the cell is re-drawn, cold→warm via the staged
+    // relink — never a loss of state.
+    std::vector<RowId> restored;
+    const std::vector<RowId>* kept = nullptr;
+    if (!drop_mode) {
+      if (!store_enabled() || store_.resident(id)) {
+        kept = &samples_.sample(id);
+      } else if (store_.has_spill(id) && store_.refs(id) == 1) {
+        Result<std::vector<RowId>> read = store_.ReadSpilled(id);
+        if (read.ok()) {
+          restored = std::move(read).value();
+          kept = &restored;
+        }
+      }
+    }
+    if (kept == nullptr) {
       plan.needs_rows[rc.key] =
           CellWork{rc.cuboid, /*is_new=*/false, /*preverified=*/true};
       continue;
     }
     if (!state_verify) {
       plan.needs_rows[rc.key] = CellWork{rc.cuboid, /*is_new=*/false};
+      plan.kept_samples[rc.key] = *kept;
       continue;
     }
     ++plan.stats.rechecked_cells;
-    TABULA_ASSIGN_OR_RETURN(
-        bool within,
-        WithinTheta(ctx, samples_.sample(dirty_cell->sample_id), &rc.state,
-                    DatasetView()));
+    TABULA_ASSIGN_OR_RETURN(bool within,
+                            WithinTheta(ctx, *kept, &rc.state, DatasetView()));
     if (within) continue;
     plan.needs_rows[rc.key] =
         CellWork{rc.cuboid, /*is_new=*/false, /*preverified=*/true};
@@ -253,14 +272,9 @@ Result<std::unique_ptr<EngineFront>> Tabula::Rebuild() const {
 Status Tabula::ExecuteChanges(StagedIngest* staged) {
   auto* p = static_cast<IngestState*>(staged);
   // Verify / (re)sample into the staging area, in ascending key order
-  // so sample-table ids assign deterministically. With the store
-  // enabled the reads of cube_/samples_ below race with Query()'s lazy
-  // promotes, so they run under the store's shared section (promotes
-  // hold it exclusively).
-  std::shared_lock<std::shared_mutex> store_lock;
-  if (store_enabled()) {
-    store_lock = std::shared_lock<std::shared_mutex>(*store_mu_);
-  }
+  // so sample-table ids assign deterministically. The plan took every
+  // byte this phase checks, so it reads no cube, sample-table or store
+  // state and takes no store lock: lazy promotes run beside it.
   const ThetaContext ctx = theta_context();
   for (size_t c = 0; c < p->cell_keys.size(); ++c) {
     const uint64_t key = p->cell_keys[c];
@@ -275,22 +289,14 @@ Status Tabula::ExecuteChanges(StagedIngest* staged) {
       p->staged_new_cells.push_back(std::move(cell));
       p->staged_new_samples.push_back(std::move(sample));
     } else {
-      const IcebergCell* cell = cube_.Find(key);
-      TABULA_CHECK(cell != nullptr);
       bool needs_sample = work.preverified;
-      if (!needs_sample && store_enabled() &&
-          !store_.resident(cell->sample_id)) {
-        // Evicted between plan and execute (a concurrent promote's
-        // budget enforcement): nothing resident to verify — resample.
-        needs_sample = true;
-      }
       if (!needs_sample) {
         // Reference-dependent loss: the plan could not verify off the
-        // state, so check the stored sample against the raw rows here.
+        // state, so check the bytes it took against the raw rows here.
         ++p->stats.rechecked_cells;
         TABULA_ASSIGN_OR_RETURN(
             bool within,
-            WithinTheta(ctx, samples_.sample(cell->sample_id), nullptr, raw));
+            WithinTheta(ctx, *p->kept_samples.Find(key), nullptr, raw));
         needs_sample = !within;
       }
       if (needs_sample) {

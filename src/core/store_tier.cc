@@ -61,27 +61,44 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
   transient->clear();
   TABULA_FAULT_POINT("store.promote");
   const uint32_t old_id = cell->sample_id;
-  std::vector<RowId> rows = CellRows(cell->key);
-  if (rows.empty()) {
-    return Status::Internal("iceberg cell has no rows in the finest index");
-  }
-  const DatasetView raw(table_, std::move(rows));
   ThetaContext ctx = theta_context();
 
   const bool hot =
       store_.hits(old_id) >= options_.store.hot_promote_hits;
   SampleTier tier = hot ? SampleTier::kHot : SampleTier::kWarm;
 
+  // The cell's rows, gathered at most once: for a re-draw, or to check
+  // a restored sample under a loss whose state depends on the reference.
+  DatasetView raw;
+  bool gathered = false;
+  auto gather = [&]() -> Status {
+    if (gathered) return Status::OK();
+    std::vector<RowId> rows = CellRows(cell->key);
+    if (rows.empty()) {
+      return Status::Internal("iceberg cell has no rows in the finest index");
+    }
+    raw = DatasetView(table_, std::move(rows));
+    gathered = true;
+    return Status::OK();
+  };
+
   std::vector<RowId> sample;
   bool have_sample = false;
   if (!hot && store_.has_spill(old_id) && store_.refs(old_id) == 1) {
     // Restore the exact demoted bytes, then lazily re-verify: a spill
     // record may predate ingest cycles, so it only serves if it still
-    // meets θ against the cell's current rows.
+    // meets θ against the cell's current rows. A reference-free loss
+    // decides that off the cell's folded state, reading no row.
     TABULA_ASSIGN_OR_RETURN(std::vector<RowId> restored,
                             store_.ReadSpilled(old_id));
+    LossState state;
+    if (loss_fn()->StateDependsOnReference()) {
+      TABULA_RETURN_NOT_OK(gather());
+    } else {
+      state = FoldCellState(finest_, packer_, cell->key);
+    }
     TABULA_ASSIGN_OR_RETURN(bool within,
-                            WithinTheta(ctx, restored, nullptr, raw));
+                            WithinTheta(ctx, restored, &state, raw));
     if (within) {
       sample = std::move(restored);
       have_sample = true;
@@ -91,6 +108,7 @@ Status Tabula::PromoteLocked(IcebergCell* cell,
     // Deterministic re-draw, seeded like the build: promote → demote →
     // promote reproduces the original sample bytes. A hot upgrade draws
     // at θ × hot_theta_factor.
+    TABULA_RETURN_NOT_OK(gather());
     if (hot) ctx.threshold *= options_.store.hot_theta_factor;
     TABULA_ASSIGN_OR_RETURN(sample, Redraw(ctx, raw));
   }

@@ -345,6 +345,16 @@ class Tabula : public EngineFront {
                                      const Table& table,
                                      const TabulaOptions& options,
                                      bool resume_partial);
+  /// Appends `body`, everything a file holds after its header, as one
+  /// checked record (BufferWriter::WriteRecord): its CRC32C covers every
+  /// body byte. kInvalidArgument past the record's 4 GiB − 1 bytes.
+  static Status WriteBody(BufferWriter* w, const BufferWriter& body,
+                          const std::string& what);
+  /// Reads a body written by WriteBody and returns a reader over it,
+  /// checked before a byte of it is decoded: kDataLoss when it is torn
+  /// or fails its checksum.
+  static Result<BufferReader> ReadBody(BufferReader* r,
+                                       const std::string& what);
   /// kDataLoss unless every id in `rows` lies below `limit` — a file may
   /// only reference rows the cube had folded in.
   static Status CheckRowsBelow(const std::vector<RowId>& rows,
@@ -359,6 +369,7 @@ class Tabula : public EngineFront {
   /// The cube body: cube cells, sample table, build stats, spatial grid,
   /// and one tier record per sample (all kWarm when the store is off).
   /// The cube file holds one body; the shard manifest one per unit.
+  /// Both files carry it inside their checked body (WriteBody).
   Status EncodeBody(BufferWriter* w) const;
   /// Reads a body written by EncodeBody into an instance made by
   /// MakeInstance. Row ids must lie below `saved_rows`; a rebuilt
@@ -401,8 +412,10 @@ class Tabula : public EngineFront {
   /// index (GatherCellRows).
   std::vector<RowId> CellRows(uint64_t key) const;
   /// Restores a cold cell's sample: spill read + lazy re-verify when a
-  /// record exists, deterministic re-sample otherwise (seeded like the
-  /// build, so promote→demote→promote reproduces the original bytes).
+  /// record exists (off the cell's folded state, FoldCellState, for a
+  /// reference-free loss; against its gathered rows for any other),
+  /// deterministic re-sample otherwise (seeded like the build, so
+  /// promote→demote→promote reproduces the original bytes).
   /// Upgrades straight to kHot past the hit threshold. When the sample
   /// alone cannot fit the budget it is handed back via `transient`
   /// (served θ-bounded but not retained). Caller holds store_mu_

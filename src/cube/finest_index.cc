@@ -65,21 +65,42 @@ void AppendFinestRows(const KeyEncoder& encoder, const KeyPacker& packer,
   }
 }
 
+namespace {
+
+/// A cell's cuboid: the columns its key does not roll up. A finest key
+/// rolls up to exactly one cell per cuboid.
+CuboidMask CuboidOf(const KeyPacker& packer, uint64_t cell) {
+  CuboidMask mask = 0;
+  for (size_t i = 0; i < packer.num_cols(); ++i) {
+    if (packer.CodeAt(cell, i) != kNullCode) mask |= CuboidMask{1} << i;
+  }
+  return mask;
+}
+
+}  // namespace
+
+LossState FoldCellState(const FinestIndex& index, const KeyPacker& packer,
+                        uint64_t cell) {
+  const KeyPacker::MaskTransform t =
+      packer.TransformFor(CuboidOf(packer, cell));
+  LossState state;
+  for (size_t f = 0; f < index.keys.size(); ++f) {
+    if (((index.keys[f] & t.keep) | t.set) == cell) {
+      state.Merge(index.states[f]);
+    }
+  }
+  return state;
+}
+
 std::vector<std::vector<RowId>> GatherCellRows(
     const std::vector<const FinestIndex*>& indexes, const KeyPacker& packer,
     const std::vector<uint64_t>& cells, RowId limit) {
   std::vector<std::vector<RowId>> out(cells.size());
-  // A cell's cuboid is the set of columns its key does not roll up; a
-  // finest key rolls up to exactly one cell per cuboid.
   FlatHashMap<uint32_t> slot_of(cells.size());
   std::vector<CuboidMask> cuboids;
   for (size_t c = 0; c < cells.size(); ++c) {
     slot_of[cells[c]] = static_cast<uint32_t>(c);
-    CuboidMask mask = 0;
-    for (size_t i = 0; i < packer.num_cols(); ++i) {
-      if (packer.CodeAt(cells[c], i) != kNullCode) mask |= CuboidMask{1} << i;
-    }
-    cuboids.push_back(mask);
+    cuboids.push_back(CuboidOf(packer, cells[c]));
   }
   std::sort(cuboids.begin(), cuboids.end());
   cuboids.erase(std::unique(cuboids.begin(), cuboids.end()), cuboids.end());

@@ -49,6 +49,15 @@ void AppendFinestRows(const KeyEncoder& encoder, const KeyPacker& packer,
 /// Position of `key` in `index.keys`; index.keys.size() when absent.
 size_t FindFinestCell(const FinestIndex& index, uint64_t key);
 
+/// The folded state of `cell` (a packed key of any cuboid): the merge,
+/// in key order, of the state of every finest cell of `index` that rolls
+/// up into it. The states cover the rows a refresh has committed, so for
+/// a loss whose state does not depend on the reference this decides the
+/// cell's loss against any sample (WithinTheta) without a row read: one
+/// pass over the keys, never more work than GatherCellRows for the cell.
+LossState FoldCellState(const FinestIndex& index, const KeyPacker& packer,
+                        uint64_t cell);
+
 /// The one gather of raw rows: for each cell in `cells` (distinct packed
 /// keys of any cuboids), the ascending ids below `limit` of every row in
 /// `indexes` that rolls up into it. The indexes must hold disjoint rows

@@ -1,6 +1,7 @@
 /// Shard-manifest persistence: one file holding the partition (per-shard
 /// row lists with fingerprints), every shard unit in the cube file's body
-/// codec, and the merged directory with its override samples. Written
+/// codec, and the merged directory with its override samples, all after
+/// the header in one checked body (Tabula::WriteBody). Written
 /// temp-then-rename like the cube file, so a failure mid-write (full
 /// disk, injected fault) never leaves a partial manifest at the
 /// destination.
@@ -20,8 +21,9 @@ namespace {
 constexpr uint32_t kShardMagic = 0x54424C53;  // "TBLS"
 /// The one manifest version this build reads and writes. This
 /// repository wrote every manifest there is, so an older one is
-/// rejected (rebuild and save again) instead of migrated.
-constexpr uint32_t kShardVersion = 5;
+/// rejected (rebuild and save again) instead of migrated. Version 6
+/// carries its body as one checked record.
+constexpr uint32_t kShardVersion = 6;
 
 }  // namespace
 
@@ -30,11 +32,13 @@ Status ShardedTabula::Save(const std::string& path) const {
   // tables under their stores' exclusive sections; the shared locks make
   // the manifest a consistent snapshot.
   const auto locks = LockStoresShared();
-  return Tabula::WriteAtomically(path, [&](BufferWriter* w) -> Status {
+  return Tabula::WriteAtomically(path, [&](BufferWriter* file) -> Status {
     // The manifest describes exactly the rows the cube has folded in
     // (shard row lists never reference pending rows).
-    Tabula::WriteHeader(w, kShardMagic, kShardVersion, *table_,
+    Tabula::WriteHeader(file, kShardMagic, kShardVersion, *table_,
                         refreshed_rows_, options_.base);
+    BufferWriter body;
+    BufferWriter* w = &body;
     w->WriteU64(options_.num_shards);
     w->WriteU32(static_cast<uint32_t>(options_.partition));
     w->WriteVector(global_sample_rows_);
@@ -72,7 +76,7 @@ Status ShardedTabula::Save(const std::string& path) const {
       w->WriteU32(static_cast<uint32_t>(override_store_.tier(id)));
     }
     TABULA_FAULT_POINT("persistence.write");
-    return Status::OK();
+    return Tabula::WriteBody(file, body, "shard manifest");
   });
 }
 
@@ -90,11 +94,13 @@ Result<std::unique_ptr<ShardedTabula>> ShardedTabula::Load(
 
   TABULA_FAULT_POINT("persistence.read");
   TABULA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
-  BufferReader r(bytes);
+  BufferReader file(bytes);
   TABULA_ASSIGN_OR_RETURN(
       uint64_t saved_rows,
-      Tabula::ReadHeader(&r, kShardMagic, kShardVersion, "shard manifest",
+      Tabula::ReadHeader(&file, kShardMagic, kShardVersion, "shard manifest",
                          path, table, opts.base, resume_partial));
+  TABULA_ASSIGN_OR_RETURN(BufferReader r,
+                          Tabula::ReadBody(&file, "shard manifest"));
   TABULA_ASSIGN_OR_RETURN(uint64_t num_shards, r.ReadU64());
   if (num_shards != opts.num_shards) {
     return Status::InvalidArgument(

@@ -6,9 +6,12 @@
 
 #include "store/sample_store.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -18,25 +21,25 @@ namespace tabula {
 
 namespace {
 
+Status TornRecord(uint32_t id, const std::string& why) {
+  return Status::DataLoss("cold-spill record for sample " +
+                          std::to_string(id) + " is torn: " + why);
+}
+
 /// Reads the spill record of sample `id` — `len` bytes at `offset` of
-/// `in` — and decodes its rows: the one decoder of a spill record.
-/// kDataLoss when the bytes lie past the file's end, fail the record's
-/// length or checksum, or hold another sample or trailing bytes.
-Result<std::vector<RowId>> ReadSpillRecord(std::ifstream* in, uint32_t id,
+/// the file open on `fd` — with one pread and decodes its rows: the one
+/// decoder of a spill record. kDataLoss when the bytes are not all
+/// there, fail the record's length or checksum, or hold another sample
+/// or trailing bytes. The caller bounds `len` by the file's size.
+Result<std::vector<RowId>> ReadSpillRecord(int fd, uint32_t id,
                                            uint64_t offset, uint64_t len) {
   std::vector<RowId> rows;
   const Status read = [&]() -> Status {
-    in->clear();
-    in->seekg(0, std::ios::end);
-    const std::streamoff size = in->tellg();
-    if (size < 0 || offset > static_cast<uint64_t>(size) ||
-        len > static_cast<uint64_t>(size) - offset) {
-      return Status::DataLoss("it lies past the end of the file");
-    }
     std::string bytes(len, '\0');
-    in->seekg(static_cast<std::streamoff>(offset));
-    if (!in->read(bytes.data(), static_cast<std::streamsize>(len))) {
-      return Status::DataLoss("short read");
+    const ssize_t got =
+        ::pread(fd, bytes.data(), len, static_cast<off_t>(offset));
+    if (got < 0 || static_cast<uint64_t>(got) != len) {
+      return Status::DataLoss("it lies past the end of the file");
     }
     BufferReader file(bytes);
     TABULA_ASSIGN_OR_RETURN(BufferReader r, file.ReadRecord());
@@ -47,11 +50,7 @@ Result<std::vector<RowId>> ReadSpillRecord(std::ifstream* in, uint32_t id,
     }
     return Status::OK();
   }();
-  if (!read.ok()) {
-    return Status::DataLoss("cold-spill record for sample " +
-                            std::to_string(id) + " is torn: " +
-                            read.message());
-  }
+  if (!read.ok()) return TornRecord(id, read.message());
   return rows;
 }
 
@@ -69,14 +68,20 @@ const char* SampleTierName(SampleTier tier) {
   return "unknown";
 }
 
+SampleStore::~SampleStore() {
+  if (spill_fd_ >= 0) ::close(spill_fd_);
+}
+
 SampleStore& SampleStore::operator=(SampleStore&& other) noexcept {
   if (this == &other) return *this;
   options_ = std::move(other.options_);
   recs_ = std::move(other.recs_);
   resident_bytes_.store(other.resident_bytes_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
+  charged_ = std::move(other.charged_);
   clock_hand_ = other.clock_hand_;
-  spill_end_ = other.spill_end_;
+  if (spill_fd_ >= 0) ::close(spill_fd_);
+  spill_fd_ = std::exchange(other.spill_fd_, -1);
   hits_total_.store(other.hits_total_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
   promotes_ = other.promotes_;
@@ -92,16 +97,13 @@ void SampleStore::Configure(SampleStoreOptions options) {
   options_ = std::move(options);
   recs_.clear();
   resident_bytes_.store(0, std::memory_order_relaxed);
+  charged_.clear();
   clock_hand_ = 0;
-  spill_end_ = 0;
+  if (spill_fd_ >= 0) ::close(spill_fd_);
+  spill_fd_ = -1;
   hits_total_.store(0, std::memory_order_relaxed);
   promotes_ = demotes_ = spill_writes_ = spill_reads_ = 0;
   spill_write_failures_ = promote_failures_ = 0;
-  if (enabled() && !options_.spill_path.empty()) {
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(options_.spill_path, ec);
-    spill_end_ = ec ? 0 : size;
-  }
 }
 
 SampleStore::Rec& SampleStore::GrowTo(uint32_t id) {
@@ -109,32 +111,35 @@ SampleStore::Rec& SampleStore::GrowTo(uint32_t id) {
   return recs_[id];
 }
 
+void SampleStore::Charge(uint32_t id, uint64_t bytes) {
+  Rec& rec = recs_[id];
+  resident_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
+  resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  rec.bytes = bytes;
+  if (bytes > 0) {
+    charged_.insert(id);
+  } else {
+    charged_.erase(id);
+  }
+}
+
 void SampleStore::Track(uint32_t id, uint64_t sample_bytes, SampleTier tier,
                         uint32_t refs) {
   Rec& rec = GrowTo(id);
-  if (rec.tracked && rec.tier != SampleTier::kCold) {
-    resident_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  }
   rec.tracked = true;
   rec.tier = tier;
   rec.refs = refs;
   rec.spilled = false;
   rec.spill_offset = rec.spill_len = 0;
-  rec.bytes = tier == SampleTier::kCold ? 0 : sample_bytes;
-  if (rec.bytes > 0) {
-    resident_bytes_.fetch_add(rec.bytes, std::memory_order_relaxed);
-  }
+  Charge(id, tier == SampleTier::kCold ? 0 : sample_bytes);
 }
 
 void SampleStore::Untrack(uint32_t id) {
   if (!tracked(id)) return;
+  Charge(id, 0);
   Rec& rec = recs_[id];
-  if (rec.tier != SampleTier::kCold) {
-    resident_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  }
   rec.tracked = false;
   rec.spilled = false;
-  rec.bytes = 0;
   rec.refs = 0;
   rec.hits.store(0, std::memory_order_relaxed);
 }
@@ -170,59 +175,78 @@ void SampleStore::EnforceBudget(SampleTable* samples, uint64_t incoming,
 std::vector<uint32_t> SampleStore::PlanEvictions(uint64_t needed,
                                                  uint32_t protect) {
   std::vector<uint32_t> victims;
-  const size_t n = recs_.size();
-  if (n == 0 || needed == 0) return victims;
-  std::vector<char> picked(n, 0);
+  if (recs_.empty() || needed == 0) return victims;
+  // The hand visits the charged records only: every other id is cold,
+  // untracked or empty, and a sweep over every id passes them by
+  // without touching them. A victim leaves the set until the sweep
+  // ends, so a later lap cannot pick it twice; Demote removes it.
+  const size_t start = clock_hand_;
+  size_t candidates = charged_.size() - charged_.count(protect);
+  std::vector<std::set<uint32_t>::node_type> picked;
   uint64_t freed = 0;
-  // A pass halves every survivor's counter, so after at most 64 full
-  // passes every candidate reads zero — the scan provably terminates.
-  size_t scanned = 0;
-  const size_t scan_limit = 66 * n;
-  while (freed < needed && scanned < scan_limit) {
-    const uint32_t id = static_cast<uint32_t>(clock_hand_);
-    clock_hand_ = (clock_hand_ + 1) % n;
-    ++scanned;
-    Rec& rec = recs_[id];
-    if (!rec.tracked || rec.tier == SampleTier::kCold || rec.bytes == 0 ||
-        id == protect || picked[id]) {
+  auto it = charged_.lower_bound(static_cast<uint32_t>(clock_hand_));
+  // A lap halves every survivor's counter, so after at most 64 laps
+  // every candidate reads zero — the sweep provably terminates.
+  while (freed < needed && candidates > 0) {
+    if (it == charged_.end()) it = charged_.begin();
+    const uint32_t id = *it;
+    clock_hand_ = (static_cast<size_t>(id) + 1) % recs_.size();
+    if (id == protect) {
+      ++it;
       continue;
     }
-    uint64_t h = rec.hits.load(std::memory_order_relaxed);
-    if (h == 0) {
-      picked[id] = 1;
-      victims.push_back(id);
-      freed += rec.bytes;
-    } else {
+    Rec& rec = recs_[id];
+    const uint64_t h = rec.hits.load(std::memory_order_relaxed);
+    if (h > 0) {
       rec.hits.store(h >> 1, std::memory_order_relaxed);
+      ++it;
+      continue;
     }
+    victims.push_back(id);
+    freed += rec.bytes;
+    --candidates;
+    picked.push_back(charged_.extract(it++));
   }
+  for (auto& node : picked) charged_.insert(std::move(node));
+  // Out of candidates: a sweep over every id would have come full
+  // circle, as many times as it takes, back to where it started.
+  if (freed < needed) clock_hand_ = start;
   return victims;
+}
+
+Status SampleStore::OpenSpill(bool create) {
+  if (spill_fd_ >= 0) return Status::OK();
+  const int flags = O_RDWR | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0);
+  spill_fd_ = ::open(options_.spill_path.c_str(), flags, 0644);
+  if (spill_fd_ < 0) {
+    return Status::IOError("cannot open spill file '" + options_.spill_path +
+                           "': " + std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 Status SampleStore::SpillWrite(uint32_t id, const std::vector<RowId>& rows,
                                uint64_t* offset, uint64_t* len) {
   TABULA_FAULT_POINT("store.spill.write");
-  // Append mode: records only ever land at the tail and the file
-  // springs into existence on the first demotion. The offset is read
-  // from the file itself (not a cached cursor) so a full-rebuild's
-  // fresh store appending to the same side file cannot make this
-  // store's record pointers stale.
-  std::error_code ec;
-  uint64_t at = std::filesystem::file_size(options_.spill_path, ec);
-  if (ec) at = 0;  // not created yet; the append below creates it
-  std::ofstream out(options_.spill_path, std::ios::binary | std::ios::app);
-  if (!out) return Status::IOError("cannot open spill file for writing");
+  TABULA_RETURN_NOT_OK(OpenSpill(/*create=*/true));
   BufferWriter payload;
   payload.WriteU64(id);
   payload.WriteVector(rows);
-  BufferWriter buf;
-  buf.WriteRecord(payload);
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  out.flush();
-  if (!out) return Status::IOError("spill write failed");
-  *offset = at;
-  *len = buf.size();
-  spill_end_ = at + buf.size();
+  BufferWriter record;
+  record.WriteRecord(payload);
+  // O_APPEND moves the descriptor to the file's end and writes there in
+  // one step, and leaves it just past the record — even while a full
+  // rebuild's fresh store appends to the same file through a descriptor
+  // of its own. So the offset read back, less the record, is exactly
+  // where this record starts.
+  const ssize_t wrote = ::write(spill_fd_, record.data(), record.size());
+  if (wrote < 0 || static_cast<size_t>(wrote) != record.size()) {
+    return Status::IOError("spill write failed");
+  }
+  const off_t end = ::lseek(spill_fd_, 0, SEEK_CUR);
+  if (end < 0) return Status::IOError("spill file offset unknown");
+  *offset = static_cast<uint64_t>(end) - record.size();
+  *len = record.size();
   return Status::OK();
 }
 
@@ -231,8 +255,7 @@ void SampleStore::Demote(uint32_t id, const std::vector<RowId>& rows) {
   Rec& rec = recs_[id];
   if (rec.tier == SampleTier::kCold) return;
   TABULA_FAULT_DELAY("store.evict");
-  resident_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  rec.bytes = 0;
+  Charge(id, 0);
   rec.tier = SampleTier::kCold;
   rec.spilled = false;
   ++demotes_;
@@ -256,18 +279,14 @@ void SampleStore::Demote(uint32_t id, const std::vector<RowId>& rows) {
 void SampleStore::MarkResident(uint32_t id, uint64_t sample_bytes,
                                SampleTier tier) {
   Rec& rec = GrowTo(id);
-  if (rec.tracked && rec.tier != SampleTier::kCold) {
-    resident_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  }
   if (!rec.tracked) {
     rec.tracked = true;
     rec.refs = 1;
   }
   rec.tier = tier;
-  rec.bytes = sample_bytes;
   rec.spilled = false;
   rec.spill_offset = rec.spill_len = 0;
-  resident_bytes_.fetch_add(sample_bytes, std::memory_order_relaxed);
+  Charge(id, sample_bytes);
 }
 
 Result<std::vector<RowId>> SampleStore::ReadSpilled(uint32_t id) {
@@ -276,29 +295,36 @@ Result<std::vector<RowId>> SampleStore::ReadSpilled(uint32_t id) {
                             " has no spill record");
   }
   TABULA_FAULT_POINT("store.spill.read");
-  std::ifstream in(options_.spill_path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open spill file for reading");
+  TABULA_RETURN_NOT_OK(OpenSpill(/*create=*/false));
   TABULA_ASSIGN_OR_RETURN(
       std::vector<RowId> rows,
-      ReadSpillRecord(&in, id, recs_[id].spill_offset, recs_[id].spill_len));
+      ReadSpillRecord(spill_fd_, id, recs_[id].spill_offset,
+                      recs_[id].spill_len));
   ++spill_reads_;
   return rows;
 }
 
-Status SampleStore::ValidateSpill() const {
-  std::ifstream in;
+Status SampleStore::ValidateSpill() {
+  uint64_t size = 0;
+  bool opened = false;
   for (uint32_t id = 0; id < recs_.size(); ++id) {
     if (!has_spill(id)) continue;
-    if (!in.is_open()) {
-      in.open(options_.spill_path, std::ios::binary);
-      if (!in) {
+    if (!opened) {
+      struct stat st;
+      if (!OpenSpill(/*create=*/false).ok() || ::fstat(spill_fd_, &st) != 0) {
         return Status::DataLoss("cold-spill file '" + options_.spill_path +
                                 "' is missing");
       }
+      size = static_cast<uint64_t>(st.st_size);
+      opened = true;
     }
-    TABULA_RETURN_NOT_OK(ReadSpillRecord(&in, id, recs_[id].spill_offset,
-                                         recs_[id].spill_len)
-                             .status());
+    const Rec& rec = recs_[id];
+    if (rec.spill_offset > size || rec.spill_len > size - rec.spill_offset) {
+      return TornRecord(id, "it lies past the end of the file");
+    }
+    TABULA_RETURN_NOT_OK(
+        ReadSpillRecord(spill_fd_, id, rec.spill_offset, rec.spill_len)
+            .status());
   }
   return Status::OK();
 }
@@ -327,13 +353,7 @@ void SampleStore::Adopt(uint32_t id, TierRecord record,
   rec.spilled = record.spill_len > 0 && !options_.spill_path.empty();
   rec.spill_offset = record.spill_offset;
   rec.spill_len = record.spill_len;
-  rec.bytes = record.tier == SampleTier::kCold ? 0 : sample_bytes;
-  if (rec.bytes > 0) {
-    resident_bytes_.fetch_add(rec.bytes, std::memory_order_relaxed);
-  }
-  if (rec.spilled) {
-    spill_end_ = std::max(spill_end_, rec.spill_offset + rec.spill_len);
-  }
+  Charge(id, record.tier == SampleTier::kCold ? 0 : sample_bytes);
 }
 
 SampleStoreStats SampleStore::Stats() const {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -70,17 +71,20 @@ struct SampleStoreStats {
 /// SampleTable — it tracks, per sample id, the tier, the resident byte
 /// charge, a per-sample hit counter (fed by the serve path), and the
 /// spill-file record of cold samples. Victim selection is CLOCK over the
-/// hit counters: a full pass halves survivors' counts, so burst-hot
-/// cells age out deterministically.
+/// hit counters of the records holding resident bytes: a full pass
+/// halves survivors' counts, so burst-hot cells age out
+/// deterministically.
 ///
 /// Concurrency contract (mirrors the engine's): RecordHit(), bytes(),
 /// tier() and Stats() are safe under the engine's shared store lock
-/// (atomics only); every other method mutates bookkeeping and follows
-/// the engine's exclusive-section discipline. The store itself carries
-/// no mutex — the engine's store_mu_ is the single lock.
+/// (atomics only); every other method mutates bookkeeping — the CLOCK's
+/// id set and the spill descriptor included — and follows the engine's
+/// exclusive-section discipline. The store itself carries no mutex —
+/// the engine's store_mu_ is the single lock.
 class SampleStore {
  public:
   SampleStore() = default;
+  ~SampleStore();
   SampleStore(SampleStore&& other) noexcept { *this = std::move(other); }
   SampleStore& operator=(SampleStore&& other) noexcept;
   SampleStore(const SampleStore&) = delete;
@@ -88,6 +92,7 @@ class SampleStore {
 
   /// Installs options and forgets every record. The spill file is never
   /// truncated: its records are append-only for the life of the file.
+  /// The store opens it once, on first use, and keeps it open.
   void Configure(SampleStoreOptions options);
 
   bool enabled() const { return options_.budget_bytes > 0; }
@@ -136,8 +141,11 @@ class SampleStore {
   void RecordHit(uint32_t id);
 
   /// CLOCK victim selection: resident ids whose demotion frees at least
-  /// `needed` bytes, skipping `protect`. Survivors' hit counters halve
-  /// per pass. May free less when everything else is already cold.
+  /// `needed` bytes, skipping `protect`. The hand visits the records
+  /// holding resident bytes, in id order from where the last sweep
+  /// stopped; a visited record with no hits is a victim and any other
+  /// halves its counter. May free less when everything else is already
+  /// cold; the hand then stays where it started.
   std::vector<uint32_t> PlanEvictions(uint64_t needed, uint32_t protect);
 
   /// One demotion to kCold: releases the resident charge and, when a
@@ -165,15 +173,15 @@ class SampleStore {
     return tracked(id) && recs_[id].spilled;
   }
 
-  /// Reads sample `id` back from the spill file, verifying the record's
-  /// length and checksum (`store.spill.read` seam). kDataLoss on a torn
-  /// or flipped record.
+  /// Reads sample `id` back from the spill file with one pread,
+  /// verifying the record's length and checksum (`store.spill.read`
+  /// seam). kDataLoss on a torn or flipped record.
   Result<std::vector<RowId>> ReadSpilled(uint32_t id);
 
-  /// Load-time integrity pass over every spill record: a truncated or
-  /// corrupted side file surfaces as kDataLoss before any answer is
-  /// served from it.
-  Status ValidateSpill() const;
+  /// Load-time integrity pass over every spill record: a missing,
+  /// truncated or corrupted side file surfaces as kDataLoss before any
+  /// answer is served from it. Never creates the file.
+  Status ValidateSpill();
 
   /// Persisted tier record of one sample (cube body, see Tabula::Save).
   struct TierRecord {
@@ -210,6 +218,13 @@ class SampleStore {
   /// existing records, so concurrent RecordHit on other ids stays safe).
   Rec& GrowTo(uint32_t id);
 
+  /// Sets `id`'s resident charge, keeping resident_bytes_ and the
+  /// CLOCK's id set in step with it.
+  void Charge(uint32_t id, uint64_t bytes);
+
+  /// Opens the spill file once (O_APPEND); only a write may create it.
+  Status OpenSpill(bool create);
+
   /// Appends one checked record; fills offset/len on success.
   Status SpillWrite(uint32_t id, const std::vector<RowId>& rows,
                     uint64_t* offset, uint64_t* len);
@@ -217,9 +232,13 @@ class SampleStore {
   SampleStoreOptions options_;
   std::deque<Rec> recs_;
   std::atomic<uint64_t> resident_bytes_{0};
+  /// The ids whose records hold resident bytes (bytes > 0), ascending:
+  /// the only records the CLOCK hand can demote.
+  std::set<uint32_t> charged_;
+  /// The next id the CLOCK hand visits.
   size_t clock_hand_ = 0;
-  /// Append cursor of the spill side file.
-  uint64_t spill_end_ = 0;
+  /// The spill file's descriptor, -1 until first use.
+  int spill_fd_ = -1;
 
   std::atomic<uint64_t> hits_total_{0};
   uint64_t promotes_ = 0;

@@ -6,8 +6,9 @@
 /// shard manifest and a three-batch journal. Each is mutated by seeded
 /// bit flips, truncation at every header offset and at seeded body
 /// offsets, and counts inflated far past the bytes that follow them. The
-/// journal's and the spill file's checked records are also flipped and
-/// re-sealed with a fresh CRC32C, so their payload decoders face the
+/// cube file's and manifest's checked bodies and the journal's and the
+/// spill file's checked records are also flipped (and the bodies cut)
+/// and re-sealed with a fresh CRC32C, so their payload decoders face the
 /// damage. Every mutant goes through the reader of its file —
 /// Tabula::Load, ShardedTabula::Load, IngestJournal::Replay and
 /// IngestJournal::Open — and must end in OK or an error Status: no
@@ -65,6 +66,10 @@ struct Input {
   size_t header_bytes = 0;
   /// Offsets of u64 counts that precede what they count.
   std::vector<size_t> counts;
+  /// Offset of the checked record that holds the file's body from there
+  /// to the end (cube file, manifest), or none.
+  bool sealed_body = false;
+  size_t body_at = 0;
   /// Offset of the first checked record (journal, spill file), or none.
   bool has_records = false;
   size_t records_at = 0;
@@ -110,6 +115,16 @@ void Reseal(std::string* bytes, std::pair<size_t, size_t> span) {
   std::memcpy(bytes->data() + span.first + 4, &crc, sizeof(crc));
 }
 
+/// Re-seals a file body that runs from `body_at` to the end: the record's
+/// length and CRC32C are rewritten for the bytes there now.
+void SealBody(std::string* bytes, size_t body_at) {
+  if (bytes->size() < body_at + kRecordHeaderBytes) return;
+  const uint32_t len =
+      static_cast<uint32_t>(bytes->size() - body_at - kRecordHeaderBytes);
+  std::memcpy(bytes->data() + body_at, &len, sizeof(len));
+  Reseal(bytes, {body_at, bytes->size() - body_at});
+}
+
 /// Every mutation family over one input; returns the mutant count.
 size_t MutateAll(const Input& input, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -125,6 +140,11 @@ size_t MutateAll(const Input& input, uint64_t seed) {
     }
     ReadMutant(input, bytes, "flip " + std::to_string(i));
     ++mutants;
+    if (input.sealed_body) {
+      SealBody(&bytes, input.body_at);
+      ReadMutant(input, bytes, "sealed flip " + std::to_string(i));
+      ++mutants;
+    }
   }
 
   // Truncation at every header offset and at seeded body offsets. A cube
@@ -139,12 +159,18 @@ size_t MutateAll(const Input& input, uint64_t seed) {
                    rng() % (pristine.size() - input.header_bytes));
   }
   for (size_t cut : cuts) {
-    Status status = ReadMutant(input, pristine.substr(0, cut),
-                               "cut at " + std::to_string(cut));
+    std::string bytes = pristine.substr(0, cut);
+    Status status = ReadMutant(input, bytes, "cut at " + std::to_string(cut));
     if (cut_fails) {
       EXPECT_FALSE(status.ok()) << input.name << " cut at " << cut;
     }
     ++mutants;
+    if (input.sealed_body && cut >= input.body_at + kRecordHeaderBytes) {
+      SealBody(&bytes, input.body_at);
+      status = ReadMutant(input, bytes, "sealed cut at " + std::to_string(cut));
+      EXPECT_FALSE(status.ok()) << input.name << " sealed cut at " << cut;
+      ++mutants;
+    }
   }
 
   // Counts inflated past every byte the file holds: each must fail
@@ -156,6 +182,7 @@ size_t MutateAll(const Input& input, uint64_t seed) {
           uint64_t{1} << 40, uint64_t{1} << 62, ~uint64_t{0}}) {
       std::string bytes = pristine;
       std::memcpy(bytes.data() + at, &inflated, sizeof(inflated));
+      if (input.sealed_body) SealBody(&bytes, input.body_at);
       const std::string what =
           "count at " + std::to_string(at) + " = " + std::to_string(inflated);
       Status status = ReadMutant(input, bytes, what);
@@ -248,6 +275,20 @@ class FileMutationTest : public ::testing::Test {
     return bytes;
   }
 
+  /// Where a cube file's body starts: the global sample's row count,
+  /// after the header and the body's record header.
+  size_t GlobalAt() const { return HeaderBytes() + kRecordHeaderBytes; }
+
+  /// Offset of sample `id`'s row count in a cube file saved from `cube`.
+  size_t SampleAt(const Tabula& cube, uint32_t id) const {
+    size_t at = GlobalAt() + 8 + 4 * cube.global_sample().size() + 8 +
+                16 * cube.cube_table().size() + 8;
+    for (uint32_t i = 0; i < id; ++i) {
+      at += 8 + 4 * cube.sample_table().sample(i).size();
+    }
+    return at;
+  }
+
   /// The counts of a cube file saved from `cube`: the loss-name length,
   /// the attribute count, the global sample's rows, the cell count, the
   /// sample count, the first sample's rows, the grid blob's length when
@@ -255,7 +296,7 @@ class FileMutationTest : public ::testing::Test {
   std::vector<size_t> CubeCounts(const Tabula& cube, size_t file_size) const {
     const size_t loss_name_at = 4 + 4 + 8 + 8;
     const size_t attrs_at = loss_name_at + 8 + loss_->name().size() + 8;
-    const size_t global_at = HeaderBytes();
+    const size_t global_at = GlobalAt();
     const size_t cells_at = global_at + 8 + 4 * cube.global_sample().size();
     const size_t samples_at = cells_at + 8 + 16 * cube.cube_table().size();
     size_t samples_end = samples_at + 8;
@@ -291,8 +332,10 @@ TEST_F(FileMutationTest, CubeFileWithSpatialGrid) {
   Input input;
   input.name = "cube file";
   input.files = {{path, ReadFileBytes(path).value()}};
-  input.header_bytes = HeaderBytes();
+  input.header_bytes = GlobalAt();
   input.counts = CubeCounts(*cube.value(), input.pristine().size());
+  input.sealed_body = true;
+  input.body_at = HeaderBytes();
   input.read = [&] { return Tabula::Load(*table_, options, path).status(); };
   ASSERT_TRUE(ReadMutant(input, input.pristine(), "pristine").ok());
   EXPECT_GT(MutateAll(input, 0x5EED0019), 400u);
@@ -325,8 +368,10 @@ TEST_F(FileMutationTest, CubeFileWithColdSpilledTiers) {
   Input cube_file;
   cube_file.name = "budgeted cube file";
   cube_file.files = files;
-  cube_file.header_bytes = HeaderBytes();
+  cube_file.header_bytes = GlobalAt();
   cube_file.counts = CubeCounts(*cube.value(), cube_file.pristine().size());
+  cube_file.sealed_body = true;
+  cube_file.body_at = HeaderBytes();
   cube_file.read = read;
   ASSERT_TRUE(ReadMutant(cube_file, cube_file.pristine(), "pristine").ok());
   EXPECT_GT(MutateAll(cube_file, 0x5EED001A), 400u);
@@ -356,8 +401,10 @@ TEST_F(FileMutationTest, ShardManifest) {
   Input input;
   input.name = "manifest";
   input.files = {{path, ReadFileBytes(path).value()}};
-  // Then the shard count and the partition word.
-  input.header_bytes = HeaderBytes() + 8 + 4;
+  // Then the body: the shard count and the partition word first.
+  input.header_bytes = GlobalAt() + 8 + 4;
+  input.sealed_body = true;
+  input.body_at = HeaderBytes();
   const size_t global_at = input.header_bytes;
   const size_t first_shard_at =
       global_at + 8 + 4 * sharded.value()->global_sample().size();
@@ -479,11 +526,42 @@ TEST_F(FileMutationTest, RepeatedCellKeyIsDataLoss) {
   ASSERT_TRUE(cube.value()->Save(path).ok());
   std::string bytes = ReadFileBytes(path).value();
   // The cell count, then (key, cuboid, sample id) per cell: the second
-  // cell takes the first cell's key.
+  // cell takes the first cell's key, and the body is re-sealed.
   const size_t first_key_at =
-      HeaderBytes() + 8 + 4 * cube.value()->global_sample().size() + 8;
+      GlobalAt() + 8 + 4 * cube.value()->global_sample().size() + 8;
   std::memcpy(bytes.data() + first_key_at + 16, bytes.data() + first_key_at,
               8);
+  SealBody(&bytes, HeaderBytes());
+  WriteAll(path, bytes);
+  auto loaded = Tabula::Load(*table_, options_, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("repeats cell key"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+/// A sample row id flipped to another row below the row count decodes
+/// to a valid cube that serves a different sample; the body's checksum
+/// refuses it before anything is decoded.
+TEST_F(FileMutationTest, SampleRowIdFlipIsDataLoss) {
+  auto cube = Tabula::Initialize(*table_, options_);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  const SampleTable& samples = cube.value()->sample_table();
+  uint32_t id = 0;
+  while (id < samples.size() && samples.sample(id).empty()) ++id;
+  ASSERT_LT(id, samples.size());
+  const std::string path = Path("row_flip.cube");
+  ASSERT_TRUE(cube.value()->Save(path).ok());
+  std::string bytes = ReadFileBytes(path).value();
+  const size_t row_at = SampleAt(*cube.value(), id) + 8;
+  RowId row = 0;
+  std::memcpy(&row, bytes.data() + row_at, sizeof(row));
+  ASSERT_EQ(row, samples.sample(id).front());
+  row ^= 1;  // still below the row count
+  ASSERT_LT(row, table_->num_rows());
+  std::memcpy(bytes.data() + row_at, &row, sizeof(row));
   WriteAll(path, bytes);
   auto loaded = Tabula::Load(*table_, options_, path);
   ASSERT_FALSE(loaded.ok());

@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "core/tabula.h"
 #include "data/taxi_gen.h"
+#include "exec/vector_ops.h"
 #include "ingest/ingest_journal.h"
 #include "loss/mean_loss.h"
 #include "loss/min_dist_loss.h"
@@ -265,22 +267,36 @@ struct CountField {
   std::vector<uint64_t> values;
 };
 
-/// Sets each field to each of its values in turn: `load` must return
-/// kDataLoss without throwing, and must succeed again once the field is
-/// restored.
-void ExpectCorruptCountsFail(const std::string& path,
+/// Re-seals the checked body that runs from `body_at` to the end of the
+/// file at `path`, so its decoder meets the bytes there now.
+void SealBody(const std::string& path, uint64_t body_at) {
+  std::string bytes = ReadFileBytes(path).value();
+  const uint64_t payload = body_at + kRecordHeaderBytes;
+  const uint32_t crc =
+      vec::Crc32c(bytes.data() + payload, bytes.size() - payload);
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(body_at + 4));
+  f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+/// Sets each field to each of its values in turn, re-sealing the body
+/// that starts at `body_at`: `load` must return kDataLoss without
+/// throwing, and must succeed again once the field is restored.
+void ExpectCorruptCountsFail(const std::string& path, uint64_t body_at,
                              const std::vector<CountField>& fields,
                              const std::function<Status()>& load) {
   for (const CountField& field : fields) {
     const uint64_t original = ReadU64At(path, field.offset);
     for (uint64_t value : field.values) {
       WriteU64At(path, field.offset, value);
+      SealBody(path, body_at);
       Status loaded = Status::OK();
       EXPECT_NO_THROW(loaded = load()) << field.name << " = " << value;
       EXPECT_EQ(loaded.code(), StatusCode::kDataLoss)
           << field.name << " = " << value << ": " << loaded.ToString();
     }
     WriteU64At(path, field.offset, original);
+    SealBody(path, body_at);
     EXPECT_TRUE(load().ok()) << field.name << " restored";
   }
 }
@@ -305,13 +321,15 @@ TEST_F(PersistenceTest, CorruptCountsFailWithoutAllocating) {
   ASSERT_TRUE(sharded.value()->Save(manifest_path).ok());
 
   // Header: magic, version, rows, fingerprint, loss name, threshold,
-  // attribute count, attributes.
+  // attribute count, attributes. Then the body's record header, and the
+  // body.
   const uint64_t loss_name_at = 4 + 4 + 8 + 8;
   const uint64_t attrs_at = loss_name_at + 8 + loss_->name().size() + 8;
-  uint64_t header_bytes = attrs_at + 8;
+  uint64_t body_at = attrs_at + 8;
   for (const std::string& attr : options_.cubed_attributes) {
-    header_bytes += 8 + attr.size();
+    body_at += 8 + attr.size();
   }
+  const uint64_t body_start = body_at + kRecordHeaderBytes;
   const std::vector<uint64_t> string_lengths = {uint64_t{1} << 31,
                                                 uint64_t{1} << 62};
   const std::vector<uint64_t> attr_counts = {uint64_t{1} << 36,
@@ -322,15 +340,15 @@ TEST_F(PersistenceTest, CorruptCountsFailWithoutAllocating) {
   // Cube file: the global sample, then the cube cells (key, cuboid,
   // sample id), then the sample table.
   const uint64_t global_rows = cube.value()->global_sample().size();
-  const uint64_t cells_at = header_bytes + 8 + 4 * global_rows;
+  const uint64_t cells_at = body_start + 8 + 4 * global_rows;
   const uint64_t first_sample_at =
       cells_at + 8 + (8 + 4 + 4) * cube.value()->cube_table().size() + 8;
   ASSERT_GT(cube.value()->sample_table().size(), 0u);
   ExpectCorruptCountsFail(
-      cube_path,
+      cube_path, body_at,
       {{"loss-name length", loss_name_at, string_lengths},
        {"attribute count", attrs_at, attr_counts},
-       {"global-sample rows", header_bytes, row_counts},
+       {"global-sample rows", body_start, row_counts},
        {"first sample's rows", first_sample_at, row_counts}},
       [&] { return Tabula::Load(*table_, options_, cube_path).status(); });
 
@@ -339,10 +357,10 @@ TEST_F(PersistenceTest, CorruptCountsFailWithoutAllocating) {
   const std::vector<uint64_t> merged = sharded.value()->MergedIcebergKeys();
   ASSERT_FALSE(merged.empty());
   ExpectCorruptCountsFail(
-      manifest_path,
+      manifest_path, body_at,
       {{"loss-name length", loss_name_at, string_lengths},
        {"attribute count", attrs_at, attr_counts},
-       {"global-sample rows", header_bytes + 8 + 4, row_counts},
+       {"global-sample rows", body_start + 8 + 4, row_counts},
        {"merged-cell count",
         FindU64Pair(manifest_path, merged.size(), merged.front()),
         {uint64_t{1} << 40, uint64_t{1} << 62}}},

@@ -21,7 +21,10 @@
 ///    (all-kWarm tier records) load into a store-enabled engine, and a
 ///    loaded engine refreshes exactly like the live one;
 ///  - shard units never hot-promote: a sharded promote restores exactly
-///    the bytes the merge verified.
+///    the bytes the merge verified;
+///  - spill mode with the hot tier off answers like an unbounded store
+///    across ingest cycles, and a spill restore of a reference-free cell
+///    evaluates no loss directly.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -849,6 +853,206 @@ TEST(StoreDiff, LoadedEngineRefreshesLikeTheLiveOne) {
       }
     }
   }
+}
+
+/// Spill mode with the hot tier off serves the bytes an engine without a
+/// budget serves, whatever was resident: a refresh checks a dirty cold
+/// cell's spilled sample as it checks a resident one, so Zipf reads
+/// between ingest cycles (promotes and demotes) change no re-draw and no
+/// answer.
+TEST(StoreDiff, SpillModeIngestCyclesServeTheUnboundedBytes) {
+  constexpr int kCycles = 12;
+  constexpr size_t kRowsPerCycle = 25;
+  for (uint64_t seed : {2u, 7u, 13u}) {
+    DiffFixture f = MakeFixture(seed, 400);
+    std::unique_ptr<Table> donor =
+        MakeFixture(seed, kCycles * kRowsPerCycle, /*draw=*/12).table;
+    const double theta = MakeTheta(seed);
+    std::shared_ptr<const LossFunction> loss = MakeLoss();
+    auto unbounded = Tabula::Initialize(
+        *f.table, MakeOptions(f, seed, 1, loss, theta, 0, false).base);
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+    const uint64_t full =
+        Tabula::Initialize(
+            *f.table,
+            MakeOptions(f, seed, 1, loss, theta, kUnbounded, false).base)
+            .value()
+            ->sample_store()
+            .bytes();
+    const uint64_t budget = std::max<uint64_t>(full / 2, 2);
+    TabulaOptions spill_opts =
+        MakeOptions(f, seed, 1, loss, theta, budget, false).base;
+    spill_opts.store.spill_path =
+        TempPath("store_diff_ingest_spill_" + std::to_string(seed) + ".bin");
+    std::remove(spill_opts.store.spill_path.c_str());
+    auto spilled = Tabula::Initialize(*f.table, spill_opts);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    ASSERT_GT(spilled.value()->sample_store().Stats().cold_samples, 0u);
+
+    const auto cells = EveryCell(*f.table, f.attrs);
+    Rng rng(seed * 31 + 1);
+    size_t resampled = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      const std::string where =
+          "seed=" + std::to_string(seed) + " cycle=" + std::to_string(cycle);
+      // Zipf-skewed reads promote a few hot cells and demote others.
+      for (int i = 0; i < 150; ++i) {
+        const double u = rng.UniformDouble(0.0, 1.0);
+        const size_t c = std::min(
+            cells.size() - 1, static_cast<size_t>(cells.size() * u * u * u));
+        auto got = spilled.value()->Query(QueryRequest(cells[c]));
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        ASSERT_FALSE(got.value().result.store_degraded) << where;
+      }
+      for (size_t r = 0; r < kRowsPerCycle; ++r) {
+        const RowId row = static_cast<RowId>(cycle * kRowsPerCycle + r);
+        ASSERT_TRUE(f.table->AppendRowFrom(*donor, row).ok());
+      }
+      QueryEngine::RefreshStats want;
+      QueryEngine::RefreshStats got;
+      ASSERT_TRUE(unbounded.value()->Refresh(&want).ok()) << where;
+      ASSERT_TRUE(spilled.value()->Refresh(&got).ok()) << where;
+      EXPECT_EQ(got.resampled_cells, want.resampled_cells) << where;
+      EXPECT_EQ(got.new_iceberg_cells, want.new_iceberg_cells) << where;
+      EXPECT_EQ(got.dropped_iceberg_cells, want.dropped_iceberg_cells)
+          << where;
+      EXPECT_LE(spilled.value()->sample_store().bytes(), budget) << where;
+      resampled += want.resampled_cells;
+      for (const auto& cell : cells) {
+        auto a = unbounded.value()->Query(QueryRequest(cell));
+        auto b = spilled.value()->Query(QueryRequest(cell));
+        ASSERT_TRUE(a.ok() && b.ok()) << where;
+        EXPECT_FALSE(b->result.store_degraded) << where;
+        EXPECT_EQ(b->result.sample.ToRowIds(), a->result.sample.ToRowIds())
+            << where;
+      }
+    }
+    // The cycles re-drew some cells and kept others, and the reads
+    // restored spilled samples.
+    EXPECT_GT(resampled, 0u) << "seed=" << seed;
+    EXPECT_GT(spilled.value()->sample_store().Stats().spill_reads, 0u);
+    std::remove(spill_opts.store.spill_path.c_str());
+  }
+}
+
+/// Delegates to `inner`, counting direct loss evaluations.
+class CountingLoss final : public LossFunction {
+ public:
+  explicit CountingLoss(std::shared_ptr<const LossFunction> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Result<std::unique_ptr<BoundLoss>> Bind(
+      const Table& table, const DatasetView& ref) const override {
+    return inner_->Bind(table, ref);
+  }
+  Result<double> Loss(const DatasetView& raw,
+                      const DatasetView& sample) const override {
+    ++loss_evals;
+    return inner_->Loss(raw, sample);
+  }
+  Result<std::unique_ptr<GreedyLossEvaluator>> MakeGreedyEvaluator(
+      const DatasetView& raw) const override {
+    return inner_->MakeGreedyEvaluator(raw);
+  }
+  bool SubmodularGain() const override { return inner_->SubmodularGain(); }
+  bool UnionClosed() const override { return inner_->UnionClosed(); }
+  bool StateDependsOnReference() const override {
+    return inner_->StateDependsOnReference();
+  }
+  std::vector<std::string> InputColumns() const override {
+    return inner_->InputColumns();
+  }
+
+  mutable int loss_evals = 0;
+
+ private:
+  std::shared_ptr<const LossFunction> inner_;
+};
+
+/// A promote restores a reference-free cell's spilled sample and checks
+/// it off the cell's folded state: no direct loss evaluation and no row
+/// gathered, and every answer still meets θ against a direct scan.
+TEST(StoreDiff, SpillRestoreOfAReferenceFreeCellEvaluatesNoLoss) {
+  const uint64_t seed = 8;
+  DiffFixture f = MakeFixture(seed, 400);
+  const double theta = MakeTheta(seed);
+  std::shared_ptr<const LossFunction> inner = MakeLoss();
+  ASSERT_FALSE(inner->StateDependsOnReference());
+  auto counting = std::make_shared<CountingLoss>(inner);
+  const uint64_t full =
+      Tabula::Initialize(
+          *f.table,
+          MakeOptions(f, seed, 1, inner, theta, kUnbounded, false).base)
+          .value()
+          ->sample_store()
+          .bytes();
+  TabulaOptions options = MakeOptions(f, seed, 1, counting, theta,
+                                      std::max<uint64_t>(full / 4, 2), false)
+                              .base;
+  options.store.spill_path = TempPath("store_diff_counting.spill");
+  std::remove(options.store.spill_path.c_str());
+  auto engine = Tabula::Initialize(*f.table, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_GT(engine.value()->sample_store().Stats().spill_writes, 0u);
+
+  const SampleStoreStats before = engine.value()->sample_store().Stats();
+  counting->loss_evals = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& where : EveryCell(*f.table, f.attrs)) {
+      auto got = engine.value()->Query(QueryRequest(where));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const TabulaQueryResult& result = got.value().result;
+      ASSERT_FALSE(result.store_degraded);
+      auto bound = BoundPredicate::Bind(*f.table, where);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      std::vector<RowId> truth = bound.value().FilterAll();
+      if (truth.empty()) continue;
+      auto l = inner->Loss(DatasetView(f.table.get(), std::move(truth)),
+                           result.sample);
+      ASSERT_TRUE(l.ok()) << l.status().ToString();
+      EXPECT_LE(l.value(), theta * (1.0 + 1e-7) + 1e-12);
+    }
+  }
+  const SampleStoreStats after = engine.value()->sample_store().Stats();
+  ASSERT_GT(after.spill_reads, before.spill_reads)
+      << "no promote restored a spill record — the test lost its teeth";
+  EXPECT_EQ(counting->loss_evals, 0);
+  std::remove(options.store.spill_path.c_str());
+}
+
+/// A Load whose spill file is missing is kDataLoss, and reading the
+/// spill file never creates it.
+TEST(StoreDiff, LoadWithoutItsSpillFileIsDataLossAndCreatesNoFile) {
+  const uint64_t seed = 3;
+  DiffFixture f = MakeFixture(seed, 400);
+  const double theta = MakeTheta(seed);
+  std::shared_ptr<const LossFunction> loss = MakeLoss();
+  const uint64_t full =
+      Tabula::Initialize(
+          *f.table,
+          MakeOptions(f, seed, 1, loss, theta, kUnbounded, false).base)
+          .value()
+          ->sample_store()
+          .bytes();
+  TabulaOptions options = MakeOptions(f, seed, 1, loss, theta,
+                                      std::max<uint64_t>(full / 4, 2), false)
+                              .base;
+  options.store.spill_path = TempPath("store_diff_missing.spill");
+  const std::string cube_path = TempPath("store_diff_missing.cube");
+  std::remove(options.store.spill_path.c_str());
+  {
+    auto engine = Tabula::Initialize(*f.table, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_GT(engine.value()->sample_store().Stats().spill_writes, 0u);
+    ASSERT_TRUE(engine.value()->Save(cube_path).ok());
+  }
+  ASSERT_TRUE(std::filesystem::remove(options.store.spill_path));
+  auto loaded = Tabula::Load(*f.table, options, cube_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(options.store.spill_path));
+  std::remove(cube_path.c_str());
 }
 
 /// Both ways across the store boundary, on the one file format: a file
